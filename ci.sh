@@ -12,6 +12,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1 tests =="
 cargo test --workspace --release
 
+echo "== benchmark tests =="
+# perfbench is a workspace of its own, so `--workspace` above never
+# builds it; a change to a library API it calls (the serde shim traits
+# included) would otherwise break the benchmark unnoticed. Its tests run
+# every workload at a tiny scale.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== scalar-fallback arm (force-scalar feature) =="
 # The SIMD kernels ship two arms (lane-chunked + scalar) behind the
 # `force-scalar` feature, contractually bit-identical (see DESIGN.md

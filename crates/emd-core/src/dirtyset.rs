@@ -114,8 +114,8 @@ impl FromIterator<usize> for DirtySet {
 // Checkpoints carry the sorted index list — the same value a
 // `BTreeSet<usize>` serialized to, so the swap is schema-invisible.
 impl Serialize for DirtySet {
-    fn to_value(&self) -> Value {
-        self.iter().collect::<Vec<usize>>().to_value()
+    fn write_json(&self, out: &mut String) {
+        serde::ser::write_seq(self.iter(), out);
     }
 }
 
@@ -176,11 +176,10 @@ mod tests {
         let idxs = [77usize, 1, 300, 64];
         let s: DirtySet = idxs.iter().copied().collect();
         let b: BTreeSet<usize> = idxs.iter().copied().collect();
-        assert_eq!(
-            s.to_value(),
-            b.iter().copied().collect::<Vec<usize>>().to_value()
-        );
-        let back = DirtySet::from_value(&s.to_value()).unwrap();
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(json, serde_json::to_string(&b).unwrap());
+        assert_eq!(json, "[1,64,77,300]");
+        let back: DirtySet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }
 }

@@ -227,8 +227,8 @@ impl PostingList {
 // Checkpoints carry the logical list only — byte-identical to the
 // plain-`Vec` schema; `head` is a transient layout detail.
 impl Serialize for PostingList {
-    fn to_value(&self) -> serde::value::Value {
-        self.as_slice().to_vec().to_value()
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -876,5 +876,19 @@ mod tests {
             after < before,
             "eviction must shrink resident bytes: {before} -> {after}"
         );
+    }
+
+    #[test]
+    fn posting_list_serializes_its_logical_list() {
+        let mut p = PostingList::default();
+        for i in [3, 5, 8, 13] {
+            p.insert(i);
+        }
+        p.remove(3);
+        assert_eq!(p.head, 1, "a front removal advances the head");
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, "[5,8,13]");
+        let back: PostingList = serde_json::from_str(&json).unwrap();
+        assert_eq!((back.as_slice(), back.head), (p.as_slice(), 0));
     }
 }

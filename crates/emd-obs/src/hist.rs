@@ -7,7 +7,7 @@
 //! cover the full u64 range; recording is a handful of relaxed atomic
 //! operations and never allocates.
 
-use crate::snapshot::{BucketSnapshot, ExemplarSnapshot, HistogramSnapshot};
+use crate::snapshot::{quantile_from_buckets, BucketSnapshot, ExemplarSnapshot, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,25 +82,6 @@ impl HistInner {
 #[derive(Debug, Clone)]
 pub struct Histogram {
     inner: Arc<HistInner>,
-}
-
-/// Point-in-time aggregate statistics of a histogram.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistStats {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples (saturating).
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Estimated median.
-    pub p50: f64,
-    /// Estimated 90th percentile.
-    pub p90: f64,
-    /// Estimated 99th percentile.
-    pub p99: f64,
 }
 
 impl Default for Histogram {
@@ -179,50 +160,24 @@ impl Histogram {
     /// linearly inside it. The estimate lies in the same bucket as the
     /// exact order statistic, so its relative error is bounded by the
     /// bucket width (≤ 25%); the result is additionally clamped to the
-    /// observed `[min, max]`. Returns 0 for an empty histogram.
+    /// observed `[min, max]`. Computed from the same single read of the
+    /// buckets as [`Histogram::snapshot`]. Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut cum = 0u64;
-        let mut est = self.max() as f64;
-        for i in 0..N_BUCKETS {
-            let c = self.inner.buckets[i].load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= target {
-                let lo = bucket_lo(i) as f64;
-                let hi = bucket_hi(i) as f64;
-                let within = (target - cum) as f64 - 0.5;
-                est = lo + (hi - lo) * (within / c as f64);
-                break;
-            }
-            cum += c;
-        }
-        est.clamp(self.min() as f64, self.max() as f64)
+        let s = self.snapshot("");
+        quantile_from_buckets(&s.buckets, s.count, s.min, s.max, q)
     }
 
-    /// Aggregate statistics (count, sum, min/max, p50/p90/p99).
-    pub fn stats(&self) -> HistStats {
-        HistStats {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-        }
-    }
-
-    /// Serializable snapshot: aggregate stats plus the non-empty buckets
-    /// and any per-bucket exemplars.
+    /// Serializable snapshot: aggregate stats (count, sum, min/max,
+    /// p50/p90/p99) plus the non-empty buckets and any per-bucket
+    /// exemplars. This is the one place the aggregates are computed. Each
+    /// bucket is read once and the aggregates are reconciled with those
+    /// reads, so a snapshot taken while writers record is still internally
+    /// coherent: `count` is the bucket total (the `+Inf` bucket never
+    /// trails a finite one), `[min, max]` reaches into the first and last
+    /// non-empty bucket even when a sample's bucket bump landed before its
+    /// min/max update, and the quantiles are estimated from the same reads
+    /// and clamped to that range. A quiescent snapshot is exact.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let stats = self.stats();
         let mut buckets = Vec::new();
         let mut exemplars = Vec::new();
         for i in 0..N_BUCKETS {
@@ -245,15 +200,30 @@ impl Histogram {
                 });
             }
         }
+        let count: u64 = buckets.iter().map(|b| b.count).sum();
+        let (min, max) = match (buckets.first(), buckets.last()) {
+            (Some(first), Some(last)) => {
+                let first_top = if first.hi == u64::MAX {
+                    first.hi
+                } else {
+                    first.hi - 1
+                };
+                let min = self.inner.min.load(Ordering::Relaxed).min(first_top);
+                let max = self.inner.max.load(Ordering::Relaxed).max(last.lo);
+                (min, max.max(min))
+            }
+            _ => (0, 0),
+        };
+        let quantile = |q| quantile_from_buckets(&buckets, count, min, max, q);
         HistogramSnapshot {
             name: name.to_string(),
-            count: stats.count,
-            sum: stats.sum,
-            min: stats.min,
-            max: stats.max,
-            p50: stats.p50,
-            p90: stats.p90,
-            p99: stats.p99,
+            count,
+            sum: self.sum(),
+            min,
+            max,
+            p50: quantile(0.50),
+            p90: quantile(0.90),
+            p99: quantile(0.99),
             buckets,
             exemplars,
         }

@@ -65,7 +65,7 @@ mod scope;
 mod snapshot;
 mod timer;
 
-pub use hist::{HistStats, Histogram};
+pub use hist::Histogram;
 pub use metrics::{Counter, Gauge};
 pub use registry::Registry;
 pub use scope::{LabelPair, RollupSnapshot, Scope, ScopeSet, ScopeSnapshot, SCOPES_DROPPED_TOTAL};

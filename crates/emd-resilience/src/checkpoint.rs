@@ -43,6 +43,7 @@
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic tag opening every checkpoint file.
@@ -107,10 +108,20 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub fn save<T: Serialize>(path: &Path, seq: u64, payload: &T) -> Result<(), CheckpointError> {
     let json =
         serde_json::to_string(payload).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-    let crc = fnv1a64(json.as_bytes());
-    let content = format!("{MAGIC} v{FORMAT_VERSION} seq={seq} crc={crc:016x}\n{json}\n");
+    let header = format!(
+        "{MAGIC} v{FORMAT_VERSION} seq={seq} crc={:016x}\n",
+        fnv1a64(json.as_bytes())
+    );
     let tmp = tmp_path(path);
-    fs::write(&tmp, content).map_err(|e| CheckpointError::Io(e.to_string()))?;
+    // Header, payload and closing newline go out as separate writes: the
+    // payload is never copied into a second full-size buffer.
+    let write = || -> std::io::Result<()> {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(header.as_bytes())?;
+        file.write_all(json.as_bytes())?;
+        file.write_all(b"\n")
+    };
+    write().map_err(|e| CheckpointError::Io(e.to_string()))?;
     // Torn-write injection site: a crash here leaves a stray temp file
     // and the previous checkpoint intact (chaos-tested).
     crate::failpoint::fire("checkpoint_rename");
@@ -286,6 +297,18 @@ mod tests {
         let (seq, back): (u64, Payload) = load(&path).unwrap();
         assert_eq!(seq, 7);
         assert_eq!(back, payload());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_bytes_are_header_line_then_payload_line() {
+        let path = temp("bytes");
+        save(&path, 7, &payload()).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "EMDCKPT v3 seq=7 crc=fed5dcb25e995d92\n\
+             {\"items\":[\"italy\",\"andy beshear\"],\"weight\":0.125,\"n\":42}\n"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -125,8 +125,8 @@ impl Interner {
 // the table (in symbol order) and rebuild the map on load. Symbol values
 // therefore survive save/restore bit-for-bit.
 impl Serialize for Interner {
-    fn to_value(&self) -> Value {
-        self.strings.to_value()
+    fn write_json(&self, out: &mut String) {
+        self.strings.write_json(out);
     }
 }
 
@@ -214,7 +214,9 @@ mod tests {
         let mut it = Interner::new();
         let a = it.intern("Alpha");
         let b = it.intern_folded("Beta");
-        let back = Interner::from_value(&it.to_value()).unwrap();
+        let json = serde_json::to_string(&it).unwrap();
+        assert_eq!(json, serde_json::to_string(&it.strings).unwrap());
+        let back: Interner = serde_json::from_str(&json).unwrap();
         assert_eq!(back.resolve(a), "Alpha");
         assert_eq!(back.resolve(b), "beta");
         assert_eq!(back.lookup_folded("BETA"), Some(b));

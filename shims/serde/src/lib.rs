@@ -2,16 +2,20 @@
 //! `#[derive(Serialize, Deserialize)]` with `#[serde(skip)]`, plus the
 //! `de::DeserializeOwned` bound.
 //!
-//! Instead of the real serde data model, the shim converts through a small
-//! JSON-shaped [`value::Value`] tree; `serde_json` (also shimmed) renders
-//! and parses it. Maps serialize as arrays of `[key, value]` pairs so
-//! non-string keys round-trip without a key-stringification protocol.
+//! Instead of the real serde data model, the shim is JSON-only and
+//! asymmetric. Encoding is direct: [`Serialize::write_json`] appends
+//! compact JSON text to a `String` (the [`ser`] helpers hold the scalar
+//! writers every impl shares). Decoding goes through a small JSON-shaped
+//! [`value::Value`] tree that `serde_json` (also shimmed) parses. Maps
+//! serialize as arrays of `[key, value]` pairs so non-string keys
+//! round-trip without a key-stringification protocol.
 
 pub use serde_derive::{Deserialize, Serialize};
 
+pub mod ser;
 pub mod value;
 
-use value::{Number, Value};
+use value::Value;
 
 /// Deserialization error (the only failure mode the shim distinguishes).
 #[derive(Debug, Clone)]
@@ -32,10 +36,10 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Conversion into the shim's JSON-shaped value tree.
+/// Encoding straight to compact JSON text.
 pub trait Serialize {
-    /// Represent `self` as a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Append `self`'s compact JSON encoding to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
 /// Conversion out of the shim's JSON-shaped value tree.
@@ -64,8 +68,8 @@ fn type_err<T>(expected: &str, got: &Value) -> Result<T, DeError> {
 // ---- primitive impls ----------------------------------------------------
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -81,8 +85,8 @@ impl Deserialize for bool {
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Num(Number::U(*self as u64))
+            fn write_json(&self, out: &mut String) {
+                ser::write_display(self, out);
             }
         }
         impl Deserialize for $t {
@@ -105,8 +109,8 @@ impl_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Num(Number::I(*self as i64))
+            fn write_json(&self, out: &mut String) {
+                ser::write_display(self, out);
             }
         }
         impl Deserialize for $t {
@@ -129,8 +133,10 @@ impl_int!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Num(Number::F(*self as f64))
+            fn write_json(&self, out: &mut String) {
+                // Widened to f64 first: an f32 prints as its exact f64
+                // value's shortest form, as the format always has.
+                ser::write_f64(*self as f64, out);
             }
         }
         impl Deserialize for $t {
@@ -149,8 +155,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        ser::write_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 
@@ -164,8 +170,8 @@ impl Deserialize for char {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        ser::write_str(self, out);
     }
 }
 
@@ -179,24 +185,24 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        ser::write_str(self, out);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 // ---- containers ---------------------------------------------------------
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -211,8 +217,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
@@ -226,14 +232,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
@@ -248,8 +254,8 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -260,18 +266,25 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 macro_rules! impl_tuple {
-    ($n:expr; $($t:ident . $idx:tt),+) => {
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$idx.to_value()),+])
+    ($n:expr; $a:ident . $aidx:tt $(, $t:ident . $idx:tt)*) => {
+        impl<$a: Serialize $(, $t: Serialize)*> Serialize for ($a, $($t,)*) {
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                self.$aidx.write_json(out);
+                $(
+                    out.push(',');
+                    self.$idx.write_json(out);
+                )*
+                out.push(']');
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
+        impl<$a: Deserialize $(, $t: Deserialize)*> Deserialize for ($a, $($t,)*) {
             fn from_value(v: &Value) -> Result<Self, DeError> {
                 match v {
-                    Value::Arr(items) if items.len() == $n => {
-                        Ok(($($t::from_value(&items[$idx])?,)+))
-                    }
+                    Value::Arr(items) if items.len() == $n => Ok((
+                        $a::from_value(&items[$aidx])?,
+                        $($t::from_value(&items[$idx])?,)*
+                    )),
                     other => type_err(concat!("array of length ", $n), other),
                 }
             }
@@ -286,15 +299,12 @@ impl_tuple!(4; A.0, B.1, C.2, D.3);
 
 // Maps and sets serialize as arrays (of pairs, for maps) so that
 // non-string keys — `HashMap<(String, String), u32>` exists in this
-// workspace — round-trip without a key-encoding protocol.
+// workspace — round-trip without a key-encoding protocol. A map's
+// iterator yields `(&K, &V)`, which the tuple impl writes as `[k,v]`.
 
 impl<K: Serialize, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Arr(
-            self.iter()
-                .map(|(k, v)| Value::Arr(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
@@ -311,12 +321,8 @@ where
 }
 
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Arr(
-            self.iter()
-                .map(|(k, v)| Value::Arr(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
@@ -328,8 +334,8 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for std::collections::BTr
 }
 
 impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
@@ -345,8 +351,8 @@ where
 }
 
 impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        ser::write_seq(self, out);
     }
 }
 
@@ -361,37 +367,52 @@ impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use value::Number;
 
-    #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
-        assert_eq!(f32::from_value(&1.5f32.to_value()).unwrap(), 1.5);
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        assert!(bool::from_value(&true.to_value()).unwrap());
+    fn json<T: Serialize + ?Sized>(x: &T) -> String {
+        let mut out = String::new();
+        x.write_json(&mut out);
+        out
     }
 
     #[test]
-    fn f32_round_trip_is_exact() {
-        for &x in &[0.1f32, -3.735_12e-7, f32::MAX, f32::MIN_POSITIVE] {
-            assert_eq!(f32::from_value(&x.to_value()).unwrap(), x);
-        }
+    fn primitives_encode() {
+        assert_eq!(json(&42u64), "42");
+        assert_eq!(json(&-7i32), "-7");
+        assert_eq!(json(&1.5f32), "1.5");
+        assert_eq!(json(&2.0f64), "2.0");
+        assert_eq!(json("hi"), "\"hi\"");
+        assert_eq!(json(&'é'), "\"é\"");
+        assert_eq!(json(&true), "true");
+        assert_eq!(json(&None::<u8>), "null");
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = vec![1u32, 2, 3];
-        assert_eq!(Vec::<u32>::from_value(&v.to_value()).unwrap(), v);
+    fn containers_encode() {
+        assert_eq!(json(&vec![1u32, 2, 3]), "[1,2,3]");
+        assert_eq!(json(&Vec::<u32>::new()), "[]");
+        assert_eq!(json(&[9u8, 8, 7]), "[9,8,7]");
+        assert_eq!(json(&(1u8, "a", Some(false))), "[1,\"a\",false]");
         let mut m: HashMap<(String, String), u32> = HashMap::new();
         m.insert(("a".into(), "b".into()), 7);
-        assert_eq!(HashMap::from_value(&m.to_value()).unwrap(), m);
-        let o: Option<u8> = None;
-        assert_eq!(Option::<u8>::from_value(&o.to_value()).unwrap(), None);
-        let arr: [u8; 3] = [9, 8, 7];
-        assert_eq!(<[u8; 3]>::from_value(&arr.to_value()).unwrap(), arr);
+        assert_eq!(json(&m), "[[[\"a\",\"b\"],7]]");
+        let b: std::collections::BTreeMap<u8, Vec<u8>> = [(2, vec![]), (1, vec![5])].into();
+        assert_eq!(json(&b), "[[1,[5]],[2,[]]]");
+    }
+
+    #[test]
+    fn decode_from_value_tree() {
+        assert_eq!(u64::from_value(&Value::Num(Number::U(42))).unwrap(), 42);
+        assert_eq!(i32::from_value(&Value::Num(Number::I(-7))).unwrap(), -7);
+        assert_eq!(f32::from_value(&Value::Num(Number::F(1.5))).unwrap(), 1.5);
+        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+        assert_eq!(String::from_value(&Value::Str("hi".into())).unwrap(), "hi");
+        let pair = Value::Arr(vec![Value::Str("k".into()), Value::Num(Number::U(3))]);
+        let m: HashMap<String, u8> = HashMap::from_value(&Value::Arr(vec![pair])).unwrap();
+        assert_eq!(m["k"], 3);
+        assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
+        let arr = Value::Arr(vec![Value::Num(Number::U(9)); 3]);
+        assert_eq!(<[u8; 3]>::from_value(&arr).unwrap(), [9, 9, 9]);
     }
 
     #[test]
@@ -399,5 +420,6 @@ mod tests {
         assert!(u8::from_value(&Value::Str("x".into())).is_err());
         assert!(u8::from_value(&Value::Num(Number::U(300))).is_err());
         assert!(Vec::<u8>::from_value(&Value::Bool(true)).is_err());
+        assert!(<[u8; 2]>::from_value(&Value::Arr(vec![])).is_err());
     }
 }

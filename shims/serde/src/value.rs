@@ -1,4 +1,6 @@
-//! The JSON-shaped value tree the serde shim converts through.
+//! The JSON-shaped value tree the serde shim decodes through: `serde_json`
+//! parses into it and [`crate::Deserialize::from_value`] reads it. Encoding
+//! never builds one (see [`crate::Serialize::write_json`]).
 
 /// A JSON number, kept in its natural machine representation so `u64` ids
 /// and `f32` weights both round-trip exactly.

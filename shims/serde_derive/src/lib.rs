@@ -1,4 +1,6 @@
 //! `#[derive(Serialize, Deserialize)]` for the in-repo serde shim.
+//! `Serialize` writes JSON text field by field (`write_json`);
+//! `Deserialize` reads the shim's `Value` tree (`from_value`).
 //!
 //! Written against `proc_macro` directly (no `syn`/`quote` — the build is
 //! offline). Supports exactly the shapes this workspace derives on:
@@ -297,33 +299,37 @@ fn gen_serialize(item: &Input) -> String {
     let (generics, ty) = impl_header(item, "::serde::Serialize");
     let body = match &item.kind {
         Kind::Struct(fields) => {
-            let mut pushes = String::new();
+            // `{"a":<a>,"b":<b>}` with the keys and punctuation folded
+            // into one literal per field (Rust identifiers need no JSON
+            // escaping).
+            let mut body = String::new();
+            let mut sep = '{';
             for f in fields.iter().filter(|f| !f.skip) {
-                pushes.push_str(&format!(
-                    "fields.push((::std::string::String::from(\"{n}\"), \
-                     ::serde::Serialize::to_value(&self.{n})));\n",
+                body.push_str(&format!(
+                    "out.push_str(\"{sep}\\\"{n}\\\":\");\n\
+                     ::serde::Serialize::write_json(&self.{n}, out);\n",
                     n = f.name
                 ));
+                sep = ',';
             }
-            format!(
-                "let mut fields: ::std::vec::Vec<(::std::string::String, \
-                 ::serde::value::Value)> = ::std::vec::Vec::new();\n{pushes}\
-                 ::serde::value::Value::Obj(fields)"
-            )
+            if sep == '{' {
+                body.push_str("out.push_str(\"{}\");");
+            } else {
+                body.push_str("out.push('}');");
+            }
+            body
         }
         Kind::Enum(variants) => {
             let arms = variants
                 .iter()
-                .map(|v| format!("{}::{v} => \"{v}\",", item.name))
+                .map(|v| format!("{}::{v} => \"\\\"{v}\\\"\",", item.name))
                 .collect::<String>();
-            format!(
-                "::serde::value::Value::Str(::std::string::String::from(match self {{ {arms} }}))"
-            )
+            format!("out.push_str(match self {{ {arms} }});")
         }
     };
     format!(
         "impl{generics} ::serde::Serialize for {ty} {{\n\
-         fn to_value(&self) -> ::serde::value::Value {{\n{body}\n}}\n}}"
+         fn write_json(&self, out: &mut ::std::string::String) {{\n{body}\n}}\n}}"
     )
 }
 

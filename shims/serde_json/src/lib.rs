@@ -1,6 +1,7 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
-//! [`to_string`], [`from_str`] and [`Error`]. Works over the serde shim's
-//! [`serde::value::Value`] tree.
+//! [`to_string`], [`from_str`] and [`Error`]. Encoding is the serde shim's
+//! direct [`Serialize::write_json`]; decoding parses into the shim's
+//! [`serde::value::Value`] tree and rebuilds the target from it.
 //!
 //! Numbers print with Rust's shortest-round-trip float formatting, so every
 //! `f32`/`f64` survives a save/load cycle bit-exactly (non-finite floats
@@ -31,7 +32,7 @@ impl From<serde::DeError> for Error {
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -43,76 +44,6 @@ pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
     }
     .parse_document()?;
     Ok(T::from_value(&value)?)
-}
-
-// ---- writer -------------------------------------------------------------
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => write_number(n, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (k, fv)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(fv, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_number(n: &Number, out: &mut String) {
-    use std::fmt::Write;
-    match *n {
-        Number::U(u) => write!(out, "{u}").unwrap(),
-        Number::I(i) => write!(out, "{i}").unwrap(),
-        Number::F(f) if f.is_finite() => {
-            // Keep a syntactic marker that this is a float so integers and
-            // floats stay distinguishable after a round trip.
-            if f == f.trunc() && f.abs() < 1e15 {
-                write!(out, "{f:.1}").unwrap()
-            } else {
-                write!(out, "{f}").unwrap()
-            }
-        }
-        Number::F(_) => out.push_str("null"),
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---- parser -------------------------------------------------------------
@@ -273,12 +204,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 code point.
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, so the run ends on a char
+                    // boundary and is valid UTF-8 whenever the input is.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -330,6 +267,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn scalar_round_trips() {
@@ -388,6 +326,164 @@ mod tests {
         assert!(from_str::<u32>("12 34").is_err());
         assert!(from_str::<u32>("\"nope\"").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone, Copy)]
+    enum Mode {
+        Fast,
+        Slow,
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
+    struct Inner {
+        id: u64,
+        weight: f32,
+        tag: Option<String>,
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq, Clone)]
+    struct Outer<T> {
+        name: String,
+        mode: Mode,
+        inner: Inner,
+        items: Vec<Inner>,
+        pair: (i32, Mode),
+        triple: (u8, String, Option<f64>),
+        table: BTreeMap<String, Vec<u32>>,
+        maybe: Option<Box<Inner>>,
+        generic: T,
+        #[serde(skip)]
+        scratch: usize,
+        fixed: [i16; 3],
+        set: BTreeSet<u32>,
+        letter: char,
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+    struct AllSkipped {
+        #[serde(skip)]
+        cache: Vec<u8>,
+    }
+
+    fn outer() -> Outer<(i64, Vec<Option<f64>>)> {
+        Outer {
+            name: "quote \" backslash \\ slash / nl \n cr \r tab \t bell \u{7} nul \u{0} \
+                   us \u{1f} del \u{7f} é 日本 🎉"
+                .to_string(),
+            mode: Mode::Slow,
+            inner: Inner {
+                id: 7,
+                weight: 0.1,
+                tag: None,
+            },
+            items: vec![
+                Inner {
+                    id: 0,
+                    weight: -0.0,
+                    tag: Some(String::new()),
+                },
+                Inner {
+                    id: u64::MAX,
+                    weight: f32::MIN_POSITIVE,
+                    tag: Some("x".into()),
+                },
+            ],
+            pair: (-3, Mode::Fast),
+            triple: (255, "t".into(), Some(1e15)),
+            table: [("b".to_string(), vec![3, 1]), ("a".to_string(), vec![])].into(),
+            maybe: Some(Box::new(Inner {
+                id: 1,
+                weight: 2.0,
+                tag: None,
+            })),
+            generic: (i64::MIN, vec![Some(-0.0), None, Some(1.5)]),
+            scratch: 99,
+            fixed: [i16::MIN, 0, i16::MAX],
+            set: [5, 1, 3].into(),
+            letter: 'é',
+        }
+    }
+
+    /// What the format wrote for `outer()` when it was frozen (checkpoint
+    /// format v3); any change here breaks every persisted file.
+    const OUTER_JSON: &str = concat!(
+        r#"{"name":"quote \" backslash \\ slash / nl \n cr \r tab \t bell \u0007 nul \u0000 "#,
+        r#"us \u001f del "#,
+        "\u{7f}",
+        r#" é 日本 🎉","mode":"Slow","inner":{"id":7,"weight":0.10000000149011612,"tag":null},"#,
+        r#""items":[{"id":0,"weight":-0.0,"tag":""},{"id":18446744073709551615,"#,
+        r#""weight":0.000000000000000000000000000000000000011754943508222875,"tag":"x"}],"#,
+        r#""pair":[-3,"Fast"],"triple":[255,"t",1000000000000000],"#,
+        r#""table":[["a",[]],["b",[3,1]]],"maybe":{"id":1,"weight":2.0,"tag":null},"#,
+        r#""generic":[-9223372036854775808,[-0.0,null,1.5]],"fixed":[-32768,0,32767],"#,
+        r#""set":[1,3,5],"letter":"é"}"#,
+    );
+
+    #[test]
+    fn derived_encoding_matches_the_frozen_format() {
+        assert_eq!(to_string(&outer()).unwrap(), OUTER_JSON);
+        assert_eq!(to_string(&Mode::Fast).unwrap(), r#""Fast""#);
+        assert_eq!(to_string(&AllSkipped { cache: vec![1] }).unwrap(), "{}");
+    }
+
+    #[test]
+    fn derived_values_round_trip() {
+        let x = outer();
+        let back: Outer<(i64, Vec<Option<f64>>)> = from_str(&to_string(&x).unwrap()).unwrap();
+        // Skipped fields come back as their default.
+        assert_eq!(back, Outer { scratch: 0, ..x });
+        assert!(back.items[0].weight.is_sign_negative());
+        assert!(back.generic.1[0].unwrap().is_sign_negative());
+        let empty: AllSkipped = from_str("{}").unwrap();
+        assert!(empty.cache.is_empty());
+    }
+
+    #[test]
+    fn edge_numbers_match_the_frozen_format_and_round_trip() {
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&1e15f64).unwrap(), "1000000000000000");
+        assert_eq!(to_string(&(1e15f64 - 1.0)).unwrap(), "999999999999999.0");
+        assert_eq!(to_string(&1e-7f64).unwrap(), "0.0000001");
+        assert_eq!(
+            to_string(&f32::MIN_POSITIVE).unwrap(),
+            "0.000000000000000000000000000000000000011754943508222875"
+        );
+        assert_eq!(to_string(&0.1f32).unwrap(), "0.10000000149011612");
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(to_string(&f64::NEG_INFINITY).unwrap(), "null");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+
+        let back: f64 = from_str(&to_string(&-0.0f64).unwrap()).unwrap();
+        assert_eq!(back.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            from_str::<f64>(&to_string(&1e15f64).unwrap()).unwrap(),
+            1e15
+        );
+        let min = f32::MIN_POSITIVE;
+        assert_eq!(from_str::<f32>(&to_string(&min).unwrap()).unwrap(), min);
+        assert!(from_str::<f64>(&to_string(&f64::NAN).unwrap())
+            .unwrap()
+            .is_nan());
+        assert_eq!(
+            from_str::<i64>(&to_string(&i64::MIN).unwrap()).unwrap(),
+            i64::MIN
+        );
+        assert_eq!(
+            from_str::<u64>(&to_string(&u64::MAX).unwrap()).unwrap(),
+            u64::MAX
+        );
+    }
+
+    #[test]
+    fn long_strings_with_interleaved_escapes_round_trip() {
+        let piece = "run of plain text é日本🎉 \"q\" \\b\\ \n\t\u{1}\u{7f}";
+        let s: String = (0..2000).map(|i| format!("{piece}{i}")).collect();
+        let json = to_string(&s).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        let strings = vec![s.clone(), String::new(), "\"".to_string(), s];
+        let json = to_string(&strings).unwrap();
+        assert_eq!(from_str::<Vec<String>>(&json).unwrap(), strings);
     }
 
     #[test]

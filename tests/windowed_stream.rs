@@ -11,12 +11,22 @@
 //! * **Quarantine permanence** — evicting a quarantined sentence's era
 //!   never re-admits it: a re-sent sentence id is re-quarantined even
 //!   after every trace of the original has been evicted.
+//! * **Crash-restart at production shape** — a supervised churn stream
+//!   thousands of sentences long, through a window of thousands, restarts
+//!   from its checkpoint ladder and finishes bit-identical to an
+//!   uninterrupted run.
 
 use emd_globalizer::core::config::WindowConfig;
+use emd_globalizer::core::globalizer::GlobalizerState;
 use emd_globalizer::core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
-use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig, GlobalizerOutput};
+use emd_globalizer::core::{
+    EntityClassifier, Globalizer, GlobalizerConfig, GlobalizerOutput, StreamSupervisor,
+    SupervisorConfig,
+};
+use emd_globalizer::local::np_chunker::NpChunker;
 use emd_globalizer::nn::param::Net;
-use emd_globalizer::resilience::failpoint;
+use emd_globalizer::resilience::{checkpoint, failpoint};
+use emd_globalizer::synth::{gen_churn_stream, NoiseConfig, World, WorldConfig};
 use emd_globalizer::text::token::{Sentence, SentenceId};
 use emd_globalizer::trace::audit::{replay, ReplayedOutput};
 use emd_globalizer::trace::{TraceEventKind, TraceSink};
@@ -272,4 +282,81 @@ fn eviction_never_resurrects_a_quarantined_sentence() {
         out.per_sentence.iter().all(|(sid, _)| sid.tweet_id != 1),
         "a quarantined sentence must never be emitted"
     );
+}
+
+/// Crash-restart at production shape: a 6k-sentence churn stream through
+/// a 2k sliding window, supervised with a checkpoint every 4 batches on a
+/// 2-generation ladder. A run over a 4k prefix "crashes"; the restart
+/// over the whole stream resumes from the ladder — a compacted,
+/// window-sized checkpoint — and its output equals the uninterrupted
+/// run's.
+#[test]
+fn supervised_churn_restart_at_window_scale_is_bit_identical() {
+    let _g = global_flag(false);
+    const BATCH: usize = 256;
+    let world = World::generate(&WorldConfig {
+        seed: 99,
+        ..Default::default()
+    });
+    let stream: Vec<Sentence> =
+        gen_churn_stream(&world, 6_000, 1_000, "churn", &NoiseConfig::default(), 7)
+            .sentences
+            .into_iter()
+            .map(|a| a.sentence)
+            .collect();
+    let chunker = NpChunker::new();
+    let clf = accept_all();
+    let g = Globalizer::new(
+        &chunker,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(2_000),
+            ..Default::default()
+        },
+    );
+    let dir = std::env::temp_dir().join(format!("emd_churn_restart_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("state.ckpt");
+    let sup = StreamSupervisor::new(
+        &g,
+        SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 4,
+            checkpoint_generations: 2,
+            batch_size: BATCH,
+            ..Default::default()
+        },
+    );
+
+    // Interrupted run: 4096 sentences = 16 batches, checkpoints at 4, 8,
+    // 12 and 16 — the ladder holds 16 and 12.
+    let first = sup.run(&stream[..4_096]);
+    assert_eq!(first.checkpoints_written, 4);
+    let (seq, ckpt): (u64, GlobalizerState) = checkpoint::load(&path).unwrap();
+    assert_eq!(seq, 16);
+    assert_eq!(ckpt.tweetbase.len(), 2_000, "the window is full");
+    assert!(ckpt.n_evicted() > 0, "the window evicted before the crash");
+    assert_eq!(
+        ckpt.tweetbase.n_slots(),
+        ckpt.tweetbase.len(),
+        "checkpoints are compacted: no tombstone slots persisted"
+    );
+    let (older, _): (u64, GlobalizerState) =
+        checkpoint::load(&checkpoint::generation_path(&path, 1)).unwrap();
+    assert_eq!(older, 12, "the second generation is one interval older");
+
+    // Restart over the full stream: resumed from the newest generation,
+    // bit-identical to the uninterrupted run.
+    let report = sup.run(&stream);
+    assert!(report.resumed_from_checkpoint);
+    assert_eq!(report.checkpoint_generation, 0);
+    assert_eq!(report.batches_skipped, 16);
+    assert_eq!(report.batches_total, stream.len().div_ceil(BATCH));
+    let (plain, _) = g.run(&stream, BATCH);
+    assert_eq!(report.output.per_sentence.len(), 2_000);
+    assert_eq!(report.output.per_sentence, plain.per_sentence);
+    assert_eq!(report.output.n_candidates, plain.n_candidates);
+    assert_eq!(report.output.n_entities, plain.n_entities);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
