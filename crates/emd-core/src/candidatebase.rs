@@ -8,11 +8,17 @@
 //! possibilities in which a candidate appears in the stream" (§V-C). The
 //! pooling is incremental, so new mentions arriving in later batches simply
 //! extend the pool.
+//!
+//! Records are held as `Arc<CandidateRecord>` and written through
+//! `Arc::make_mut`, so a clone of the store (the supervisor's per-batch
+//! snapshot) shares every record until the batch writes to it; sweeps
+//! read first and unshare only the records they change.
 
 use crate::classifier::CandidateLabel;
 use emd_text::token::{SentenceId, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A single located mention of a candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -231,7 +237,8 @@ impl CandidateRecord {
 /// The stream-wide candidate store.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CandidateBase {
-    records: Vec<CandidateRecord>,
+    /// Records in discovery order, shared with clones until written.
+    records: Vec<Arc<CandidateRecord>>,
     index: HashMap<String, usize>,
     dim: usize,
     store_local: bool,
@@ -258,12 +265,17 @@ impl CandidateBase {
 
     /// Release per-mention bookkeeping for every mention whose sentence
     /// fails `is_live`, across all records (see
-    /// [`CandidateRecord::release_dead`]). Returns total refs released.
+    /// [`CandidateRecord::release_dead`]). Only records holding a dead ref
+    /// are written. Returns total refs released.
     pub fn release_dead<F: FnMut(SentenceId) -> bool>(&mut self, mut is_live: F) -> usize {
-        self.records
-            .iter_mut()
-            .map(|r| r.release_dead(&mut is_live))
-            .sum()
+        let mut released = 0;
+        for r in &mut self.records {
+            if r.mentions.iter().all(|m| is_live(m.sid)) {
+                continue;
+            }
+            released += Arc::make_mut(r).release_dead(&mut is_live);
+        }
+        released
     }
 
     /// Embedding dimensionality.
@@ -271,43 +283,83 @@ impl CandidateBase {
         self.dim
     }
 
-    /// Get-or-create a record for the (already lower-cased) key.
+    /// Get-or-create a record for the (already lower-cased) key. Copies
+    /// an existing record first if a clone of the store still shares it.
     pub fn entry(&mut self, key: &str) -> &mut CandidateRecord {
         let i = match self.index.get(key) {
             Some(&i) => i,
-            None => {
-                let i = self.records.len();
-                self.index.insert(key.to_string(), i);
-                self.records.push(CandidateRecord::new(
-                    key.to_string(),
-                    self.dim,
-                    self.store_local,
-                ));
-                i
-            }
+            None => self.push_new(key),
         };
-        &mut self.records[i]
+        Arc::make_mut(&mut self.records[i])
+    }
+
+    /// Append a fresh record for `key`, returning its position.
+    fn push_new(&mut self, key: &str) -> usize {
+        let i = self.records.len();
+        self.index.insert(key.to_string(), i);
+        self.records.push(Arc::new(CandidateRecord::new(
+            key.to_string(),
+            self.dim,
+            self.store_local,
+        )));
+        i
+    }
+
+    /// Record a mention of the (already lower-cased) key, creating the
+    /// candidate if it is new. Returns the record when the mention was new
+    /// — the caller pools its embedding — and `None` for a `(sentence,
+    /// span)` pair the candidate already holds (a settle or closing rescan
+    /// revisiting a sentence), which is detected without unsharing the
+    /// record.
+    pub fn add_mention(&mut self, key: &str, mref: MentionRef) -> Option<&mut CandidateRecord> {
+        let i = match self.index.get(key) {
+            Some(&i) => i,
+            None => self.push_new(key),
+        };
+        // Only a shared record is probed before the write; an unshared
+        // one lets `try_add_mention` do the dedup in one hash.
+        let shared = Arc::get_mut(&mut self.records[i]).is_none();
+        if shared && self.records[i].seen.contains(&(mref.sid, mref.span)) {
+            return None;
+        }
+        let rec = Arc::make_mut(&mut self.records[i]);
+        rec.try_add_mention(mref).then_some(rec)
     }
 
     /// Lookup by key.
     pub fn get(&self, key: &str) -> Option<&CandidateRecord> {
-        self.index.get(key).map(|&i| &self.records[i])
+        self.index.get(key).map(|&i| &*self.records[i])
     }
 
-    /// Mutable lookup by key.
+    /// Mutable lookup by key (copy-on-write, like
+    /// [`CandidateBase::entry`]).
     pub fn get_mut(&mut self, key: &str) -> Option<&mut CandidateRecord> {
         let i = *self.index.get(key)?;
-        Some(&mut self.records[i])
+        Some(self.get_mut_by_index(i))
+    }
+
+    /// Record by discovery-order position (`i < len()`).
+    pub fn get_by_index(&self, i: usize) -> &CandidateRecord {
+        &self.records[i]
+    }
+
+    /// Mutable record by discovery-order position (copy-on-write, like
+    /// [`CandidateBase::entry`]).
+    pub fn get_mut_by_index(&mut self, i: usize) -> &mut CandidateRecord {
+        Arc::make_mut(&mut self.records[i])
+    }
+
+    /// Flag record `i` degraded. A record that already is stays
+    /// untouched, so a snapshot sharing it is not copied.
+    pub fn mark_degraded(&mut self, i: usize) {
+        if !self.records[i].degraded {
+            Arc::make_mut(&mut self.records[i]).degraded = true;
+        }
     }
 
     /// All records in discovery order.
     pub fn iter(&self) -> impl Iterator<Item = &CandidateRecord> {
-        self.records.iter()
-    }
-
-    /// Mutable iteration.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CandidateRecord> {
-        self.records.iter_mut()
+        self.records.iter().map(|r| &**r)
     }
 
     /// Number of candidates.
@@ -330,7 +382,7 @@ impl CandidateBase {
     pub fn prune_retain<F: FnMut(&CandidateRecord) -> bool>(
         &mut self,
         mut keep: F,
-    ) -> Vec<CandidateRecord> {
+    ) -> Vec<Arc<CandidateRecord>> {
         // Pruning fires every window enforcement, but on most batches
         // nothing is prunable — scan for the first casualty before
         // committing to the record sweep, so the common case is one
@@ -342,7 +394,7 @@ impl CandidateBase {
             Some(i) => i,
         };
         let mut pruned = Vec::new();
-        let tail: Vec<CandidateRecord> = self.records.drain(first_pruned..).collect();
+        let tail: Vec<Arc<CandidateRecord>> = self.records.drain(first_pruned..).collect();
         for (j, r) in tail.into_iter().enumerate() {
             // `position` already judged the first tail record prunable.
             if j > 0 && keep(&r) {
@@ -358,13 +410,16 @@ impl CandidateBase {
         pruned
     }
 
-    /// Estimated resident heap bytes: keys, mention lists, dedup sets, and
-    /// the pooled + per-mention embeddings (the dominant term for deep
-    /// local systems). An estimate for gauges, not allocator-exact.
+    /// Estimated resident heap bytes: record blocks, keys, mention lists,
+    /// dedup sets, and the pooled + per-mention embeddings (the dominant
+    /// term for deep local systems). Records shared with a clone are
+    /// counted in full. An estimate for gauges, not allocator-exact.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = self.records.capacity() * size_of::<CandidateRecord>();
+        let mut total = self.records.capacity() * size_of::<Arc<CandidateRecord>>();
         for r in &self.records {
+            // The shared block: the record plus its two reference counts.
+            total += size_of::<CandidateRecord>() + 2 * size_of::<usize>();
             total += r.key.len();
             total += r
                 .tokens
@@ -547,6 +602,43 @@ mod tests {
             locally_detected: false,
         }));
         assert_eq!(r.frequency(), 7);
+    }
+
+    #[test]
+    fn clones_share_records_and_sweeps_unshare_only_what_they_change() {
+        let mut cb = CandidateBase::new(1);
+        for (t, key) in ["italy", "covid"].into_iter().enumerate() {
+            cb.entry(key).try_add_mention(MentionRef {
+                sid: SentenceId::new(t as u64, 0),
+                span: Span::new(0, 1),
+                locally_detected: true,
+            });
+        }
+        let snap = cb.clone();
+        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
+        // Only "italy" (sentence 0) holds a dead ref.
+        assert_eq!(cb.release_dead(|sid| sid.tweet_id != 0), 1);
+        assert!(!Arc::ptr_eq(&cb.records[0], &snap.records[0]));
+        assert!(Arc::ptr_eq(&cb.records[1], &snap.records[1]));
+        assert_eq!(snap.get("italy").unwrap().mentions.len(), 1);
+        assert_eq!(cb.get("italy").unwrap().mentions.len(), 0);
+        // Writes through the key copy the record the snapshot holds.
+        cb.entry("covid").add_embedding(&[1.0]);
+        assert_eq!(snap.get("covid").unwrap().n_pooled(), 0);
+        assert_eq!(cb.get("covid").unwrap().n_pooled(), 1);
+        // A mention the candidate already holds is refused without a copy.
+        let snap = cb.clone();
+        let known = cb.get("covid").unwrap().mentions[0];
+        assert!(cb.add_mention("covid", known).is_none());
+        assert!(Arc::ptr_eq(&cb.records[1], &snap.records[1]));
+        let fresh = MentionRef {
+            sid: SentenceId::new(9, 0),
+            ..known
+        };
+        assert!(cb.add_mention("covid", fresh).is_some());
+        assert!(cb.add_mention("new key", fresh).is_some());
+        assert_eq!(cb.get("covid").unwrap().frequency(), 2);
+        assert_eq!(cb.get("new key").unwrap().frequency(), 1);
     }
 
     #[test]

@@ -1457,15 +1457,21 @@ impl<'a> Globalizer<'a> {
                             ..TraceEvent::of(TraceEventKind::ScanRecord)
                         });
                     }
-                    state.tweetbase.get_mut_by_index(idx).global_mentions = st.mentions;
+                    // A rescan that finds what the record already holds
+                    // leaves it untouched (and shared with any snapshot).
+                    if state.tweetbase.get_by_index(idx).global_mentions != st.mentions {
+                        state.tweetbase.get_mut_by_index(idx).global_mentions = st.mentions;
+                    }
                     state.dirty.remove(idx);
                     for (key, mref, emb) in st.staged {
-                        let rec = state.candidates.entry(&key);
-                        let pooled = rec.try_add_mention(mref);
-                        if pooled {
-                            rec.add_embedding(&emb);
-                            n_pooled += 1;
-                        }
+                        let pooled = match state.candidates.add_mention(&key, mref) {
+                            Some(rec) => {
+                                rec.add_embedding(&emb);
+                                n_pooled += 1;
+                                true
+                            }
+                            None => false,
+                        };
                         if tracing {
                             self.temit(TraceEvent {
                                 sid: Some(tsid(mref.sid)),
@@ -1479,7 +1485,9 @@ impl<'a> Globalizer<'a> {
                         }
                     }
                     for key in st.degraded_keys {
-                        state.candidates.entry(&key).degraded = true;
+                        if !state.candidates.get(&key).is_some_and(|rec| rec.degraded) {
+                            state.candidates.entry(&key).degraded = true;
+                        }
                         if tracing {
                             self.temit(TraceEvent {
                                 candidate: Some(key),
@@ -1558,18 +1566,18 @@ impl<'a> Globalizer<'a> {
         if !self.guard_allows(TracePhase::Classify) {
             let tracing = emd_trace::enabled();
             let mut n_skipped = 0u64;
-            for rec in state.candidates.iter_mut() {
+            for i in 0..state.candidates.len() {
                 if matches!(
-                    rec.label,
+                    state.candidates.get_by_index(i).label,
                     CandidateLabel::Entity | CandidateLabel::NonEntity
                 ) {
                     continue;
                 }
-                rec.degraded = true;
+                state.candidates.mark_degraded(i);
                 n_skipped += 1;
                 if tracing {
                     self.temit(TraceEvent {
-                        candidate: Some(rec.key.clone()),
+                        candidate: Some(state.candidates.get_by_index(i).key.clone()),
                         phase: Some(TracePhase::Classify),
                         reason: Some("classify breaker open".to_string()),
                         ..TraceEvent::of(TraceEventKind::CandidateDegraded)
@@ -1652,16 +1660,19 @@ impl<'a> Globalizer<'a> {
         let mut n_ambiguous = 0u64;
         let mut n_cls_degraded = 0u64;
         let mut score_sum = 0.0f64;
-        for (rec, p) in state.candidates.iter_mut().zip(scores) {
+        // Records are indexed, not iterated mutably: only the ones whose
+        // verdict changes are written, so a snapshot keeps sharing the
+        // rest.
+        for (i, p) in scores.into_iter().enumerate() {
             let Some(p) = p else { continue };
             let p = match p {
                 Ok(p) => p,
                 Err(reason) => {
-                    rec.degraded = true;
+                    state.candidates.mark_degraded(i);
                     n_cls_degraded += 1;
                     if tracing {
                         self.temit(TraceEvent {
-                            candidate: Some(rec.key.clone()),
+                            candidate: Some(state.candidates.get_by_index(i).key.clone()),
                             phase: Some(TracePhase::Classify),
                             reason: Some(reason),
                             ..TraceEvent::of(TraceEventKind::CandidateDegraded)
@@ -1671,31 +1682,36 @@ impl<'a> Globalizer<'a> {
                 }
             };
             n_scored += 1;
-            rec.score = Some(p);
-            rec.label = EntityClassifier::classify(p, &self.config);
-            if resolve_ambiguous && rec.label == CandidateLabel::Ambiguous {
+            let rec = state.candidates.get_by_index(i);
+            let mut label = EntityClassifier::classify(p, &self.config);
+            if resolve_ambiguous && label == CandidateLabel::Ambiguous {
                 // Cumulative ratios (evicted mentions included), so the
                 // verdict matches the unbounded run's.
                 let locally = rec.locally_detected_frequency();
                 let trust_local =
                     self.config.trust_local_fallback && 2 * locally >= rec.frequency().max(1);
-                rec.label = if p >= self.config.final_threshold || trust_local {
+                label = if p >= self.config.final_threshold || trust_local {
                     CandidateLabel::Entity
                 } else {
                     CandidateLabel::NonEntity
                 };
             }
+            if rec.score.map(f32::to_bits) != Some(p.to_bits()) || rec.label != label {
+                let rec = state.candidates.get_mut_by_index(i);
+                rec.score = Some(p);
+                rec.label = label;
+            }
             score_sum += p as f64;
-            match rec.label {
+            match label {
                 CandidateLabel::Entity => n_accepted += 1,
                 CandidateLabel::NonEntity => n_rejected += 1,
                 _ => n_ambiguous += 1,
             }
             if tracing {
                 self.temit(TraceEvent {
-                    candidate: Some(rec.key.clone()),
+                    candidate: Some(state.candidates.get_by_index(i).key.clone()),
                     score: Some(p),
-                    label: Some(trace_label(rec.label)),
+                    label: Some(trace_label(label)),
                     final_verdict: Some(resolve_ambiguous),
                     phase: Some(TracePhase::Classify),
                     ..TraceEvent::of(TraceEventKind::Verdict)

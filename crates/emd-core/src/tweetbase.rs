@@ -17,11 +17,21 @@
 //! `f32` arena (`emb_arena`) with per-record row offsets instead of a heap
 //! allocation per sentence.
 //!
-//! Records *outside* the store are always self-contained: `insert` drains
-//! an incoming record's `token_embeddings` matrix into the arena, and
-//! `evict` copies the rows back out into the returned record — so callers
-//! that hold evicted records (quarantine, replay) never see arena offsets
-//! that a later [`TweetBase::compact`] would invalidate.
+//! `insert` drains an incoming record's `token_embeddings` matrix into the
+//! arena. Stored records answer through [`TweetBase::embedding_view`];
+//! `evict` hands the record back *without* its rows (the only consumer,
+//! the promotion ledger, reads mentions and text), so an evicted record's
+//! `token_embeddings` is `None` and its arena placement is meaningless
+//! once a later [`TweetBase::compact`] has run.
+//!
+//! ## Shared records
+//!
+//! Slots hold `Arc<TweetRecord>`, so cloning the store — the supervisor
+//! snapshots the whole pipeline state before every batch — copies one
+//! pointer per record instead of the record. Every write goes through
+//! `Arc::make_mut`: a record is deep-copied only when it is written while
+//! an older snapshot still holds it, and a batch's own new records are
+//! never shared, so they are never copied.
 //!
 //! ## Bounded-memory storage
 //!
@@ -41,6 +51,7 @@ use emd_text::intern::{Interner, Sym};
 use emd_text::token::{Sentence, SentenceId, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Where a record's token-embedding rows live inside the store's arena.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -78,9 +89,9 @@ pub struct TweetRecord {
     /// The sentence.
     pub sentence: Sentence,
     /// Entity-aware token embeddings `[T, d]` from Local EMD (deep only).
-    /// Carried by records *outside* the store; drained into the arena at
-    /// insert (stored records answer through [`TweetBase::embedding_view`])
-    /// and re-materialized by [`TweetBase::evict`].
+    /// Carried by records on their way *into* the store; drained into the
+    /// arena at insert (stored records answer through
+    /// [`TweetBase::embedding_view`]) and not restored by eviction.
     pub token_embeddings: Option<Matrix>,
     /// Spans the Local EMD system itself proposed.
     pub local_spans: Vec<Span>,
@@ -130,7 +141,8 @@ impl TweetRecord {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TweetBase {
     /// Stream-ordered record slots; `None` marks an evicted record.
-    slots: Vec<Option<TweetRecord>>,
+    /// Records are shared with clones of the store until written.
+    slots: Vec<Option<Arc<TweetRecord>>>,
     /// Sentence id → slot index, live records only.
     index: HashMap<SentenceId, usize>,
     /// The pipeline-wide token interner (symbols shared with the CTrie).
@@ -286,12 +298,12 @@ impl TweetBase {
             if let Some(old) = self.slots[i].take() {
                 self.remove_record_postings(i, &old);
             }
-            self.slots[i] = Some(record);
+            self.slots[i] = Some(Arc::new(record));
             i
         } else {
             let i = self.slots.len();
             self.index.insert(id, i);
-            self.slots.push(Some(record));
+            self.slots.push(Some(Arc::new(record)));
             self.live += 1;
             i
         };
@@ -386,14 +398,15 @@ impl TweetBase {
     }
 
     /// Mutable record by stream-order index (same liveness contract as
-    /// [`TweetBase::get_by_index`]).
+    /// [`TweetBase::get_by_index`]). Copies the record first if a clone
+    /// of the store still shares it.
     pub fn get_mut_by_index(&mut self, i: usize) -> &mut TweetRecord {
-        self.slots[i].as_mut().expect("record was evicted")
+        Arc::make_mut(self.slots[i].as_mut().expect("record was evicted"))
     }
 
     /// Record by stream-order index, `None` for tombstones.
     pub fn record_at(&self, i: usize) -> Option<&TweetRecord> {
-        self.slots.get(i).and_then(Option::as_ref)
+        self.slots.get(i)?.as_deref()
     }
 
     /// True when slot `i` holds a live record.
@@ -408,18 +421,19 @@ impl TweetBase {
 
     /// Lookup by sentence id.
     pub fn get(&self, id: SentenceId) -> Option<&TweetRecord> {
-        self.index.get(&id).and_then(|&i| self.slots[i].as_ref())
+        self.record_at(*self.index.get(&id)?)
     }
 
-    /// Mutable lookup by sentence id.
+    /// Mutable lookup by sentence id (copy-on-write, like
+    /// [`TweetBase::get_mut_by_index`]).
     pub fn get_mut(&mut self, id: SentenceId) -> Option<&mut TweetRecord> {
         let i = *self.index.get(&id)?;
-        self.slots[i].as_mut()
+        self.slots[i].as_mut().map(Arc::make_mut)
     }
 
     /// Live records in stream order.
     pub fn iter(&self) -> impl Iterator<Item = &TweetRecord> {
-        self.slots.iter().flatten()
+        self.slots.iter().flatten().map(|r| &**r)
     }
 
     /// Live `(slot index, record)` pairs in stream order. Use this instead
@@ -430,12 +444,7 @@ impl TweetBase {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (i, r)))
-    }
-
-    /// Mutable iteration over live records in stream order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TweetRecord> {
-        self.slots.iter_mut().flatten()
+            .filter_map(|(i, s)| s.as_deref().map(|r| (i, r)))
     }
 
     /// Number of live sentences stored.
@@ -465,24 +474,17 @@ impl TweetBase {
     }
 
     /// Evict the record in slot `i`: remove its posting-list entries and
-    /// its id mapping, free the record's storage and leave a tombstone so
-    /// other slots keep their indices. The returned record is
-    /// self-contained — its embedding rows are copied back out of the
-    /// arena — so holding it across a later [`TweetBase::compact`] is
-    /// safe. Returns `None` if the slot was already a tombstone.
-    pub fn evict(&mut self, i: usize) -> Option<TweetRecord> {
-        let mut record = self.slots.get_mut(i)?.take()?;
+    /// its id mapping, and leave a tombstone so other slots keep their
+    /// indices. The record is handed back as stored — still shared with
+    /// any clone of the store, and without its embedding rows, which stay
+    /// in the arena as dead floats until [`TweetBase::compact`]. Returns
+    /// `None` if the slot was already a tombstone.
+    pub fn evict(&mut self, i: usize) -> Option<Arc<TweetRecord>> {
+        let record = self.slots.get_mut(i)?.take()?;
         self.remove_record_postings(i, &record);
         self.index.remove(&record.sentence.id);
         self.live -= 1;
         self.evicted_total += 1;
-        if let Some(slot) = record.emb.take() {
-            record.token_embeddings = Some(Matrix {
-                rows: slot.rows,
-                cols: slot.cols,
-                data: self.emb_arena[slot.off..slot.off + slot.rows * slot.cols].to_vec(),
-            });
-        }
         Some(record)
     }
 
@@ -510,13 +512,17 @@ impl TweetBase {
         self.slots = old.into_iter().flatten().map(Some).collect();
         // Rewrite the arena with live rows only, in slot order. Bit-for-bit
         // copies: compaction must not perturb any downstream f32 result.
+        // Only records whose rows actually move are written (and so
+        // unshared).
         let live_floats = self.emb_arena.len().saturating_sub(self.emb_dead);
         let mut arena = Vec::with_capacity(live_floats);
-        for slot in self.slots.iter_mut().flatten() {
-            if let Some(e) = &mut slot.emb {
+        for record in self.slots.iter_mut().flatten() {
+            if let Some(e) = record.emb {
                 let off = arena.len();
                 arena.extend_from_slice(&self.emb_arena[e.off..e.off + e.rows * e.cols]);
-                e.off = off;
+                if e.off != off {
+                    Arc::make_mut(record).emb = Some(EmbSlot { off, ..e });
+                }
             }
         }
         self.emb_arena = arena;
@@ -536,15 +542,19 @@ impl TweetBase {
         Some(remap)
     }
 
-    /// Estimated resident heap bytes of the store: sentences, the
-    /// token-embedding arena (the dominant term for deep local systems,
-    /// including not-yet-compacted dead rows), span lists, symbol lists,
-    /// and both indexes. An estimate for gauges and eviction budgeting,
-    /// not an allocator-exact measurement.
+    /// Estimated resident heap bytes of the store: record blocks and
+    /// their sentences, the token-embedding arena (the dominant term for
+    /// deep local systems, including not-yet-compacted dead rows), span
+    /// lists, symbol lists, and both indexes. Records shared with a clone
+    /// are counted in full: this is what the store alone keeps alive. An
+    /// estimate for gauges and eviction budgeting, not an allocator-exact
+    /// measurement.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = self.slots.capacity() * size_of::<Option<TweetRecord>>();
+        let mut total = self.slots.capacity() * size_of::<Option<Arc<TweetRecord>>>();
         for r in self.slots.iter().flatten() {
+            // The shared block: the record plus its two reference counts.
+            total += size_of::<TweetRecord>() + 2 * size_of::<usize>();
             for t in &r.sentence.tokens {
                 total += size_of::<emd_text::token::Token>() + t.text.len();
             }
@@ -755,11 +765,9 @@ mod tests {
         // No-embedding records answer None.
         let i3 = tb.insert(rec_with(3, &["d"]));
         assert!(tb.embedding_view(i3).is_none());
-        // Evict re-materializes a self-contained matrix, bit-for-bit.
+        // Evict hands the stored record back; its rows stay in the arena.
         let out = tb.evict(i1).unwrap();
-        let m = out.token_embeddings.expect("copied back out");
-        assert_eq!((m.rows, m.cols), (2, 3));
-        assert_eq!(m.data, vec![100.0, 101.0, 102.0, 103.0, 104.0, 105.0]);
+        assert!(out.token_embeddings.is_none());
         assert!(tb.embedding_view(i1).is_none());
         // Survivor's view is untouched by the eviction...
         assert_eq!(
@@ -776,6 +784,33 @@ mod tests {
             tb.embedding_view(i2_new).unwrap().row(0),
             &[200.0, 201.0, 202.0]
         );
+    }
+
+    #[test]
+    fn clones_share_records_until_written() {
+        let mut tb = TweetBase::new();
+        for t in 0..3u64 {
+            tb.insert(rec_with(t, &["a", "b"]));
+        }
+        let snap = tb.clone();
+        let shared = |tb: &TweetBase, snap: &TweetBase, i: usize| {
+            Arc::ptr_eq(
+                tb.slots[i].as_ref().unwrap(),
+                snap.slots[i].as_ref().unwrap(),
+            )
+        };
+        assert!((0..3).all(|i| shared(&tb, &snap, i)));
+        // A write copies exactly the written record; the snapshot keeps
+        // the old contents.
+        tb.get_mut_by_index(1).global_mentions.push(Span::new(0, 1));
+        assert!(snap.get_by_index(1).global_mentions.is_empty());
+        assert_eq!(tb.get_by_index(1).global_mentions.len(), 1);
+        assert!(!shared(&tb, &snap, 1));
+        assert!(shared(&tb, &snap, 0) && shared(&tb, &snap, 2));
+        // Eviction hands back the shared record itself, uncopied.
+        let out = tb.evict(2).unwrap();
+        assert!(Arc::ptr_eq(&out, snap.slots[2].as_ref().unwrap()));
+        assert!(snap.is_live(2));
     }
 
     #[test]

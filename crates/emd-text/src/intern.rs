@@ -19,10 +19,16 @@
 //! but the symbol itself stays valid so checkpoint replay and late
 //! re-registration of a candidate never re-number anything. At ~20 bytes
 //! per distinct token this is noise next to the embedding arenas.
+//!
+//! Each string is stored once, as an `Arc<str>` shared by the symbol
+//! table and the lookup map, so cloning an interner (the supervisor
+//! snapshots the pipeline state before every batch) copies pointers and
+//! bumps reference counts instead of duplicating every token.
 
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A dense interned-token handle. `u32` keeps posting lists and trie edge
 /// maps at half the width of a pointer and a twelfth of an inline
@@ -32,8 +38,8 @@ pub type Sym = u32;
 /// An append-only string interner with `to_lowercase`-folding lookups.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    strings: Vec<String>,
-    map: HashMap<String, Sym>,
+    strings: Vec<Arc<str>>,
+    map: HashMap<Arc<str>, Sym>,
 }
 
 /// Is `s` already in folded form, byte-for-byte? (ASCII with no uppercase
@@ -56,8 +62,9 @@ impl Interner {
             return sym;
         }
         let sym = self.strings.len() as Sym;
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
+        let s: Arc<str> = Arc::from(s);
+        self.strings.push(s.clone());
+        self.map.insert(s, sym);
         sym
     }
 
@@ -110,14 +117,17 @@ impl Interner {
         self.strings.is_empty()
     }
 
-    /// Approximate resident heap size, for memory accounting.
+    /// Approximate resident heap size, for memory accounting: one
+    /// shared string block per symbol (bytes plus the two reference
+    /// counts), the symbol table's pointers, and the map's entries.
     pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.strings
             .iter()
-            .map(|s| s.capacity() + std::mem::size_of::<String>())
+            .map(|s| s.len() + 2 * size_of::<usize>())
             .sum::<usize>()
-            * 2 // map keys duplicate the strings
-            + self.map.len() * std::mem::size_of::<(String, Sym)>()
+            + self.strings.capacity() * size_of::<Arc<str>>()
+            + self.map.len() * size_of::<(Arc<str>, Sym)>()
     }
 }
 
@@ -132,7 +142,7 @@ impl Serialize for Interner {
 
 impl Deserialize for Interner {
     fn from_value(v: &Value) -> Result<Interner, DeError> {
-        let strings = Vec::<String>::from_value(v)?;
+        let strings = Vec::<Arc<str>>::from_value(v)?;
         let mut map = HashMap::with_capacity(strings.len());
         for (i, s) in strings.iter().enumerate() {
             if map.insert(s.clone(), i as Sym).is_some() {
@@ -210,12 +220,27 @@ mod tests {
     }
 
     #[test]
+    fn table_and_map_share_one_string_per_symbol() {
+        let mut it = Interner::new();
+        let a = it.intern_folded("Shared");
+        let (key, &sym) = it.map.get_key_value("shared").unwrap();
+        assert_eq!(sym, a);
+        assert!(Arc::ptr_eq(key, &it.strings[a as usize]));
+        // A clone shares the strings too.
+        let copy = it.clone();
+        assert!(Arc::ptr_eq(
+            &copy.strings[a as usize],
+            &it.strings[a as usize]
+        ));
+    }
+
+    #[test]
     fn serde_round_trip_preserves_symbols() {
         let mut it = Interner::new();
         let a = it.intern("Alpha");
         let b = it.intern_folded("Beta");
         let json = serde_json::to_string(&it).unwrap();
-        assert_eq!(json, serde_json::to_string(&it.strings).unwrap());
+        assert_eq!(json, r#"["Alpha","beta"]"#);
         let back: Interner = serde_json::from_str(&json).unwrap();
         assert_eq!(back.resolve(a), "Alpha");
         assert_eq!(back.resolve(b), "beta");

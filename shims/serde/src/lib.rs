@@ -265,6 +265,31 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+// Shared pointers encode as their pointee, exactly like `Box`: a value
+// behind an `Arc` writes the same bytes as the value itself.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<std::sync::Arc<T>, DeError> {
+        Ok(std::sync::Arc::new(T::from_value(v)?))
+    }
+}
+
+// A shared string decodes straight into its block, with no intermediate
+// `String`.
+impl Deserialize for std::sync::Arc<str> {
+    fn from_value(v: &Value) -> Result<std::sync::Arc<str>, DeError> {
+        match v {
+            Value::Str(s) => Ok(std::sync::Arc::from(s.as_str())),
+            other => type_err("string", other),
+        }
+    }
+}
+
 macro_rules! impl_tuple {
     ($n:expr; $a:ident . $aidx:tt $(, $t:ident . $idx:tt)*) => {
         impl<$a: Serialize $(, $t: Serialize)*> Serialize for ($a, $($t,)*) {
@@ -398,6 +423,20 @@ mod tests {
         assert_eq!(json(&m), "[[[\"a\",\"b\"],7]]");
         let b: std::collections::BTreeMap<u8, Vec<u8>> = [(2, vec![]), (1, vec![5])].into();
         assert_eq!(json(&b), "[[1,[5]],[2,[]]]");
+    }
+
+    #[test]
+    fn shared_pointers_encode_as_their_pointee() {
+        use std::sync::Arc;
+        assert_eq!(json(&Arc::new(vec![1u8, 2])), json(&vec![1u8, 2]));
+        assert_eq!(json(&Box::new(Some(3u8))), "3");
+        let s: Arc<str> = Arc::from("hi");
+        assert_eq!(json(&vec![s.clone(), s]), "[\"hi\",\"hi\"]");
+        let back = Arc::<Vec<u8>>::from_value(&Value::Arr(vec![Value::Num(Number::U(7))]));
+        assert_eq!(*back.unwrap(), vec![7]);
+        let back = Arc::<str>::from_value(&Value::Str("hi".into())).unwrap();
+        assert_eq!(&*back, "hi");
+        assert!(Arc::<str>::from_value(&Value::Null).is_err());
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   thousands of sentences long, through a window of thousands, restarts
 //!   from its checkpoint ladder and finishes bit-identical to an
 //!   uninterrupted run.
+//! * **Snapshot isolation** — processing a batch on a clone of the state
+//!   never changes the original (records are shared copy-on-write), and a
+//!   supervised batch whose fully processed trial is discarded at commit
+//!   retries from an intact pre-batch state.
 
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::globalizer::GlobalizerState;
@@ -127,11 +131,22 @@ proptest! {
         let local = lexicon();
         let clf = accept_all();
         let stream = stream_from(&msgs);
+        // Every batch runs on a clone, as the supervisor's trials do: the
+        // clone shares its records with the original until written, and
+        // the original must come out of it unchanged to the byte.
         let run = |cfg: GlobalizerConfig| {
             let g = Globalizer::new(&local, None, &clf, cfg);
             let mut s = g.new_state();
             for chunk in stream.chunks(batch) {
-                g.process_batch(&mut s, chunk);
+                let before = serde_json::to_string(&s).unwrap();
+                let mut trial = s.clone();
+                g.process_batch(&mut trial, chunk);
+                assert_eq!(
+                    serde_json::to_string(&s).unwrap(),
+                    before,
+                    "processing a clone must leave the original untouched"
+                );
+                s = trial;
             }
             let out = g.finalize_with_threads(&mut s, threads);
             (out, s)
@@ -359,4 +374,96 @@ fn supervised_churn_restart_at_window_scale_is_bit_identical() {
     assert_eq!(report.output.n_candidates, plain.n_candidates);
     assert_eq!(report.output.n_entities, plain.n_entities);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A supervised batch whose trial is discarded *after* processing rolls
+/// back cleanly. The fault fires at `supervisor_commit`, past the window
+/// fill, so the discarded trial has already evicted, settled, pooled into
+/// and pruned records it shares with the pre-batch snapshot. The retry
+/// starts from that snapshot, and the output equals an uninterrupted run.
+#[test]
+fn supervised_trial_discarded_after_processing_rolls_back() {
+    let _g = global_flag(false);
+    failpoint::install_quiet_hook();
+    const BATCH: usize = 250;
+    const WINDOW: usize = 1_000;
+    const FAULT_BATCH: usize = 7;
+    let world = World::generate(&WorldConfig {
+        seed: 99,
+        ..Default::default()
+    });
+    let stream: Vec<Sentence> =
+        gen_churn_stream(&world, 3_000, 500, "churn", &NoiseConfig::default(), 11)
+            .sentences
+            .into_iter()
+            .map(|a| a.sentence)
+            .collect();
+    let chunker = NpChunker::new();
+    // Untrained, so candidates stay short of an Entity verdict and cold
+    // ones are prunable (accept-all would pin every candidate).
+    let clf = EntityClassifier::new(7, 0);
+    let g = Globalizer::new(
+        &chunker,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(WINDOW),
+            ..Default::default()
+        },
+    );
+
+    // The faulted batch does window work on state it shares with its
+    // snapshot: it evicts, and it prunes candidates the snapshot holds.
+    let mut pre = g.new_state();
+    for chunk in stream.chunks(BATCH).take(FAULT_BATCH - 1) {
+        g.process_batch(&mut pre, chunk);
+    }
+    assert_eq!(pre.tweetbase.len(), WINDOW, "the window is full");
+    let snapshot = serde_json::to_string(&pre).unwrap();
+    let mut trial = pre.clone();
+    g.process_batch(
+        &mut trial,
+        stream.chunks(BATCH).nth(FAULT_BATCH - 1).unwrap(),
+    );
+    assert!(trial.n_evicted() > pre.n_evicted(), "the trial evicts");
+    assert!(
+        pre.candidates
+            .iter()
+            .any(|c| trial.candidates.get(&c.key).is_none()),
+        "the trial prunes"
+    );
+    // Replaying a batch is largely idempotent (known mentions are not
+    // pooled twice), so equal output alone would not catch a trial that
+    // wrote through to the snapshot; compare the snapshot itself.
+    assert!(
+        serde_json::to_string(&pre).unwrap() == snapshot,
+        "the trial must not write through to the pre-batch state"
+    );
+
+    let sup = StreamSupervisor::new(
+        &g,
+        SupervisorConfig {
+            batch_size: BATCH,
+            ..Default::default()
+        },
+    );
+    let report = {
+        let _fp = failpoint::arm(
+            "supervisor_commit",
+            failpoint::Schedule::AfterN(FAULT_BATCH as u64 - 1),
+        );
+        sup.run(&stream)
+    };
+    assert_eq!(
+        report.batches_retried, 1,
+        "exactly the faulted batch retried"
+    );
+    assert_eq!(report.batches_dead_lettered, 0);
+    assert!(report.output.quarantined.is_empty());
+    let (plain, _) = g.run(&stream, BATCH);
+    assert_eq!(report.output.per_sentence.len(), WINDOW);
+    assert_eq!(report.output.per_sentence, plain.per_sentence);
+    assert_eq!(report.output.n_candidates, plain.n_candidates);
+    assert_eq!(report.output.n_entities, plain.n_entities);
+    assert_eq!(report.output.n_promoted, plain.n_promoted);
 }
