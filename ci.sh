@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1 tests =="
 cargo test --workspace --release
 
+echo "== precise dirtying at production scale =="
+# The churn-window shape (20k sliding window, 36k sentences, NP chunker):
+# incremental finalize must equal the full rescan, and at most 15% of
+# the window may be dirty at close. `#[ignore]`d in tier-1 for its size.
+cargo test --release --test precise_dirtying -- --ignored
+
 echo "== benchmark tests =="
 # perfbench is a workspace of its own, so `--workspace` above never
 # builds it; a change to a library API it calls (the serde shim traits

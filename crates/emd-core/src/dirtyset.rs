@@ -1,15 +1,14 @@
 //! Bitset-backed dirty-slot index for the rescan queue.
 //!
-//! Registering one new candidate marks every stored sentence containing
-//! its first token as dirty — for a common first token that is thousands
-//! of slot indices, and a churny stream registers tens of thousands of
-//! candidates. With a `BTreeSet<usize>` that fanout was the single
-//! largest ingest cost (~100ns per insert, millions of inserts per
-//! million sentences). [`DirtySet`] replaces it with a growable bitset
-//! plus a cached population count: insert/remove/contains are a word
-//! index and a mask, and iteration walks set bits in ascending slot
-//! order — exactly the order the `BTreeSet` iterated, so rescan replay
-//! order (and therefore output bit-identity) is unchanged.
+//! Registering a new candidate marks the stored sentences that contain
+//! its whole token sequence as dirty, and every newly stored sentence is
+//! dirty until its first scan. [`DirtySet`] holds those slot indices as a
+//! growable bitset plus a cached population count: insert/remove/contains
+//! are a word index and a mask, and iteration walks set bits in ascending
+//! slot order, so rescans replay in stream order (the order output
+//! bit-identity depends on). It replaced a `BTreeSet<usize>`, whose
+//! ~100ns insert was the largest ingest cost when registration still
+//! dirtied every sentence holding a candidate's first token.
 //!
 //! Checkpoints serialize the set as a sorted index list, byte-identical
 //! to the list the `BTreeSet` produced, so the on-disk schema is

@@ -10,8 +10,9 @@
 //! The closing rescan is *incremental*: the state tracks which stored
 //! sentences could possibly be affected by candidates registered after
 //! their last scan (via the [`TweetBase`] token inverted index — a new
-//! candidate can only change sentences containing its first token), and
-//! [`Globalizer::finalize`] rescans only those. The brute-force
+//! candidate can only change sentences containing its whole token
+//! sequence, contiguously, because a match must end on a terminal CTrie
+//! node), and [`Globalizer::finalize`] rescans only those. The brute-force
 //! [`Globalizer::finalize_full_rescan`] rescans everything and exists as
 //! the reference the incremental path is tested bit-identical against.
 //!
@@ -58,6 +59,20 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// Position of the first entry `>= target` in the ascending `list`,
+/// found by doubling out from the front and then bisecting: O(log d) for
+/// an answer `d` entries in. Walking one ascending list while galloping
+/// through another costs far less than a binary search over the whole
+/// remainder per step when the hits are dense.
+fn gallop(list: &[usize], target: usize) -> usize {
+    let mut hi = 1;
+    while hi < list.len() && list[hi - 1] < target {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + list[lo..hi.min(list.len())].partition_point(|&x| x < target)
+}
 
 /// Elapsed nanoseconds since `t0`, saturating into a `u64`.
 #[inline]
@@ -158,13 +173,13 @@ pub struct GlobalizerState {
     /// Per-candidate records with pooled global embeddings.
     pub candidates: CandidateBase,
     /// Stream-order indices of records whose stored `global_mentions` may
-    /// be stale: never scanned yet, or a candidate whose first token they
-    /// contain was registered after their last scan. Iterated in
-    /// ascending (stream) order so rescans replay in stream order,
-    /// keeping outputs bit-identical to a full sequential rescan. A
-    /// bitset rather than an ordered tree: the mark-dirty fanout inserts
-    /// millions of indices per million sentences, and the bitset insert
-    /// is ~30x cheaper while checkpointing to the same sorted list.
+    /// be stale: never scanned yet, or a candidate whose whole token
+    /// sequence they contain was registered after their last scan. Every
+    /// other live, non-quarantined record holds exactly what a fresh
+    /// extraction would find. Iterated in ascending (stream) order so
+    /// rescans replay in stream order, keeping outputs bit-identical to a
+    /// full sequential rescan. A bitset: O(1) insert and membership, and
+    /// it checkpoints to the same sorted list an ordered set would.
     dirty: DirtySet,
     /// Cumulative per-phase wall-clock spent on this state, accumulated
     /// unconditionally (one clock read per phase call) and surfaced via
@@ -213,6 +228,13 @@ impl GlobalizerState {
     /// depth). Observable live, e.g. between batches.
     pub fn n_dirty(&self) -> usize {
         self.dirty.len()
+    }
+
+    /// Is the record in slot `idx` awaiting a rescan? A live,
+    /// non-quarantined record that is not dirty holds exactly the
+    /// mentions a fresh extraction against the current CTrie would find.
+    pub fn is_dirty(&self, idx: usize) -> bool {
+        self.dirty.contains(idx)
     }
 
     /// Number of sentences quarantined so far.
@@ -297,8 +319,12 @@ pub struct GlobalizerOutput {
     pub n_entities: usize,
     /// Candidates created by adjacent-pair promotion at stream close.
     pub n_promoted: usize,
-    /// Sentence scans performed by the closing rescan (for the incremental
-    /// path this is usually far below the stream length).
+    /// Sentence scans performed by the closing rescan: a scan count, so a
+    /// record rescanned in several promotion rounds counts once per round
+    /// (as does `emd_finalize_rescan_sentences_total`). For the
+    /// incremental path this is usually far below the stream length. The
+    /// `emd_finalize_rescan_coverage` gauge reports distinct records
+    /// rescanned over live records instead.
     pub n_rescanned: usize,
     /// Cumulative per-phase wall-clock breakdown for the run that produced
     /// this output. Wall-clock only — never part of output equality
@@ -1198,7 +1224,7 @@ impl<'a> Globalizer<'a> {
                                 ..TraceEvent::of(TraceEventKind::TrieInsert)
                             });
                         }
-                        Self::mark_dirty(state, toks[0]);
+                        Self::mark_dirty(state, &toks);
                     }
                 }
             }
@@ -1215,20 +1241,61 @@ impl<'a> Globalizer<'a> {
         self.trace_phase_span(TracePhase::Ingest, None, dt);
     }
 
-    /// Mark every stored sentence containing the candidate's first token
-    /// as needing a rescan: a candidate insertion can only change a
-    /// sentence's extraction if the sentence contains that token.
-    /// Quarantined records are permanently excluded. Resolves the token
-    /// through the interner (any casing); an unknown token occurs in no
-    /// stored sentence, so there is nothing to dirty.
-    fn mark_dirty(state: &mut GlobalizerState, first_token: &str) {
-        let Some(sym) = state.tweetbase.interner().lookup_folded(first_token) else {
+    /// Mark every stored sentence containing the newly registered
+    /// candidate's whole token sequence, contiguously, as needing a
+    /// rescan. Extraction is greedy longest-match ending on a terminal
+    /// CTrie node, and the node that ends the candidate's sequence is the
+    /// only new terminal, so no other sentence's extraction can change.
+    /// Quarantined records are permanently excluded.
+    ///
+    /// Tokens resolve through the interner (any casing); an unknown token
+    /// occurs in no stored sentence, so there is nothing to dirty. The
+    /// walk follows the rarest symbol's posting list. A multi-token
+    /// candidate's hits must also appear in every other symbol's list,
+    /// rarest first, before the contiguous match is confirmed on the
+    /// record's symbols: the rarest symbol of a noun phrase is often a
+    /// common word, and the list probes are far cheaper than
+    /// dereferencing a record only to fail the match.
+    fn mark_dirty<S: AsRef<str>>(state: &mut GlobalizerState, tokens: &[S]) {
+        let interner = state.tweetbase.interner();
+        let Some(syms) = tokens
+            .iter()
+            .map(|t| interner.lookup_folded(t.as_ref()))
+            .collect::<Option<Vec<_>>>()
+        else {
             return;
         };
-        for &i in state.tweetbase.indices_with_sym(sym) {
-            if !state.quarantined_idx.contains(&i) {
-                state.dirty.insert(i);
+        let tweetbase = &state.tweetbase;
+        let mut distinct = syms.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut lists: Vec<&[usize]> = distinct
+            .iter()
+            .map(|&s| tweetbase.indices_with_sym(s))
+            .collect();
+        lists.sort_unstable_by_key(|l| l.len());
+        let Some((rarest, others)) = lists.split_first_mut() else {
+            return;
+        };
+        for &i in *rarest {
+            if state.dirty.contains(i) || state.quarantined_idx.contains(&i) {
+                continue;
             }
+            if syms.len() > 1 {
+                // Every list ascends, so each search window only shrinks.
+                let in_all = others.iter_mut().all(|l| {
+                    *l = &l[gallop(l, i)..];
+                    l.first() == Some(&i)
+                });
+                if !in_all {
+                    continue;
+                }
+                let rec = tweetbase.get_by_index(i);
+                if !rec.tok_syms.windows(syms.len()).any(|w| w == syms) {
+                    continue;
+                }
+            }
+            state.dirty.insert(i);
         }
     }
 
@@ -2073,11 +2140,17 @@ impl<'a> Globalizer<'a> {
         }
         let mut n_rescanned = 0;
         let mut n_promoted = 0;
+        // Distinct records rescanned across all rounds (a promotion round
+        // may rescan a record again), for the coverage gauge.
+        let mut covered = DirtySet::new();
         self.metrics.dirty_depth.set(state.dirty.len() as f64);
         loop {
             self.metrics.finalize_promotion_rounds_total.inc();
             let dirty: Vec<usize> = state.dirty.take_sorted();
             n_rescanned += dirty.len();
+            for &i in &dirty {
+                covered.insert(i);
+            }
             self.scan_records(state, &dirty, n_threads, PipelinePhase::FinalizeRescan);
             let t_promo = Instant::now();
             let promotions = self.find_promotions(state);
@@ -2097,7 +2170,7 @@ impl<'a> Globalizer<'a> {
                             ..TraceEvent::of(TraceEventKind::Promotion)
                         });
                     }
-                    Self::mark_dirty(state, &tokens[0]);
+                    Self::mark_dirty(state, &tokens);
                 }
             }
         }
@@ -2109,7 +2182,7 @@ impl<'a> Globalizer<'a> {
             .add(n_promoted as u64);
         self.metrics
             .rescan_coverage
-            .set(n_rescanned as f64 / state.tweetbase.len().max(1) as f64);
+            .set(covered.len() as f64 / state.tweetbase.len().max(1) as f64);
         self.mon_count(|c| c.promoted += n_promoted as u64);
         (n_rescanned, n_promoted)
     }
@@ -2374,6 +2447,21 @@ mod tests {
         let last = params.into_iter().last().unwrap();
         last.value.data[0] = 100.0;
         c
+    }
+
+    #[test]
+    fn gallop_agrees_with_partition_point() {
+        let list: Vec<usize> = (0..300).map(|i| 3 * i + 1).collect();
+        for len in [0, 1, 2, 3, 7, 64, 300] {
+            let l = &list[..len];
+            for target in 0..=3 * len + 2 {
+                assert_eq!(
+                    gallop(l, target),
+                    l.partition_point(|&x| x < target),
+                    "len {len}, target {target}"
+                );
+            }
+        }
     }
 
     fn reject_all(dim: usize) -> EntityClassifier {
@@ -2697,8 +2785,9 @@ mod tests {
 
     #[test]
     fn finalize_rescans_only_affected_sentences() {
-        // Candidate discovered in the last batch: only the earlier sentences
-        // containing its first token are rescanned at close, not the stream.
+        // The local system detects "beshear" in the first sentence, so the
+        // candidate is in the CTrie before any later sentence is scanned
+        // and nothing is left to rescan at close.
         let local = LexiconEmd::new(["beshear"]);
         let clf = accept_all(7);
         let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
@@ -2713,10 +2802,9 @@ mod tests {
             g.process_batch(&mut state, std::slice::from_ref(s));
         }
         let out = g.finalize(&mut state);
-        // Sentence 0 was dirtied by the batch-3 trie insert... no — the
-        // candidate "beshear" is registered at batch 0 already (local
-        // detects it there), so every sentence is scanned within its own
-        // batch and nothing is left dirty at close.
+        // Every sentence is scanned within its own batch against a CTrie
+        // that already holds "beshear", and no candidate registered later
+        // occurs in an earlier sentence, so nothing is dirty at close.
         assert_eq!(
             out.n_rescanned, 0,
             "no sentence can be affected by later candidates"

@@ -131,8 +131,10 @@ impl TweetRecord {
 /// sentences containing that token. Global EMD uses it to find which
 /// sentences a newly discovered candidate could possibly match — a
 /// candidate insertion only changes a sentence's extraction if the
-/// sentence contains the candidate's first token — so the close-of-stream
-/// rescan touches only those sentences instead of the whole stream.
+/// sentence contains the candidate's whole token sequence — by walking
+/// the posting list of the candidate's rarest token and confirming the
+/// match, so the close-of-stream rescan touches only those sentences
+/// instead of the whole stream.
 ///
 /// Posting-list invariant: every list holds strictly ascending indices of
 /// **live** records whose sentence contains the token. Replacement and
