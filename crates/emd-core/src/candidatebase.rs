@@ -9,28 +9,25 @@
 //! pooling is incremental, so new mentions arriving in later batches simply
 //! extend the pool.
 //!
+//! A record keeps counters, not mentions. Where a mention occurs is a fact
+//! of its sentence, and the sentence record owns it
+//! ([`crate::tweetbase::TweetRecord::global_mentions`] and
+//! [`crate::tweetbase::TweetRecord::retired`]); the candidate only counts
+//! what it has pooled. Because a `(sentence, span)` pair fixes its key —
+//! the span's folded surface — "has this candidate pooled that mention?"
+//! is answered by the sentence record, and the scan asks it there before
+//! pooling. Counts stay stream-cumulative when the window evicts
+//! sentences.
+//!
 //! Records are held as `Arc<CandidateRecord>` and written through
 //! `Arc::make_mut`, so a clone of the store (the supervisor's per-batch
 //! snapshot) shares every record until the batch writes to it; sweeps
 //! read first and unshare only the records they change.
 
 use crate::classifier::CandidateLabel;
-use emd_text::token::{SentenceId, Span};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A single located mention of a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MentionRef {
-    /// Sentence the mention occurs in.
-    pub sid: SentenceId,
-    /// Token span inside that sentence.
-    pub span: Span,
-    /// Whether the Local EMD system itself found this mention (as opposed
-    /// to the global rescan recovering it).
-    pub locally_detected: bool,
-}
 
 /// Per-candidate record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,27 +36,18 @@ pub struct CandidateRecord {
     pub key: String,
     /// Lower-cased tokens of the candidate.
     pub tokens: Vec<String>,
-    /// All located mentions, in discovery order.
-    pub mentions: Vec<MentionRef>,
-    /// `(sentence, span)` pairs already in `mentions`, for O(1) dedup when
-    /// overlapping rescans revisit a sentence.
-    seen: HashSet<(SentenceId, Span)>,
-    /// Mentions whose sentences left the sliding window: the refs are
-    /// released but the count is folded into [`CandidateRecord::frequency`]
-    /// so every frequency-based decision stays cumulative.
-    evicted_mentions: usize,
-    /// How many of the evicted mentions were locally detected (keeps the
-    /// trust-local emission ratio cumulative too).
-    evicted_locally_detected: usize,
-    /// Whether [`CandidateRecord::add_embedding`] retains the individual
+    /// Whether [`CandidateRecord::add_mention`] retains the individual
     /// per-mention embeddings (needed for max pooling and training
     /// harvests; released in windowed mean-pooling mode, where only the
     /// running sum is consulted).
     store_local: bool,
     /// Running sum of local candidate embeddings.
     emb_sum: Vec<f32>,
-    /// Number of pooled embeddings.
+    /// Number of pooled embeddings — one per mention, so also the
+    /// mention frequency.
     emb_count: usize,
+    /// How many of the pooled mentions the Local EMD system found itself.
+    n_local: usize,
     /// The individual per-mention local embeddings, flattened row-major
     /// (`n × dim`, one contiguous block instead of a heap allocation per
     /// mention — iterate with [`CandidateRecord::local_rows`]). Kept so
@@ -83,13 +71,10 @@ impl CandidateRecord {
         CandidateRecord {
             key,
             tokens,
-            mentions: Vec::new(),
-            seen: HashSet::new(),
-            evicted_mentions: 0,
-            evicted_locally_detected: 0,
             store_local,
             emb_sum: vec![0.0; dim],
             emb_count: 0,
+            n_local: 0,
             local_flat: Vec::new(),
             label: CandidateLabel::Pending,
             score: None,
@@ -97,24 +82,14 @@ impl CandidateRecord {
         }
     }
 
-    /// Record a mention unless an identical `(sentence, span)` pair is
-    /// already present. Returns `true` when the mention was new. This is
-    /// the dedup gate the rescan relies on: a sentence revisited because
-    /// two new candidates both touch it must not double-count mentions.
-    pub fn try_add_mention(&mut self, mref: MentionRef) -> bool {
-        if self.seen.insert((mref.sid, mref.span)) {
-            self.mentions.push(mref);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pool one local embedding into the global embedding.
-    pub fn add_embedding(&mut self, local: &[f32]) {
+    /// Count one new mention and pool its local embedding into the global
+    /// embedding. The caller has checked that the sentence record has not
+    /// pooled this `(sentence, span)` pair already.
+    pub fn add_mention(&mut self, local: &[f32], locally_detected: bool) {
         assert_eq!(local.len(), self.emb_sum.len(), "embedding dim mismatch");
         emd_simd::add_assign(&mut self.emb_sum, local);
         self.emb_count += 1;
+        self.n_local += usize::from(locally_detected);
         if self.store_local {
             self.local_flat.extend_from_slice(local);
         }
@@ -184,48 +159,17 @@ impl CandidateRecord {
 
     /// Mention frequency — cumulative over the whole stream, including
     /// mentions whose sentences have since been evicted from the window.
+    /// Every mention pools exactly one embedding, so this is the pooled
+    /// count.
     pub fn frequency(&self) -> usize {
-        self.mentions.len() + self.evicted_mentions
+        self.emb_count
     }
 
     /// How many of the candidate's mentions (cumulative, including
     /// evicted ones) the Local EMD system found itself. Feeds the
     /// trust-local emission fallback for degraded candidates.
     pub fn locally_detected_frequency(&self) -> usize {
-        self.mentions.iter().filter(|m| m.locally_detected).count() + self.evicted_locally_detected
-    }
-
-    /// Release the per-mention bookkeeping of every mention whose sentence
-    /// fails `is_live`: drop its [`MentionRef`]s and dedup entries while
-    /// folding the counts into the cumulative totals. The pooled embedding
-    /// sum is untouched — evicted mentions keep contributing to the global
-    /// consensus embedding (§V-C); only their O(mentions) bookkeeping is
-    /// reclaimed. Returns the number of refs released.
-    pub fn release_dead<F: FnMut(SentenceId) -> bool>(&mut self, mut is_live: F) -> usize {
-        let mut dropped = 0usize;
-        let mut dropped_local = 0usize;
-        self.mentions.retain(|m| {
-            if is_live(m.sid) {
-                true
-            } else {
-                dropped += 1;
-                if m.locally_detected {
-                    dropped_local += 1;
-                }
-                false
-            }
-        });
-        if dropped == 0 {
-            return 0;
-        }
-        self.evicted_mentions += dropped;
-        self.evicted_locally_detected += dropped_local;
-        self.seen.retain(|&(sid, _)| is_live(sid));
-        if self.mentions.capacity() > 2 * self.mentions.len() + 4 {
-            self.mentions.shrink_to_fit();
-        }
-        self.seen.shrink_to_fit();
-        dropped
+        self.n_local
     }
 
     /// Number of tokens in the candidate (the paper's `+1` length feature).
@@ -263,21 +207,6 @@ impl CandidateBase {
         self.store_local = on;
     }
 
-    /// Release per-mention bookkeeping for every mention whose sentence
-    /// fails `is_live`, across all records (see
-    /// [`CandidateRecord::release_dead`]). Only records holding a dead ref
-    /// are written. Returns total refs released.
-    pub fn release_dead<F: FnMut(SentenceId) -> bool>(&mut self, mut is_live: F) -> usize {
-        let mut released = 0;
-        for r in &mut self.records {
-            if r.mentions.iter().all(|m| is_live(m.sid)) {
-                continue;
-            }
-            released += Arc::make_mut(r).release_dead(&mut is_live);
-        }
-        released
-    }
-
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -286,15 +215,17 @@ impl CandidateBase {
     /// Get-or-create a record for the (already lower-cased) key. Copies
     /// an existing record first if a clone of the store still shares it.
     pub fn entry(&mut self, key: &str) -> &mut CandidateRecord {
-        let i = match self.index.get(key) {
-            Some(&i) => i,
-            None => self.push_new(key),
-        };
+        let i = self.ensure(key);
         Arc::make_mut(&mut self.records[i])
     }
 
-    /// Append a fresh record for `key`, returning its position.
-    fn push_new(&mut self, key: &str) -> usize {
+    /// Discovery-order position of the (already lower-cased) key,
+    /// appending a fresh record if it is new. An existing record is not
+    /// written, so a clone of the store keeps sharing it.
+    pub fn ensure(&mut self, key: &str) -> usize {
+        if let Some(&i) = self.index.get(key) {
+            return i;
+        }
         let i = self.records.len();
         self.index.insert(key.to_string(), i);
         self.records.push(Arc::new(CandidateRecord::new(
@@ -303,27 +234,6 @@ impl CandidateBase {
             self.store_local,
         )));
         i
-    }
-
-    /// Record a mention of the (already lower-cased) key, creating the
-    /// candidate if it is new. Returns the record when the mention was new
-    /// — the caller pools its embedding — and `None` for a `(sentence,
-    /// span)` pair the candidate already holds (a settle or closing rescan
-    /// revisiting a sentence), which is detected without unsharing the
-    /// record.
-    pub fn add_mention(&mut self, key: &str, mref: MentionRef) -> Option<&mut CandidateRecord> {
-        let i = match self.index.get(key) {
-            Some(&i) => i,
-            None => self.push_new(key),
-        };
-        // Only a shared record is probed before the write; an unshared
-        // one lets `try_add_mention` do the dedup in one hash.
-        let shared = Arc::get_mut(&mut self.records[i]).is_none();
-        if shared && self.records[i].seen.contains(&(mref.sid, mref.span)) {
-            return None;
-        }
-        let rec = Arc::make_mut(&mut self.records[i]);
-        rec.try_add_mention(mref).then_some(rec)
     }
 
     /// Lookup by key.
@@ -410,10 +320,10 @@ impl CandidateBase {
         pruned
     }
 
-    /// Estimated resident heap bytes: record blocks, keys, mention lists,
-    /// dedup sets, and the pooled + per-mention embeddings (the dominant
-    /// term for deep local systems). Records shared with a clone are
-    /// counted in full. An estimate for gauges, not allocator-exact.
+    /// Estimated resident heap bytes: record blocks, keys, and the pooled
+    /// and per-mention embeddings (the dominant term for deep local
+    /// systems). Records shared with a clone are counted in full. An
+    /// estimate for gauges, not allocator-exact.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut total = self.records.capacity() * size_of::<Arc<CandidateRecord>>();
@@ -426,8 +336,6 @@ impl CandidateBase {
                 .iter()
                 .map(|t| t.len() + size_of::<String>())
                 .sum::<usize>();
-            total += r.mentions.capacity() * size_of::<MentionRef>();
-            total += r.seen.len() * size_of::<(SentenceId, Span)>();
             total += r.emb_sum.capacity() * size_of::<f32>();
             total += r.local_flat.capacity() * size_of::<f32>();
         }
@@ -456,9 +364,9 @@ mod tests {
     fn incremental_pooling_is_mean() {
         let mut cb = CandidateBase::new(2);
         let r = cb.entry("covid");
-        r.add_embedding(&[1.0, 0.0]);
-        r.add_embedding(&[0.0, 1.0]);
-        r.add_embedding(&[2.0, 2.0]);
+        r.add_mention(&[1.0, 0.0], true);
+        r.add_mention(&[0.0, 1.0], false);
+        r.add_mention(&[2.0, 2.0], false);
         assert_eq!(r.global_embedding(), vec![1.0, 1.0]);
         assert_eq!(r.n_pooled(), 3);
     }
@@ -468,8 +376,8 @@ mod tests {
         use crate::config::Pooling;
         let mut cb = CandidateBase::new(2);
         let r = cb.entry("covid");
-        r.add_embedding(&[1.0, 0.0]);
-        r.add_embedding(&[0.0, 2.0]);
+        r.add_mention(&[1.0, 0.0], true);
+        r.add_mention(&[0.0, 2.0], true);
         assert_eq!(r.pooled_embedding(Pooling::Max), vec![1.0, 2.0]);
         assert_eq!(r.pooled_embedding(Pooling::Mean), vec![0.5, 1.0]);
     }
@@ -479,55 +387,27 @@ mod tests {
         let mut cb = CandidateBase::new(4);
         let r = cb.entry("x");
         assert_eq!(r.global_embedding(), vec![0.0; 4]);
+        assert_eq!(r.frequency(), 0);
     }
 
     #[test]
-    fn mentions_tracked() {
+    fn one_call_counts_the_mention_and_pools_it() {
         let mut cb = CandidateBase::new(1);
         let r = cb.entry("italy");
-        r.mentions.push(MentionRef {
-            sid: SentenceId::new(1, 0),
-            span: Span::new(0, 1),
-            locally_detected: true,
-        });
-        r.mentions.push(MentionRef {
-            sid: SentenceId::new(2, 0),
-            span: Span::new(3, 4),
-            locally_detected: false,
-        });
-        assert_eq!(r.frequency(), 2);
-        assert_eq!(r.mentions.iter().filter(|m| m.locally_detected).count(), 1);
-    }
-
-    #[test]
-    fn try_add_mention_dedups() {
-        let mut cb = CandidateBase::new(1);
-        let r = cb.entry("italy");
-        let a = MentionRef {
-            sid: SentenceId::new(1, 0),
-            span: Span::new(0, 1),
-            locally_detected: true,
-        };
-        let b = MentionRef {
-            span: Span::new(3, 4),
-            ..a
-        };
-        assert!(r.try_add_mention(a));
-        assert!(r.try_add_mention(b));
-        // Same (sid, span) again — even with a different provenance flag —
-        // is a duplicate.
-        assert!(!r.try_add_mention(MentionRef {
-            locally_detected: false,
-            ..a
-        }));
-        assert_eq!(r.frequency(), 2);
+        for i in 0..6 {
+            r.add_mention(&[i as f32], i % 2 == 0);
+        }
+        assert_eq!(r.frequency(), 6);
+        assert_eq!(r.n_pooled(), 6);
+        assert_eq!(r.locally_detected_frequency(), 3);
+        assert_eq!(r.global_embedding(), vec![2.5]);
     }
 
     #[test]
     #[should_panic(expected = "embedding dim mismatch")]
     fn wrong_dim_panics() {
         let mut cb = CandidateBase::new(3);
-        cb.entry("x").add_embedding(&[1.0]);
+        cb.entry("x").add_mention(&[1.0], true);
     }
 
     #[test]
@@ -548,11 +428,7 @@ mod tests {
         assert_eq!(cb.len(), 2);
         assert!(cb.get("b").is_none());
         // The rebuilt index must point at the right survivors.
-        cb.get_mut("c").unwrap().mentions.push(MentionRef {
-            sid: SentenceId::new(9, 0),
-            span: Span::new(0, 1),
-            locally_detected: false,
-        });
+        cb.get_mut("c").unwrap().add_mention(&[1.0], false);
         assert_eq!(cb.get("c").unwrap().frequency(), 1);
         assert_eq!(cb.get("a").unwrap().frequency(), 0);
         // A pruned key re-enters as a fresh record at the tail.
@@ -573,85 +449,33 @@ mod tests {
     }
 
     #[test]
-    fn release_dead_folds_counts_and_keeps_frequency_cumulative() {
+    fn clones_share_records_until_a_mention_is_pooled() {
         let mut cb = CandidateBase::new(1);
-        let r = cb.entry("italy");
-        for i in 0..6u64 {
-            assert!(r.try_add_mention(MentionRef {
-                sid: SentenceId::new(i, 0),
-                span: Span::new(0, 1),
-                locally_detected: i % 2 == 0,
-            }));
-        }
-        assert_eq!(r.frequency(), 6);
-        assert_eq!(r.locally_detected_frequency(), 3);
-        // Sentences 0..4 leave the window.
-        let released = cb.release_dead(|sid| sid.tweet_id >= 4);
-        assert_eq!(released, 4);
-        let r = cb.get("italy").unwrap();
-        assert_eq!(r.mentions.len(), 2, "only live refs remain");
-        assert_eq!(r.frequency(), 6, "frequency stays cumulative");
-        assert_eq!(r.locally_detected_frequency(), 3);
-        // The dedup gate forgets released (sid, span) pairs: a re-used
-        // sentence id would re-count, which is why quarantine permanence
-        // (not this set) guards against id re-delivery.
-        let r = cb.get_mut("italy").unwrap();
-        assert!(r.try_add_mention(MentionRef {
-            sid: SentenceId::new(0, 0),
-            span: Span::new(0, 1),
-            locally_detected: false,
-        }));
-        assert_eq!(r.frequency(), 7);
-    }
-
-    #[test]
-    fn clones_share_records_and_sweeps_unshare_only_what_they_change() {
-        let mut cb = CandidateBase::new(1);
-        for (t, key) in ["italy", "covid"].into_iter().enumerate() {
-            cb.entry(key).try_add_mention(MentionRef {
-                sid: SentenceId::new(t as u64, 0),
-                span: Span::new(0, 1),
-                locally_detected: true,
-            });
+        for key in ["italy", "covid"] {
+            cb.entry(key).add_mention(&[1.0], true);
         }
         let snap = cb.clone();
         assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
-        // Only "italy" (sentence 0) holds a dead ref.
-        assert_eq!(cb.release_dead(|sid| sid.tweet_id != 0), 1);
-        assert!(!Arc::ptr_eq(&cb.records[0], &snap.records[0]));
+        // Looking a known key up (a rescan meeting a mention its sentence
+        // already pooled) copies nothing.
+        assert_eq!(cb.ensure("italy"), 0);
+        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
+        // A new key is appended; the shared records stay shared.
+        assert_eq!(cb.ensure("new key"), 2);
+        assert_eq!(cb.get("new key").unwrap().frequency(), 0);
         assert!(Arc::ptr_eq(&cb.records[1], &snap.records[1]));
-        assert_eq!(snap.get("italy").unwrap().mentions.len(), 1);
-        assert_eq!(cb.get("italy").unwrap().mentions.len(), 0);
-        // Writes through the key copy the record the snapshot holds.
-        cb.entry("covid").add_embedding(&[1.0]);
-        assert_eq!(snap.get("covid").unwrap().n_pooled(), 0);
-        assert_eq!(cb.get("covid").unwrap().n_pooled(), 1);
-        // A mention the candidate already holds is refused without a copy.
-        let snap = cb.clone();
-        let known = cb.get("covid").unwrap().mentions[0];
-        assert!(cb.add_mention("covid", known).is_none());
-        assert!(Arc::ptr_eq(&cb.records[1], &snap.records[1]));
-        let fresh = MentionRef {
-            sid: SentenceId::new(9, 0),
-            ..known
-        };
-        assert!(cb.add_mention("covid", fresh).is_some());
-        assert!(cb.add_mention("new key", fresh).is_some());
+        // Pooling copies the record the snapshot holds, and only it.
+        cb.entry("covid").add_mention(&[1.0], false);
+        assert!(!Arc::ptr_eq(&cb.records[1], &snap.records[1]));
+        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
+        assert_eq!(snap.get("covid").unwrap().frequency(), 1);
         assert_eq!(cb.get("covid").unwrap().frequency(), 2);
-        assert_eq!(cb.get("new key").unwrap().frequency(), 1);
-    }
-
-    #[test]
-    fn release_dead_with_all_live_is_noop() {
-        let mut cb = CandidateBase::new(1);
-        let r = cb.entry("covid");
-        r.try_add_mention(MentionRef {
-            sid: SentenceId::new(0, 0),
-            span: Span::new(0, 1),
-            locally_detected: true,
-        });
-        assert_eq!(cb.release_dead(|_| true), 0);
-        assert_eq!(cb.get("covid").unwrap().mentions.len(), 1);
+        assert_eq!(cb.get("covid").unwrap().locally_detected_frequency(), 1);
+        // A record already flagged degraded is not copied to flag it again.
+        cb.mark_degraded(0);
+        let snap = cb.clone();
+        cb.mark_degraded(0);
+        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
     }
 
     #[test]
@@ -659,8 +483,8 @@ mod tests {
         let mut cb = CandidateBase::new(2);
         cb.set_store_local(false);
         let r = cb.entry("covid");
-        r.add_embedding(&[1.0, 0.0]);
-        r.add_embedding(&[0.0, 1.0]);
+        r.add_mention(&[1.0, 0.0], true);
+        r.add_mention(&[0.0, 1.0], true);
         // The pooled mean is unaffected; only the per-mention list is
         // elided.
         assert_eq!(r.global_embedding(), vec![0.5, 0.5]);
@@ -674,7 +498,7 @@ mod tests {
         for i in 0..16 {
             let key = format!("candidate number {i}");
             let r = cb.entry(&key);
-            r.add_embedding(&[0.5; 8]);
+            r.add_mention(&[0.5; 8], true);
         }
         let before = cb.resident_bytes();
         cb.prune_retain(|r| r.key.ends_with('1'));

@@ -34,7 +34,7 @@
 //! phase boundary drive the chaos test suite; they compile to nothing
 //! without the `failpoints` feature.
 
-use crate::candidatebase::{CandidateBase, CandidateRecord, MentionRef};
+use crate::candidatebase::{CandidateBase, CandidateRecord};
 use crate::classifier::{CandidateLabel, EntityClassifier};
 use crate::config::{Ablation, GlobalizerConfig};
 use crate::ctrie::CTrie;
@@ -55,7 +55,8 @@ use emd_trace::{
     TraceAblation, TraceBreaker, TraceEvent, TraceEventKind, TraceHealth, TraceLabel, TracePhase,
     TraceSink,
 };
-use serde::{Deserialize, Serialize};
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -163,8 +164,10 @@ pub struct FrozenAdjacency {
 
 /// Accumulated pipeline state across batches. Serializable: the
 /// `StreamSupervisor` checkpoints it between batches so an interrupted
-/// run can resume from the last completed batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// run can resume from the last completed batch. Decoding also reads the
+/// v3 schema, whose candidates listed their mentions (see
+/// `crate::state_v3`).
+#[derive(Debug, Clone, Serialize)]
 pub struct GlobalizerState {
     /// Per-sentence records.
     pub tweetbase: TweetBase,
@@ -223,7 +226,46 @@ pub struct GlobalizerState {
     pub(crate) trace_seq: u64,
 }
 
+impl Deserialize for GlobalizerState {
+    fn from_value(v: &Value) -> Result<GlobalizerState, DeError> {
+        if crate::state_v3::is_v3(v) {
+            return GlobalizerState::decode(&crate::state_v3::migrate(v)?);
+        }
+        GlobalizerState::decode(v)
+    }
+}
+
 impl GlobalizerState {
+    /// Decode the current (v4) schema.
+    fn decode(v: &Value) -> Result<GlobalizerState, DeError> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
+            match v.get_field(name) {
+                Some(fv) => T::from_value(fv),
+                None => Err(DeError::msg(format!(
+                    "missing field `{name}` in `GlobalizerState`"
+                ))),
+            }
+        }
+        if v.as_obj().is_none() {
+            return Err(DeError::msg("expected object for `GlobalizerState`"));
+        }
+        Ok(GlobalizerState {
+            tweetbase: field(v, "tweetbase")?,
+            ctrie: field(v, "ctrie")?,
+            candidates: field(v, "candidates")?,
+            dirty: field(v, "dirty")?,
+            timings: field(v, "timings")?,
+            quarantined: field(v, "quarantined")?,
+            quarantined_idx: field(v, "quarantined_idx")?,
+            quarantined_ids: field(v, "quarantined_ids")?,
+            frozen_adjacency: field(v, "frozen_adjacency")?,
+            frozen_index: HashMap::new(),
+            evict_cursor: field(v, "evict_cursor")?,
+            batch_seq: field(v, "batch_seq")?,
+            trace_seq: field(v, "trace_seq")?,
+        })
+    }
+
     /// Number of records currently awaiting a rescan (the dirty-set
     /// depth). Observable live, e.g. between batches.
     pub fn n_dirty(&self) -> usize {
@@ -293,16 +335,6 @@ impl GlobalizerState {
             .take(self.evict_cursor.min(remap.len()))
             .filter(|m| m.is_some())
             .count();
-        // Candidate-side sweep: mention refs pointing at sentences no
-        // longer in the window are released (counts folded into the
-        // cumulative frequencies). Piggybacking on compaction keeps the
-        // stray-ref population O(window) at O(1) amortised cost.
-        let live: HashSet<SentenceId> = self
-            .tweetbase
-            .iter_indexed()
-            .map(|(_, rec)| rec.sentence.id)
-            .collect();
-        self.candidates.release_dead(|sid| live.contains(&sid));
         dropped
     }
 }
@@ -371,13 +403,26 @@ impl GlobalizerOutput {
     }
 }
 
+/// One mention a rescan found, with the embedding to pool if the record
+/// has not pooled it yet.
+struct StagedMention {
+    /// Candidate key (the span's folded surface).
+    key: String,
+    /// Token span inside the record's sentence.
+    span: Span,
+    /// Whether the Local EMD system proposed this span itself.
+    locally_detected: bool,
+    /// Local candidate embedding.
+    emb: Vec<f32>,
+}
+
 /// One staged rescan result, computed read-only (a rescan worker runs the
 /// staging off-thread; the sequential apply step replays it).
 struct StagedScan {
     /// Re-extracted mentions for the record.
     mentions: Vec<Span>,
-    /// `(candidate key, mention, local embedding)` triples to pool.
-    staged: Vec<(String, MentionRef, Vec<f32>)>,
+    /// One entry per re-extracted mention, in span order.
+    staged: Vec<StagedMention>,
     /// Candidate keys whose embedding computation panicked or produced
     /// non-finite values; a zero vector was pooled in its place and the
     /// apply step marks the candidate degraded.
@@ -1351,16 +1396,12 @@ impl<'a> Globalizer<'a> {
                         }
                     }
                 };
-                let locally_detected = record.local_spans.iter().any(|l| l == sp);
-                (
+                StagedMention {
                     key,
-                    MentionRef {
-                        sid: record.sentence.id,
-                        span: *sp,
-                        locally_detected,
-                    },
+                    span: *sp,
+                    locally_detected: record.local_spans.contains(sp),
                     emb,
-                )
+                }
             })
             .collect();
         StagedScan {
@@ -1423,7 +1464,7 @@ impl<'a> Globalizer<'a> {
                 self.quarantine_sentence(state, sid, phase, "rescan breaker open".to_string());
                 state.quarantined_idx.insert(idx);
                 state.dirty.remove(idx);
-                state.tweetbase.get_mut_by_index(idx).global_mentions = Vec::new();
+                state.tweetbase.get_mut_by_index(idx).retire_mentions();
             }
             return;
         }
@@ -1524,33 +1565,44 @@ impl<'a> Globalizer<'a> {
                             ..TraceEvent::of(TraceEventKind::ScanRecord)
                         });
                     }
-                    // A rescan that finds what the record already holds
-                    // leaves it untouched (and shared with any snapshot).
-                    if state.tweetbase.get_by_index(idx).global_mentions != st.mentions {
-                        state.tweetbase.get_mut_by_index(idx).global_mentions = st.mentions;
-                    }
-                    state.dirty.remove(idx);
-                    for (key, mref, emb) in st.staged {
-                        let pooled = match state.candidates.add_mention(&key, mref) {
-                            Some(rec) => {
-                                rec.add_embedding(&emb);
-                                n_pooled += 1;
-                                true
-                            }
-                            None => false,
-                        };
+                    // Dedup against what the record pooled before this
+                    // scan. A rescan that finds what the record already
+                    // holds pools nothing and leaves the record untouched
+                    // (and shared with any snapshot).
+                    let rec = state.tweetbase.get_by_index(idx);
+                    let changed = rec.global_mentions != st.mentions;
+                    for m in st.staged {
+                        let pooled = changed && !rec.has_pooled(&m.span);
+                        // A deduplicated mention still registers its
+                        // candidate (without writing to it), which keeps
+                        // discovery order independent of the dedup.
+                        let i = state.candidates.ensure(&m.key);
+                        if pooled {
+                            state
+                                .candidates
+                                .get_mut_by_index(i)
+                                .add_mention(&m.emb, m.locally_detected);
+                            n_pooled += 1;
+                        }
                         if tracing {
                             self.temit(TraceEvent {
-                                sid: Some(tsid(mref.sid)),
-                                span: Some(tspan(&mref.span)),
-                                candidate: Some(key),
+                                sid: Some(tsid(rec.sentence.id)),
+                                span: Some(tspan(&m.span)),
+                                candidate: Some(m.key),
                                 pooled: Some(pooled),
-                                local_hit: Some(mref.locally_detected),
+                                local_hit: Some(m.locally_detected),
                                 phase: Some(tphase),
                                 ..TraceEvent::of(TraceEventKind::ScanMention)
                             });
                         }
                     }
+                    if changed {
+                        state
+                            .tweetbase
+                            .get_mut_by_index(idx)
+                            .set_global_mentions(st.mentions);
+                    }
+                    state.dirty.remove(idx);
                     for key in st.degraded_keys {
                         if !state.candidates.get(&key).is_some_and(|rec| rec.degraded) {
                             state.candidates.entry(&key).degraded = true;
@@ -1575,7 +1627,7 @@ impl<'a> Globalizer<'a> {
                     n_scan_quarantined += 1;
                     // Drop stale evidence: a quarantined record's old
                     // mentions must not feed promotions or emission.
-                    state.tweetbase.get_mut_by_index(idx).global_mentions = Vec::new();
+                    state.tweetbase.get_mut_by_index(idx).retire_mentions();
                 }
             }
         }
@@ -2779,7 +2831,17 @@ mod tests {
                 b.global_embedding(),
                 "pooled sums must match"
             );
-            assert_eq!(a.mentions, b.mentions);
+            assert_eq!(a.frequency(), b.frequency());
+            assert_eq!(
+                a.locally_detected_frequency(),
+                b.locally_detected_frequency()
+            );
+            assert_eq!(a.n_pooled(), b.n_pooled());
+        }
+        assert_eq!(s1.tweetbase.len(), s2.tweetbase.len());
+        for (a, b) in s1.tweetbase.iter().zip(s2.tweetbase.iter()) {
+            assert_eq!(a.global_mentions, b.global_mentions);
+            assert_eq!(a.retired, b.retired);
         }
     }
 
@@ -2990,7 +3052,7 @@ mod tests {
             );
             if ablation != Ablation::LocalOnly {
                 let rec = state.candidates.get("italy").unwrap();
-                assert!(rec.mentions.iter().all(|m| m.locally_detected));
+                assert_eq!(rec.locally_detected_frequency(), rec.frequency());
             }
         }
     }

@@ -38,6 +38,7 @@ pub mod local;
 pub mod mention;
 pub mod obs;
 pub mod phrase_embedder;
+mod state_v3;
 pub mod supervisor;
 pub mod training;
 pub mod tweetbase;

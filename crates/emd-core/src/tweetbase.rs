@@ -5,6 +5,13 @@
 //! the spans the local system detected, and the mention list that Global
 //! EMD updates as the sentences pass through the second phase.
 //!
+//! A record is also where mention dedup lives. Every span in its
+//! `global_mentions` has been pooled into its candidate, and `retired`
+//! holds the spans it pooled that have since left its extraction (greedy
+//! longest-match can drop a span and bring it back later). A rescan pools
+//! a span only if it is in neither list. The candidate records keep only
+//! counts (see [`crate::candidatebase`]).
+//!
 //! ## SoA layout
 //!
 //! The store is the owner of the pipeline's shared token [`Interner`]. At
@@ -96,8 +103,14 @@ pub struct TweetRecord {
     /// Spans the Local EMD system itself proposed.
     pub local_spans: Vec<Span>,
     /// All candidate mentions found by the global rescan (superset of the
-    /// verified `local_spans`, aligned to CTrie candidates).
+    /// verified `local_spans`, aligned to CTrie candidates). Each has been
+    /// pooled into its candidate.
     pub global_mentions: Vec<Span>,
+    /// Spans this record pooled that have since left `global_mentions`
+    /// (a longer candidate took their tokens, or the record was
+    /// quarantined). Disjoint from `global_mentions` and almost always
+    /// empty; it keeps a span that comes back from being pooled twice.
+    pub retired: Vec<Span>,
     /// Case-folded interned symbol per token, filled at insert. The scan
     /// walks these against the CTrie's symbol edges allocation-free.
     pub tok_syms: Vec<Sym>,
@@ -118,9 +131,33 @@ impl TweetRecord {
             token_embeddings,
             local_spans,
             global_mentions: Vec::new(),
+            retired: Vec::new(),
             tok_syms: Vec::new(),
             emb: None,
         }
+    }
+
+    /// Has this record already pooled a mention at `span`? A span fixes
+    /// its candidate (the key is its folded surface), so this is also
+    /// "has that candidate pooled this mention?".
+    pub fn has_pooled(&self, span: &Span) -> bool {
+        self.global_mentions.contains(span) || self.retired.contains(span)
+    }
+
+    /// Store a fresh extraction. Spans that leave `global_mentions` move
+    /// to `retired`; retired spans that come back move out of it.
+    pub fn set_global_mentions(&mut self, mentions: Vec<Span>) {
+        let old = std::mem::replace(&mut self.global_mentions, mentions);
+        let current = &self.global_mentions;
+        self.retired.retain(|sp| !current.contains(sp));
+        self.retired
+            .extend(old.into_iter().filter(|sp| !current.contains(sp)));
+    }
+
+    /// Drop every mention from `global_mentions` (a quarantined record
+    /// must not feed promotions or emission), keeping them as pooled.
+    pub fn retire_mentions(&mut self) {
+        self.retired.append(&mut self.global_mentions);
     }
 }
 
@@ -277,6 +314,9 @@ impl TweetBase {
     /// previous record with the same id (streams should not repeat ids);
     /// the replaced record's posting-list entries are removed before the
     /// new sentence is indexed, so postings never go stale or unsorted.
+    /// A replacement inherits, as `retired`, the pooled spans of the old
+    /// record whose folded surface it repeats, so a re-delivered sentence
+    /// does not pool its mentions a second time.
     pub fn insert(&mut self, mut record: TweetRecord) -> usize {
         record.tok_syms.clear();
         for t in &record.sentence.tokens {
@@ -299,6 +339,17 @@ impl TweetBase {
             // unsorted, duplicated lists like `[0, 1, 0]`).
             if let Some(old) = self.slots[i].take() {
                 self.remove_record_postings(i, &old);
+                let same_surface = |sp: &&Span| {
+                    sp.end <= record.tok_syms.len()
+                        && old.tok_syms[sp.start..sp.end] == record.tok_syms[sp.start..sp.end]
+                };
+                record.retired = old
+                    .global_mentions
+                    .iter()
+                    .chain(&old.retired)
+                    .filter(same_surface)
+                    .copied()
+                    .collect();
             }
             self.slots[i] = Some(Arc::new(record));
             i
@@ -561,7 +612,8 @@ impl TweetBase {
                 total += size_of::<emd_text::token::Token>() + t.text.len();
             }
             total += r.tok_syms.capacity() * size_of::<Sym>();
-            total += (r.local_spans.len() + r.global_mentions.len()) * size_of::<Span>();
+            total += (r.local_spans.len() + r.global_mentions.len() + r.retired.len())
+                * size_of::<Span>();
         }
         total += self.emb_arena.capacity() * size_of::<f32>();
         total += self.postings.capacity() * size_of::<PostingList>();
@@ -661,6 +713,44 @@ mod tests {
         tb.insert(r);
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.get(SentenceId::new(1, 0)).unwrap().local_spans.len(), 1);
+    }
+
+    #[test]
+    fn extraction_changes_retire_and_restore_pooled_spans() {
+        let mut r = rec_with(1, &["a", "b", "c", "d", "e"]);
+        let (a, bc, de) = (Span::new(0, 1), Span::new(1, 3), Span::new(3, 5));
+        r.set_global_mentions(vec![a, bc, de]);
+        assert!(r.retired.is_empty());
+        r.set_global_mentions(vec![Span::new(0, 2), Span::new(2, 4)]);
+        assert_eq!(r.retired, vec![a, bc, de]);
+        // `d e` comes back: it leaves `retired`, and stays pooled.
+        r.set_global_mentions(vec![Span::new(0, 3), de]);
+        assert_eq!(r.retired, vec![a, bc, Span::new(0, 2), Span::new(2, 4)]);
+        assert!(r.has_pooled(&de) && r.has_pooled(&a));
+        assert!(!r.has_pooled(&Span::new(4, 5)));
+        r.retire_mentions();
+        assert!(r.global_mentions.is_empty());
+        assert_eq!(r.retired.len(), 6);
+        assert!(r.has_pooled(&de));
+    }
+
+    #[test]
+    fn replacement_inherits_pooled_spans_with_the_same_surface() {
+        let mut tb = TweetBase::new();
+        let i = tb.insert(rec_with(1, &["Italy", "and", "covid"]));
+        tb.get_mut_by_index(i)
+            .set_global_mentions(vec![Span::new(0, 1), Span::new(2, 3)]);
+        // Re-delivered with one token changed: only the span whose folded
+        // surface is unchanged counts as pooled already.
+        tb.insert(rec_with(1, &["ITALY", "and", "flu"]));
+        let r = tb.get_by_index(i);
+        assert!(r.global_mentions.is_empty());
+        assert_eq!(r.retired, vec![Span::new(0, 1)]);
+        // A shorter replacement drops spans past its end.
+        tb.get_mut_by_index(i)
+            .set_global_mentions(vec![Span::new(2, 3)]);
+        tb.insert(rec_with(1, &["italy"]));
+        assert_eq!(tb.get_by_index(i).retired, vec![Span::new(0, 1)]);
     }
 
     #[test]

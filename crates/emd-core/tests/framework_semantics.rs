@@ -1,7 +1,6 @@
 //! Semantic contracts of the framework, tested against adversarial toy
 //! local systems (distinct from the unit tests inside the modules).
 
-use emd_core::candidatebase::MentionRef;
 use emd_core::classifier::CandidateLabel;
 use emd_core::config::{Ablation, Pooling};
 use emd_core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
@@ -167,7 +166,7 @@ fn pooling_modes_agree_for_single_mention() {
     use emd_core::candidatebase::CandidateBase;
     let mut cb = CandidateBase::new(3);
     let r = cb.entry("solo");
-    r.add_embedding(&[0.3, -0.2, 0.9]);
+    r.add_mention(&[0.3, -0.2, 0.9], true);
     assert_eq!(
         r.pooled_embedding(Pooling::Mean),
         r.pooled_embedding(Pooling::Max)
@@ -175,7 +174,7 @@ fn pooling_modes_agree_for_single_mention() {
 }
 
 #[test]
-fn mention_refs_distinguish_local_vs_recovered() {
+fn mention_counts_distinguish_local_vs_recovered() {
     // Case-sensitive local system: only "Italy" detected locally; the
     // lowercase mention is recovered, flagged locally_detected=false.
     #[derive(Debug)]
@@ -205,13 +204,8 @@ fn mention_refs_distinguish_local_vs_recovered() {
     let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
     let (_, state) = g.run(&sents(&[&["Italy", "x"], &["italy", "y"]]), 8);
     let rec = state.candidates.get("italy").unwrap();
-    let flags: Vec<bool> = rec
-        .mentions
-        .iter()
-        .map(|m: &MentionRef| m.locally_detected)
-        .collect();
-    assert_eq!(flags.iter().filter(|f| **f).count(), 1);
-    assert_eq!(flags.len(), 2);
+    assert_eq!(rec.locally_detected_frequency(), 1);
+    assert_eq!(rec.frequency(), 2);
 }
 
 #[test]

@@ -3,18 +3,28 @@
 //! Format (one header line, then the payload):
 //!
 //! ```text
-//! EMDCKPT v3 seq=<n> crc=<16 hex digits>\n
+//! EMDCKPT v4 seq=<n> crc=<16 hex digits>\n
 //! <payload JSON>\n
 //! ```
 //!
-//! * `v3` — the [`FORMAT_VERSION`]; readers reject other versions rather
-//!   than guessing at field layouts. v3 is the SoA-arena state schema:
-//!   records carry interned token symbols and arena embedding slots, the
-//!   `TweetBase` serializes its token interner and flat embedding arena,
-//!   posting lists are keyed by symbol, and candidate per-mention
-//!   embeddings are one flattened row-major block. v2 (bounded-memory
-//!   schema with per-record embedding matrices) and v1 payloads are
-//!   rejected rather than misread.
+//! * `v4` — the [`FORMAT_VERSION`]. v4 keeps each pooled mention in one
+//!   place: a candidate record carries counters only (`emb_count`, which
+//!   is also its mention frequency, and `n_local`, its locally detected
+//!   mentions), and a sentence record carries `global_mentions` plus
+//!   `retired`, the spans it pooled that have since left its extraction.
+//!   Everything else is the v3 SoA-arena schema: records carry interned
+//!   token symbols and arena embedding slots, the `TweetBase` serializes
+//!   its token interner and flat embedding arena, posting lists are keyed
+//!   by symbol, and candidate per-mention embeddings are one flattened
+//!   row-major block.
+//! * v3 files are still read ([`OLDEST_READABLE_VERSION`]). Their
+//!   candidates listed every mention (`mentions`, a `seen` dedup set, and
+//!   `evicted_mentions` / `evicted_locally_detected` for mentions whose
+//!   sentences had left the window); the payload's decoder migrates that
+//!   shape (for the pipeline state, `GlobalizerState`'s). A v3 candidate
+//!   whose mention count differs from its pooled count is rejected as
+//!   corrupt. v2 (bounded-memory schema with per-record embedding
+//!   matrices) and v1 payloads are rejected rather than misread.
 //! * `seq` — an application-meaning-free sequence number; the
 //!   `StreamSupervisor` stores "batches completed" here so recovery knows
 //!   which suffix of the stream to replay.
@@ -49,8 +59,12 @@ use std::path::{Path, PathBuf};
 /// Magic tag opening every checkpoint file.
 pub const MAGIC: &str = "EMDCKPT";
 
-/// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 3;
+/// Current checkpoint format version (the one [`save`] writes).
+pub const FORMAT_VERSION: u32 = 4;
+
+/// Oldest format version [`load`] accepts. Versions in between are
+/// handed to the payload's decoder, which migrates their schema.
+pub const OLDEST_READABLE_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -78,7 +92,8 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported checkpoint version v{v} (this build reads v{FORMAT_VERSION})"
+                    "unsupported checkpoint version v{v} \
+                     (this build reads v{OLDEST_READABLE_VERSION}..=v{FORMAT_VERSION})"
                 )
             }
             CheckpointError::ChecksumMismatch => {
@@ -219,7 +234,7 @@ pub fn load<T: DeserializeOwned>(path: &Path) -> Result<(u64, T), CheckpointErro
         .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| CheckpointError::Corrupt("malformed version field".to_string()))?;
-    if version != FORMAT_VERSION {
+    if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
     let seq: u64 = parts
@@ -306,7 +321,7 @@ mod tests {
         save(&path, 7, &payload()).unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            "EMDCKPT v3 seq=7 crc=fed5dcb25e995d92\n\
+            "EMDCKPT v4 seq=7 crc=fed5dcb25e995d92\n\
              {\"items\":[\"italy\",\"andy beshear\"],\"weight\":0.125,\"n\":42}\n"
         );
         std::fs::remove_file(&path).unwrap();
@@ -346,7 +361,7 @@ mod tests {
     #[test]
     fn stale_older_version_checkpoints_rejected() {
         // The v1 payload schema predates bounded-memory state, and v2
-        // predates the SoA-arena schema; reading either into a v3 build
+        // predates the SoA-arena schema; reading either into a v4 build
         // must fail loudly, not misinterpret fields.
         for stale in [1u32, 2] {
             let path = temp(&format!("stale{stale}"));

@@ -207,8 +207,15 @@ proptest! {
         for (a, b) in live.candidates.iter().zip(restored.candidates.iter()) {
             prop_assert_eq!(&a.key, &b.key, "discovery order diverged");
             prop_assert_eq!(a.global_embedding(), b.global_embedding());
-            prop_assert_eq!(&a.mentions, &b.mentions);
+            prop_assert_eq!(a.frequency(), b.frequency());
+            prop_assert_eq!(a.locally_detected_frequency(), b.locally_detected_frequency());
+            prop_assert_eq!(a.n_pooled(), b.n_pooled());
             prop_assert!(a.label == b.label, "label diverged for {}", a.key);
+        }
+        prop_assert_eq!(live.tweetbase.len(), restored.tweetbase.len());
+        for (a, b) in live.tweetbase.iter().zip(restored.tweetbase.iter()) {
+            prop_assert_eq!(&a.global_mentions, &b.global_mentions);
+            prop_assert_eq!(&a.retired, &b.retired);
         }
     }
 }

@@ -1,10 +1,15 @@
-//! Checkpoint format compatibility. `tests/fixtures/windowed_lexicon_v3.ckpt`
-//! is a format-v3 checkpoint written by an earlier build's encoder: the
-//! supervisor's ladder after the first 24 sentences of the windowed
-//! lexicon stream below (window 6, batch 4, a checkpoint every 2
-//! batches). The current build must restore it, continue the run from
-//! it with output bit-identical to an uninterrupted run, and re-encode
-//! the restored state to the same bytes.
+//! Checkpoint format compatibility. Both fixtures are the supervisor's
+//! ladder after the first 24 sentences of the windowed lexicon stream
+//! below (window 6, batch 4, a checkpoint every 2 batches).
+//!
+//! * `tests/fixtures/windowed_lexicon_v4.ckpt` is in the current format,
+//!   v4. The build must restore it, re-encode the restored state to the
+//!   same bytes, and continue the run from it with output bit-identical
+//!   to an uninterrupted run.
+//! * `tests/fixtures/windowed_lexicon_v3.ckpt` was written by an earlier
+//!   build's encoder in format v3, whose candidates listed their
+//!   mentions. The build must migrate it to counters equal to the
+//!   uninterrupted run's, and continue from it bit-identically too.
 
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::globalizer::GlobalizerState;
@@ -17,9 +22,13 @@ use emd_globalizer::resilience::checkpoint::{self, FORMAT_VERSION, MAGIC};
 use emd_globalizer::text::token::{Sentence, SentenceId};
 use std::path::Path;
 
-const FIXTURE: &str = concat!(
+const FIXTURE_V3: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/windowed_lexicon_v3.ckpt"
+);
+const FIXTURE_V4: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/windowed_lexicon_v4.ckpt"
 );
 
 fn stream(n: u64) -> Vec<Sentence> {
@@ -43,58 +52,58 @@ fn accept_all() -> EntityClassifier {
     clf
 }
 
-#[test]
-fn golden_v3_checkpoint_restores_and_continues_bit_identically() {
-    assert_eq!(FORMAT_VERSION, 3);
-    let bytes = std::fs::read_to_string(FIXTURE).unwrap();
-    let (header, payload) = bytes.split_once('\n').unwrap();
-    assert!(
-        header.starts_with(&format!("{MAGIC} v3 seq=6 ")),
-        "{header}"
-    );
-
-    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE)).unwrap();
-    assert_eq!(seq, 6);
-    assert!(state.n_evicted() > 0, "the window evicted before the save");
-    assert_eq!(state.tweetbase.n_slots(), state.tweetbase.len());
-
-    let dir = std::env::temp_dir().join(format!("emd_golden_v3_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("state.ckpt");
-
-    // Saving the restored state writes the same bytes. HashMap-backed
-    // fields iterate in a per-process order, so the payloads are compared
-    // as byte multisets: any change to a number, escape, key or bracket
-    // shows.
-    checkpoint::save(&path, seq, &state).unwrap();
-    let resaved = std::fs::read_to_string(&path).unwrap();
-    let (header2, payload2) = resaved.split_once('\n').unwrap();
-    let sorted = |s: &str| {
-        let mut b = s.as_bytes().to_vec();
-        b.sort_unstable();
-        b
-    };
-    assert_eq!(payload2.len(), payload.len());
-    assert_eq!(sorted(payload2), sorted(payload));
-    assert!(
-        header2.starts_with(&format!("{MAGIC} v3 seq=6 ")),
-        "{header2}"
-    );
-
-    // Continue the run from the fixture: the supervisor resumes after
-    // the 6 covered batches and matches the uninterrupted run.
-    let local = LexiconEmd::new(["italy", "covid"]);
-    let clf = accept_all();
-    let g = Globalizer::new(
-        &local,
+fn globalizer<'a>(local: &'a LexiconEmd, clf: &'a EntityClassifier) -> Globalizer<'a> {
+    Globalizer::new(
+        local,
         None,
-        &clf,
+        clf,
         GlobalizerConfig {
             window: WindowConfig::sliding(6),
             ..Default::default()
         },
-    );
-    std::fs::copy(FIXTURE, &path).unwrap();
+    )
+}
+
+/// A scratch directory for one test.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("emd_golden_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every counter and pooled embedding of every candidate, and the pooled
+/// spans of every live record, agree.
+fn assert_same_pools(a: &GlobalizerState, b: &GlobalizerState) {
+    assert_eq!(a.candidates.len(), b.candidates.len());
+    for (x, y) in a.candidates.iter().zip(b.candidates.iter()) {
+        assert_eq!(x.key, y.key, "discovery order");
+        assert_eq!(x.frequency(), y.frequency(), "frequency of {}", x.key);
+        assert_eq!(
+            x.locally_detected_frequency(),
+            y.locally_detected_frequency(),
+            "local frequency of {}",
+            x.key
+        );
+        assert_eq!(x.n_pooled(), y.n_pooled(), "pooled count of {}", x.key);
+        assert_eq!(x.global_embedding(), y.global_embedding());
+        assert_eq!(x.label, y.label);
+    }
+    assert_eq!(a.tweetbase.len(), b.tweetbase.len());
+    for (x, y) in a.tweetbase.iter().zip(b.tweetbase.iter()) {
+        assert_eq!(x.sentence.id, y.sentence.id);
+        assert_eq!(x.global_mentions, y.global_mentions);
+        assert_eq!(x.retired, y.retired);
+    }
+}
+
+/// Resume the 40-sentence run from a copy of `fixture`: the supervisor
+/// skips the 6 covered batches and must match the uninterrupted run.
+fn continue_from(fixture: &str, dir: &Path) {
+    let local = LexiconEmd::new(["italy", "covid"]);
+    let clf = accept_all();
+    let g = globalizer(&local, &clf);
+    let path = dir.join("resume.ckpt");
+    std::fs::copy(fixture, &path).unwrap();
     let s = stream(40);
     let sup = StreamSupervisor::new(
         &g,
@@ -113,5 +122,77 @@ fn golden_v3_checkpoint_restores_and_continues_bit_identically() {
     assert_eq!(report.output.per_sentence, plain.per_sentence);
     assert_eq!(report.output.n_candidates, plain.n_candidates);
     assert_eq!(report.output.n_entities, plain.n_entities);
+}
+
+#[test]
+fn golden_v3_checkpoint_restores_and_continues_bit_identically() {
+    let bytes = std::fs::read_to_string(FIXTURE_V3).unwrap();
+    let (header, _) = bytes.split_once('\n').unwrap();
+    assert!(
+        header.starts_with(&format!("{MAGIC} v3 seq=6 ")),
+        "{header}"
+    );
+
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE_V3)).unwrap();
+    assert_eq!(seq, 6);
+    assert!(state.n_evicted() > 0, "the window evicted before the save");
+    assert_eq!(state.tweetbase.n_slots(), state.tweetbase.len());
+
+    // The migrated counters (mention lists plus evicted counts) equal the
+    // ones the uninterrupted run holds after the same 6 batches.
+    let local = LexiconEmd::new(["italy", "covid"]);
+    let clf = accept_all();
+    let g = globalizer(&local, &clf);
+    let mut plain = g.new_state();
+    for chunk in stream(24).chunks(4) {
+        g.process_batch(&mut plain, chunk);
+    }
+    assert_same_pools(&state, &plain);
+    assert!(state.candidates.get("italy").unwrap().frequency() > state.tweetbase.len());
+
+    let dir = scratch("v3");
+    continue_from(FIXTURE_V3, &dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn golden_v4_checkpoint_restores_resaves_and_continues_bit_identically() {
+    assert_eq!(FORMAT_VERSION, 4);
+    let bytes = std::fs::read_to_string(FIXTURE_V4).unwrap();
+    let (header, payload) = bytes.split_once('\n').unwrap();
+    assert!(
+        header.starts_with(&format!("{MAGIC} v4 seq=6 ")),
+        "{header}"
+    );
+
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE_V4)).unwrap();
+    assert_eq!(seq, 6);
+    assert!(state.n_evicted() > 0, "the window evicted before the save");
+    assert_eq!(state.tweetbase.n_slots(), state.tweetbase.len());
+    let (_, v3): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE_V3)).unwrap();
+    assert_same_pools(&state, &v3);
+
+    // Saving the restored state writes the same bytes. HashMap-backed
+    // fields iterate in a per-process order, so the payloads are compared
+    // as byte multisets: any change to a number, escape, key or bracket
+    // shows.
+    let dir = scratch("v4");
+    let path = dir.join("state.ckpt");
+    checkpoint::save(&path, seq, &state).unwrap();
+    let resaved = std::fs::read_to_string(&path).unwrap();
+    let (header2, payload2) = resaved.split_once('\n').unwrap();
+    let sorted = |s: &str| {
+        let mut b = s.as_bytes().to_vec();
+        b.sort_unstable();
+        b
+    };
+    assert_eq!(payload2.len(), payload.len());
+    assert_eq!(sorted(payload2), sorted(payload));
+    assert!(
+        header2.starts_with(&format!("{MAGIC} v4 seq=6 ")),
+        "{header2}"
+    );
+
+    continue_from(FIXTURE_V4, &dir);
     std::fs::remove_dir_all(&dir).unwrap();
 }

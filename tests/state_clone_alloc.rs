@@ -10,6 +10,12 @@
 //! window of 12-token sentences must make fewer allocations than a
 //! quarter of the window's tokens. A deep copy makes one or more per
 //! token (each token's text is its own `String`).
+//!
+//! The batch after a clone copies each shared record it writes. A
+//! candidate present in every sentence is written by every batch, so its
+//! record must not grow with the window: the second test pins that the
+//! first batch after a clone allocates about as many fresh bytes at a 4k
+//! window as at a 1k window.
 
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::local::LexiconEmd;
@@ -25,14 +31,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
-fn note_alloc() {
+/// Count one allocation call; `fresh_bytes` is the size of a fresh block
+/// (zero for a reallocation, see [`count_alloc_bytes`]).
+fn note_alloc(fresh_bytes: usize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(fresh_bytes, Ordering::Relaxed);
     }
 }
 
@@ -41,7 +51,7 @@ fn note_alloc() {
 // atomic and a const-initialised thread-local, neither of which allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -50,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(0);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,11 +70,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations `f` makes on this thread.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (out, allocs, _) = count_alloc_bytes(f);
+    (out, allocs)
+}
+
+/// Allocations, and bytes in fresh blocks, that `f` makes on this
+/// thread. Copying a shared record allocates fresh blocks. Growing a
+/// vector reallocates it; the vectors a clone made exactly full (the slot
+/// vector, the posting lists) grow by O(window) on the next batch in any
+/// design, so reallocations count as calls but not as bytes.
+fn count_alloc_bytes<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before.0;
+    (out, allocs, BYTES.load(Ordering::Relaxed) - before.1)
 }
 
 const VOCAB: usize = 600;
@@ -123,4 +147,63 @@ fn state_clone_allocates_per_structure_not_per_token() {
     );
     assert_eq!(copy.tweetbase.len(), WINDOW);
     assert_eq!(copy.candidates.len(), state.candidates.len());
+}
+
+/// Fresh-block bytes the first batch after a clone allocates, at a full
+/// `window`, on a stream where one candidate ("hot") occurs in every
+/// sentence. The batch runs on the clone, as the supervisor's trial does.
+fn first_batch_bytes_after_clone(window: usize) -> usize {
+    const BATCH: usize = 100;
+    let local = LexiconEmd::new(["hot"]);
+    let mut clf = EntityClassifier::new(7, 0);
+    clf.params_mut().into_iter().last().unwrap().value.data[0] = 100.0;
+    let g = Globalizer::new(
+        &local,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(window),
+            ..Default::default()
+        },
+    );
+    let sentences: Vec<Sentence> = stream(window + 2 * BATCH)
+        .into_iter()
+        .map(|s| {
+            let toks = std::iter::once("Hot".to_string()).chain(s.texts().map(String::from));
+            Sentence::from_tokens(s.id, toks)
+        })
+        .collect();
+    let (warm, next) = sentences.split_at(window + BATCH);
+    let mut state = g.new_state();
+    for chunk in warm.chunks(BATCH) {
+        g.process_batch(&mut state, chunk);
+    }
+    assert_eq!(state.tweetbase.len(), window, "the window is full");
+    assert!(state.n_evicted() > 0, "the window has rolled");
+    let hot = state.candidates.get("hot").unwrap().frequency();
+    assert_eq!(hot, window + BATCH, "the candidate is in every sentence");
+    let mut trial = state.clone();
+    let slots = trial.tweetbase.n_slots();
+    let ((), _, bytes) = count_alloc_bytes(|| g.process_batch(&mut trial, next));
+    assert!(
+        trial.tweetbase.n_slots() > slots,
+        "the measured batch must not compact"
+    );
+    bytes
+}
+
+/// Copy-on-write cost per batch does not grow with the window: a batch
+/// that pools one more mention into a candidate present in every
+/// sentence copies that candidate's record, and the record holds counts,
+/// not a list of its mentions.
+#[test]
+fn first_batch_after_clone_allocates_independently_of_window() {
+    let small = first_batch_bytes_after_clone(WINDOW);
+    let large = first_batch_bytes_after_clone(4 * WINDOW);
+    assert!(
+        (large as f64) < 1.5 * small as f64,
+        "first batch after a clone allocated {small} bytes at a {WINDOW}-sentence window \
+         but {large} at {}",
+        4 * WINDOW
+    );
 }
