@@ -113,7 +113,7 @@ impl FromIterator<usize> for DirtySet {
 // Checkpoints carry the sorted index list — the same value a
 // `BTreeSet<usize>` serialized to, so the swap is schema-invisible.
 impl Serialize for DirtySet {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut serde::ser::Out<'_>) {
         serde::ser::write_seq(self.iter(), out);
     }
 }

@@ -175,6 +175,7 @@ pipeline_metrics! {
         finalize_ns => "emd_pipeline_finalize_ns",
         evict_ns => "emd_pipeline_evict_ns",
         checkpoint_write_ns => "emd_resilience_checkpoint_write_ns",
+        checkpoint_wait_ns => "emd_resilience_checkpoint_wait_ns",
         checkpoint_restore_ns => "emd_resilience_checkpoint_restore_ns",
     }
 }
@@ -212,7 +213,7 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.counters.len(), 29);
         assert_eq!(snap.gauges.len(), 9);
-        assert_eq!(snap.histograms.len(), 11);
+        assert_eq!(snap.histograms.len(), 12);
         assert!(snap.counter("emd_guard_admitted_batches_total").is_some());
         assert!(snap.counter("emd_guard_shed_batches_total").is_some());
         assert!(snap.counter("emd_guard_deadline_exceeded_total").is_some());
@@ -250,6 +251,9 @@ mod tests {
         assert!(snap.histogram("emd_pipeline_scan_shard_ns").is_some());
         assert!(snap
             .histogram("emd_resilience_checkpoint_write_ns")
+            .is_some());
+        assert!(snap
+            .histogram("emd_resilience_checkpoint_wait_ns")
             .is_some());
         let sorted: Vec<_> = snap.counters.iter().map(|c| c.name.clone()).collect();
         let mut expect = sorted.clone();

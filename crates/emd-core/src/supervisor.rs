@@ -35,7 +35,18 @@
 //!    an atomic rename. With `checkpoint_generations > 1` the previous
 //!    snapshots rotate into a retained ladder (`<path>.1`, `<path>.2`,
 //!    ...), so *several* independent torn writes must land before the
-//!    stream loses its recovery point.
+//!    stream loses its recovery point. Writes are pipelined: the batch
+//!    thread compacts the state and hands a clone (sharing every record)
+//!    to a writer thread, which streams it to disk while the next batches
+//!    run. At most one write is in flight; the next checkpoint joins it
+//!    first, and the last one is joined after `finalize`. The join counts
+//!    the write, emits its `CheckpointSaved` event (stamped with the
+//!    snapshot's batch, so only for a write that landed) and re-raises a
+//!    writer panic. Durability contract: every checkpoint is renamed into
+//!    place before [`StreamSupervisor::run`] or
+//!    [`StreamSupervisor::run_queued`] returns or unwinds; a crash loses
+//!    at most the one write in flight, and restore falls back one
+//!    generation, as for a torn write.
 //! 4. **Recovery** — on startup the restore walks the generation ladder
 //!    newest-first ([`checkpoint::load_chain`]): corrupt generations are
 //!    discarded *with their reasons kept* and the newest intact one
@@ -56,6 +67,7 @@ use emd_resilience::{failpoint, isolate};
 use emd_text::token::{Sentence, SentenceId, Span};
 use emd_trace::{TraceEvent, TraceEventKind, TracePhase, TraceSink};
 use std::path::PathBuf;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Hard ceiling on `batch_retries`: a budget past this is a typo, not a
 /// policy (2^64 backoff delays overflow any deadline long before).
@@ -294,6 +306,30 @@ struct ServiceCtx {
     trace_events: Vec<TraceEvent>,
 }
 
+/// The checkpoint writer: a scoped thread per snapshot, at most one in
+/// flight. The scope outlives the service loop, so every write is joined
+/// (renamed into place, or failed) before `run` returns or unwinds.
+struct CheckpointWriter<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    in_flight: Option<InFlight<'scope>>,
+}
+
+/// One snapshot write on the writer thread.
+struct InFlight<'scope> {
+    handle: ScopedJoinHandle<'scope, Result<(), CheckpointError>>,
+    /// The snapshot's `batch_seq`, stamped into `CheckpointSaved`.
+    batch_seq: u64,
+    /// Serviced batches the snapshot covers (the checkpoint's `seq`).
+    serviced: usize,
+}
+
+// Snapshots move to the writer thread. A field that is not thread-safe
+// (`Rc`, `RefCell`, ...) fails this line, naming the field's type.
+const _: () = {
+    const fn assert_send_sync_static<T: Send + Sync + 'static>() {}
+    assert_send_sync_static::<GlobalizerState>();
+};
+
 /// Crash-recoverable batch driver over a [`Globalizer`].
 pub struct StreamSupervisor<'g, 'a> {
     globalizer: &'g Globalizer<'a>,
@@ -342,25 +378,9 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             return (self.globalizer.new_state(), 0, false, 0, Vec::new());
         };
         let m = self.globalizer.metrics();
-        let keep = self.config.checkpoint_generations;
         let (restored, discards) = {
             let _t = Timer::start(&m.checkpoint_restore_ns);
-            if keep > 1 {
-                checkpoint::load_chain::<GlobalizerState>(path, keep)
-            } else {
-                match checkpoint::load::<GlobalizerState>(path) {
-                    Ok((seq, state)) => (Some((seq, state, 0)), Vec::new()),
-                    Err(CheckpointError::NotFound) => (None, Vec::new()),
-                    Err(e) => (
-                        None,
-                        vec![checkpoint::GenerationDiscard {
-                            generation: 0,
-                            path: path.clone(),
-                            reason: e.to_string(),
-                        }],
-                    ),
-                }
-            }
+            checkpoint::load_chain::<GlobalizerState>(path, self.config.checkpoint_generations)
         };
         m.checkpoint_fallbacks_total.add(discards.len() as u64);
         match restored {
@@ -545,14 +565,16 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         }
     }
 
-    /// Write a checkpoint when the cadence (or the end of the stream)
-    /// says so. `serviced` is the 1-based count of serviced batches.
+    /// Start a checkpoint write when the cadence (or the end of the
+    /// stream) says so. `serviced` is the 1-based count of serviced
+    /// batches. Compaction runs here, on the batch thread; the snapshot
+    /// then goes to the writer, after the previous write is joined.
     fn maybe_checkpoint(
         &self,
         state: &mut GlobalizerState,
         serviced: usize,
         is_last: bool,
-        sink: &TraceSink,
+        writer: &mut CheckpointWriter,
         tracing: bool,
         ctx: &mut ServiceCtx,
     ) {
@@ -578,29 +600,51 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
                 });
             }
         }
+        self.join_write(writer, tracing, ctx);
+        let snapshot = state.clone();
+        let batch_seq = snapshot.batch_seq;
+        let path = path.clone();
         let keep = self.config.checkpoint_generations;
-        let saved = {
-            let _t = Timer::start(&m.checkpoint_write_ns);
-            if keep > 1 {
-                checkpoint::save_generations(path, serviced as u64, state, keep)
-            } else {
-                checkpoint::save(path, serviced as u64, state)
-            }
+        let write_ns = m.checkpoint_write_ns.clone();
+        let handle = writer.scope.spawn(move || {
+            let _t = Timer::start(&write_ns);
+            checkpoint::save_generations(&path, serviced as u64, &snapshot, keep)
+        });
+        writer.in_flight = Some(InFlight {
+            handle,
+            batch_seq,
+            serviced,
+        });
+        if tracing {
+            ctx.trace_events.extend(self.globalizer.trace().drain());
+        }
+    }
+
+    /// Wait for the write in flight, if any, and account for it:
+    /// `CheckpointSaved` (stamped with the snapshot's batch) only for a
+    /// write that landed. A panic on the writer re-raises here.
+    fn join_write(&self, writer: &mut CheckpointWriter, tracing: bool, ctx: &mut ServiceCtx) {
+        let Some(w) = writer.in_flight.take() else {
+            return;
         };
-        match saved {
-            Ok(()) => {
+        let joined = {
+            let _t = Timer::start(&self.globalizer.metrics().checkpoint_wait_ns);
+            w.handle.join()
+        };
+        match joined {
+            Ok(Ok(())) => {
                 ctx.checkpoints_written += 1;
                 if tracing {
                     self.temit(TraceEvent {
-                        batch: Some(state.batch_seq),
-                        count: Some(serviced as u64),
+                        batch: Some(w.batch_seq),
+                        count: Some(w.serviced as u64),
                         phase: Some(TracePhase::Supervisor),
                         ..TraceEvent::of(TraceEventKind::CheckpointSaved)
                     });
-                    ctx.trace_events.extend(sink.drain());
                 }
             }
-            Err(_) => ctx.checkpoint_write_failures += 1,
+            Ok(Err(_)) => ctx.checkpoint_write_failures += 1,
+            Err(panic) => std::panic::resume_unwind(panic),
         }
     }
 
@@ -689,38 +733,46 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
     /// remaining batches with transactional backoff-and-deadline retry
     /// and periodic checkpoints, finalize, and report.
     pub fn run(&self, stream: &[Sentence]) -> RunReport {
-        let tracing = emd_trace::enabled();
-        let sink = self.globalizer.trace().clone();
-        let mut ctx = ServiceCtx::default();
-        let (mut state, completed, resumed, generation, fallbacks, discard_reason) =
-            self.begin(&mut ctx, &sink, tracing);
-        let batches: Vec<&[Sentence]> = stream.chunks(self.config.batch_size).collect();
-        let start = completed.min(batches.len());
-        for (i, batch) in batches.iter().enumerate().skip(start) {
-            self.service_batch(&mut state, batch, i, &sink, tracing, &mut ctx);
-            self.maybe_checkpoint(
-                &mut state,
-                i + 1,
-                i + 1 == batches.len(),
-                &sink,
-                tracing,
-                &mut ctx,
-            );
-        }
-        let output = self.globalizer.finalize(&mut state);
-        if tracing {
-            ctx.trace_events.extend(sink.drain());
-        }
-        self.report(
-            output,
-            batches.len(),
-            start,
-            resumed,
-            generation,
-            fallbacks,
-            discard_reason,
-            ctx,
-        )
+        std::thread::scope(|scope| {
+            let tracing = emd_trace::enabled();
+            let sink = self.globalizer.trace().clone();
+            let mut ctx = ServiceCtx::default();
+            let mut writer = CheckpointWriter {
+                scope,
+                in_flight: None,
+            };
+            let (mut state, completed, resumed, generation, fallbacks, discard_reason) =
+                self.begin(&mut ctx, &sink, tracing);
+            let batches: Vec<&[Sentence]> = stream.chunks(self.config.batch_size).collect();
+            let start = completed.min(batches.len());
+            for (i, batch) in batches.iter().enumerate().skip(start) {
+                self.service_batch(&mut state, batch, i, &sink, tracing, &mut ctx);
+                self.maybe_checkpoint(
+                    &mut state,
+                    i + 1,
+                    i + 1 == batches.len(),
+                    &mut writer,
+                    tracing,
+                    &mut ctx,
+                );
+            }
+            let output = self.globalizer.finalize(&mut state);
+            // The last write overlaps the closing pass.
+            self.join_write(&mut writer, tracing, &mut ctx);
+            if tracing {
+                ctx.trace_events.extend(sink.drain());
+            }
+            self.report(
+                output,
+                batches.len(),
+                start,
+                resumed,
+                generation,
+                fallbacks,
+                discard_reason,
+                ctx,
+            )
+        })
     }
 
     /// Record one shed batch: accounting, quarantine, trace, sentinel
@@ -779,74 +831,89 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
     /// prefix — a recovered queued run is bit-identical to an
     /// uninterrupted one.
     pub fn run_queued(&self, stream: &[Sentence], arrivals_per_tick: usize) -> RunReport {
-        let tracing = emd_trace::enabled();
-        let sink = self.globalizer.trace().clone();
-        let m = self.globalizer.metrics();
-        let mut ctx = ServiceCtx::default();
-        let (mut state, completed, resumed, generation, fallbacks, discard_reason) =
-            self.begin(&mut ctx, &sink, tracing);
-        let batches: Vec<&[Sentence]> = stream.chunks(self.config.batch_size).collect();
-        let start = completed.min(batches.len());
-        let arrivals = arrivals_per_tick.max(1);
-        let mut queue: AdmissionQueue<usize> = AdmissionQueue::new(self.config.admission.clone());
-        let mut next_arrival = 0usize;
-        let mut serviced = 0usize;
-        // `serviced` counts every serviced batch including the replayed
-        // prefix; recording (sheds, quarantines, dead letters) is
-        // suppressed until the prefix is consumed — those effects are
-        // already inside the restored state.
-        while next_arrival < batches.len() || !queue.is_empty() {
-            for _ in 0..arrivals {
-                if next_arrival >= batches.len() {
-                    break;
-                }
-                let idx = next_arrival;
-                next_arrival += 1;
-                let sheds = queue.offer(idx, batches[idx].len() as u64);
-                for shed in sheds {
-                    if serviced >= start {
-                        self.record_shed(
-                            &mut state,
-                            shed.item,
-                            batches[shed.item],
-                            shed.policy,
-                            serviced,
-                            tracing,
-                            &mut ctx,
-                        );
+        std::thread::scope(|scope| {
+            let tracing = emd_trace::enabled();
+            let sink = self.globalizer.trace().clone();
+            let m = self.globalizer.metrics();
+            let mut ctx = ServiceCtx::default();
+            let mut writer = CheckpointWriter {
+                scope,
+                in_flight: None,
+            };
+            let (mut state, completed, resumed, generation, fallbacks, discard_reason) =
+                self.begin(&mut ctx, &sink, tracing);
+            let batches: Vec<&[Sentence]> = stream.chunks(self.config.batch_size).collect();
+            let start = completed.min(batches.len());
+            let arrivals = arrivals_per_tick.max(1);
+            let mut queue: AdmissionQueue<usize> =
+                AdmissionQueue::new(self.config.admission.clone());
+            let mut next_arrival = 0usize;
+            let mut serviced = 0usize;
+            // `serviced` counts every serviced batch including the replayed
+            // prefix; recording (sheds, quarantines, dead letters) is
+            // suppressed until the prefix is consumed — those effects are
+            // already inside the restored state.
+            while next_arrival < batches.len() || !queue.is_empty() {
+                for _ in 0..arrivals {
+                    if next_arrival >= batches.len() {
+                        break;
+                    }
+                    let idx = next_arrival;
+                    next_arrival += 1;
+                    let sheds = queue.offer(idx, batches[idx].len() as u64);
+                    for shed in sheds {
+                        if serviced >= start {
+                            self.record_shed(
+                                &mut state,
+                                shed.item,
+                                batches[shed.item],
+                                shed.policy,
+                                serviced,
+                                tracing,
+                                &mut ctx,
+                            );
+                        }
                     }
                 }
+                m.guard_queue_depth.set(queue.len() as f64);
+                m.guard_backpressure
+                    .set(if queue.backpressure() { 1.0 } else { 0.0 });
+                let Some((idx, _cost)) = queue.pop() else {
+                    continue;
+                };
+                serviced += 1;
+                if serviced <= start {
+                    continue; // the restored checkpoint already covers it
+                }
+                m.guard_admitted_total.inc();
+                self.service_batch(&mut state, batches[idx], idx, &sink, tracing, &mut ctx);
+                let is_last = next_arrival >= batches.len() && queue.is_empty();
+                self.maybe_checkpoint(
+                    &mut state,
+                    serviced,
+                    is_last,
+                    &mut writer,
+                    tracing,
+                    &mut ctx,
+                );
             }
-            m.guard_queue_depth.set(queue.len() as f64);
-            m.guard_backpressure
-                .set(if queue.backpressure() { 1.0 } else { 0.0 });
-            let Some((idx, _cost)) = queue.pop() else {
-                continue;
-            };
-            serviced += 1;
-            if serviced <= start {
-                continue; // the restored checkpoint already covers it
+            m.guard_queue_depth.set(0.0);
+            let output = self.globalizer.finalize(&mut state);
+            self.join_write(&mut writer, tracing, &mut ctx);
+            if tracing {
+                ctx.trace_events.extend(sink.drain());
             }
-            m.guard_admitted_total.inc();
-            self.service_batch(&mut state, batches[idx], idx, &sink, tracing, &mut ctx);
-            let is_last = next_arrival >= batches.len() && queue.is_empty();
-            self.maybe_checkpoint(&mut state, serviced, is_last, &sink, tracing, &mut ctx);
-        }
-        m.guard_queue_depth.set(0.0);
-        let output = self.globalizer.finalize(&mut state);
-        if tracing {
-            ctx.trace_events.extend(sink.drain());
-        }
-        self.report(
-            output,
-            batches.len(),
-            start.min(serviced),
-            resumed,
-            generation,
-            fallbacks,
-            discard_reason,
-            ctx,
-        )
+            self.report(
+                output,
+                batches.len(),
+                start.min(serviced),
+                resumed,
+                generation,
+                fallbacks,
+                discard_reason,
+                ctx,
+            )
+        })
     }
 }
 

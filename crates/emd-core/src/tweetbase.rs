@@ -278,7 +278,7 @@ impl PostingList {
 // Checkpoints carry the logical list only — byte-identical to the
 // plain-`Vec` schema; `head` is a transient layout detail.
 impl Serialize for PostingList {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut serde::ser::Out<'_>) {
         self.as_slice().write_json(out);
     }
 }

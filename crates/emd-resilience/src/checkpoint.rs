@@ -38,7 +38,9 @@
 //! a stray temp file — never a half-written checkpoint at the canonical
 //! path. The pid + per-process nonce in the temp name keep two
 //! supervisors checkpointing into the same directory from clobbering
-//! each other's in-flight temp file.
+//! each other's in-flight temp file. The payload streams into the temp
+//! file in bounded chunks and is hashed on the way, so a save's memory
+//! does not grow with the payload.
 //!
 //! ## Retained generations
 //!
@@ -53,7 +55,7 @@
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fs;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic tag opening every checkpoint file.
@@ -106,11 +108,11 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a 64-bit hash — small, dependency-free, and plenty for detecting
-/// torn writes and accidental corruption (this is an integrity check, not
-/// an authentication mechanism).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into an FNV-1a 64 running hash.
+fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -118,25 +120,62 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// FNV-1a 64-bit hash — small, dependency-free, and plenty for detecting
+/// torn writes and accidental corruption (this is an integrity check, not
+/// an authentication mechanism).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_update(FNV_OFFSET, bytes)
+}
+
+/// Passes bytes through to `inner`, hashing them as they go.
+struct HashingWriter<W> {
+    inner: W,
+    hash: u64,
+}
+
+impl<W: Write> Write for HashingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hash = fnv1a64_update(self.hash, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The header line. Its length depends only on `seq`: the crc is always
+/// 16 hex digits.
+fn header(seq: u64, crc: u64) -> String {
+    format!("{MAGIC} v{FORMAT_VERSION} seq={seq} crc={crc:016x}\n")
+}
+
 /// Serialize `payload`, wrap it in a current-version header, and atomically replace
 /// `path` with the result.
+///
+/// The payload streams to the temp file in chunks of about
+/// [`serde::ser::CHUNK`] bytes, hashed as they go, so a save holds no
+/// full-size copy of the encoding. The header goes out first with a zero
+/// crc and is rewritten in place once the payload's hash is known.
 pub fn save<T: Serialize>(path: &Path, seq: u64, payload: &T) -> Result<(), CheckpointError> {
-    let json =
-        serde_json::to_string(payload).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-    let header = format!(
-        "{MAGIC} v{FORMAT_VERSION} seq={seq} crc={:016x}\n",
-        fnv1a64(json.as_bytes())
-    );
     let tmp = tmp_path(path);
-    // Header, payload and closing newline go out as separate writes: the
-    // payload is never copied into a second full-size buffer.
-    let write = || -> std::io::Result<()> {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(header.as_bytes())?;
-        file.write_all(json.as_bytes())?;
-        file.write_all(b"\n")
+    let write = || -> Result<(), CheckpointError> {
+        let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
+        let mut file = fs::File::create(&tmp).map_err(io)?;
+        file.write_all(header(seq, 0).as_bytes()).map_err(io)?;
+        let mut body = HashingWriter {
+            inner: &mut file,
+            hash: FNV_OFFSET,
+        };
+        serde_json::to_writer(&mut body, payload)
+            .map_err(|e| CheckpointError::Io(e.to_string()))?;
+        let crc = body.hash;
+        file.write_all(b"\n").map_err(io)?;
+        file.seek(SeekFrom::Start(0)).map_err(io)?;
+        file.write_all(header(seq, crc).as_bytes()).map_err(io)
     };
-    write().map_err(|e| CheckpointError::Io(e.to_string()))?;
+    write()?;
     // Torn-write injection site: a crash here leaves a stray temp file
     // and the previous checkpoint intact (chaos-tested).
     crate::failpoint::fire("checkpoint_rename");
@@ -324,6 +363,84 @@ mod tests {
             "EMDCKPT v4 seq=7 crc=fed5dcb25e995d92\n\
              {\"items\":[\"italy\",\"andy beshear\"],\"weight\":0.125,\"n\":42}\n"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A payload of several MiB: the save streams it in many chunks.
+    fn big_payload() -> Vec<Payload> {
+        (0..60_000u64)
+            .map(|n| Payload {
+                items: vec![format!("mention \"{n}\""), "andy beshear\n".into()],
+                weight: n as f32 / 7.0,
+                n,
+            })
+            .collect()
+    }
+
+    /// Encodes `n` elements, then panics: a save that fails partway.
+    struct FailsAfter(u64);
+
+    impl Serialize for FailsAfter {
+        fn write_json(&self, out: &mut serde::ser::Out<'_>) {
+            let n = self.0;
+            let items = (0..).map(move |i| {
+                if i == n {
+                    crate::failpoint::panic_injected("payload");
+                }
+                format!("element {i} of a save that fails partway")
+            });
+            serde::ser::write_seq(items, out);
+        }
+    }
+
+    /// Temp siblings of `path` left on disk.
+    fn temp_siblings(path: &Path) -> Vec<PathBuf> {
+        let stem = path.file_name().unwrap().to_string_lossy().to_string();
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| {
+                e.file_name()
+                    .to_string_lossy()
+                    .starts_with(&format!("{stem}.tmp."))
+            })
+            .map(|e| e.path())
+            .collect()
+    }
+
+    #[test]
+    fn streamed_save_writes_header_then_payload_text_over_many_chunks() {
+        let path = temp("stream");
+        let payload = big_payload();
+        let json = serde_json::to_string(&payload).unwrap();
+        assert!(json.len() >= 4 << 20, "{} bytes", json.len());
+        save(&path, 11, &payload).unwrap();
+        let want = format!(
+            "EMDCKPT v4 seq=11 crc={:016x}\n{json}\n",
+            fnv1a64(json.as_bytes())
+        );
+        assert!(
+            std::fs::read(&path).unwrap() == want.as_bytes(),
+            "file bytes differ from header + to_string + newline"
+        );
+        let (seq, back): (u64, Vec<Payload>) = load(&path).unwrap();
+        assert_eq!((seq, back), (11, payload));
+
+        // A save that fails partway leaves the previous checkpoint as it
+        // was, plus the partial temp file.
+        crate::failpoint::install_quiet_hook();
+        let failed = std::panic::catch_unwind(|| save(&path, 12, &FailsAfter(100_000)));
+        assert!(failed.is_err(), "the payload failed mid-encoding");
+        assert!(std::fs::read(&path).unwrap() == want.as_bytes());
+        let temps = temp_siblings(&path);
+        assert_eq!(temps.len(), 1, "{temps:?}");
+        let partial = std::fs::read(&temps[0]).unwrap();
+        assert!(
+            partial.len() > serde::ser::CHUNK,
+            "chunks reached the temp file before the failure"
+        );
+        assert!(partial.starts_with(b"EMDCKPT v4 seq=12 crc=0000000000000000\n"));
+        std::fs::remove_file(&temps[0]).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -135,7 +135,7 @@ impl Interner {
 // the table (in symbol order) and rebuild the map on load. Symbol values
 // therefore survive save/restore bit-for-bit.
 impl Serialize for Interner {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut serde::ser::Out<'_>) {
         self.strings.write_json(out);
     }
 }

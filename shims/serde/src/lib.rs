@@ -4,11 +4,13 @@
 //!
 //! Instead of the real serde data model, the shim is JSON-only and
 //! asymmetric. Encoding is direct: [`Serialize::write_json`] appends
-//! compact JSON text to a `String` (the [`ser`] helpers hold the scalar
-//! writers every impl shares). Decoding goes through a small JSON-shaped
-//! [`value::Value`] tree that `serde_json` (also shimmed) parses. Maps
-//! serialize as arrays of `[key, value]` pairs so non-string keys
-//! round-trip without a key-stringification protocol.
+//! compact JSON text to a [`ser::Out`], which either grows one `String`
+//! or streams the text to an `io::Write` in bounded chunks (the [`ser`]
+//! helpers hold the scalar writers every impl shares). Decoding goes
+//! through a small JSON-shaped [`value::Value`] tree that `serde_json`
+//! (also shimmed) parses. Maps serialize as arrays of `[key, value]`
+//! pairs so non-string keys round-trip without a key-stringification
+//! protocol.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -38,8 +40,10 @@ impl std::error::Error for DeError {}
 
 /// Encoding straight to compact JSON text.
 pub trait Serialize {
-    /// Append `self`'s compact JSON encoding to `out`.
-    fn write_json(&self, out: &mut String);
+    /// Append `self`'s compact JSON encoding to `out`. Impls that write
+    /// a sequence go through [`ser::write_seq`], whose element boundaries
+    /// are where a streamed `out` hands chunks to its sink.
+    fn write_json(&self, out: &mut ser::Out<'_>);
 }
 
 /// Conversion out of the shim's JSON-shaped value tree.
@@ -68,7 +72,7 @@ fn type_err<T>(expected: &str, got: &Value) -> Result<T, DeError> {
 // ---- primitive impls ----------------------------------------------------
 
 impl Serialize for bool {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         out.push_str(if *self { "true" } else { "false" });
     }
 }
@@ -85,7 +89,7 @@ impl Deserialize for bool {
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn write_json(&self, out: &mut String) {
+            fn write_json(&self, out: &mut ser::Out<'_>) {
                 ser::write_display(self, out);
             }
         }
@@ -109,7 +113,7 @@ impl_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn write_json(&self, out: &mut String) {
+            fn write_json(&self, out: &mut ser::Out<'_>) {
                 ser::write_display(self, out);
             }
         }
@@ -133,7 +137,7 @@ impl_int!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn write_json(&self, out: &mut String) {
+            fn write_json(&self, out: &mut ser::Out<'_>) {
                 // Widened to f64 first: an f32 prints as its exact f64
                 // value's shortest form, as the format always has.
                 ser::write_f64(*self as f64, out);
@@ -155,7 +159,7 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for char {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
@@ -170,7 +174,7 @@ impl Deserialize for char {
 }
 
 impl Serialize for String {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_str(self, out);
     }
 }
@@ -185,13 +189,13 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_str(self, out);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         (**self).write_json(out);
     }
 }
@@ -199,7 +203,7 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 // ---- containers ---------------------------------------------------------
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         match self {
             Some(x) => x.write_json(out),
             None => out.push_str("null"),
@@ -217,7 +221,7 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
@@ -232,13 +236,13 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
@@ -254,7 +258,7 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         (**self).write_json(out);
     }
 }
@@ -268,7 +272,7 @@ impl<T: Deserialize> Deserialize for Box<T> {
 // Shared pointers encode as their pointee, exactly like `Box`: a value
 // behind an `Arc` writes the same bytes as the value itself.
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         (**self).write_json(out);
     }
 }
@@ -293,7 +297,7 @@ impl Deserialize for std::sync::Arc<str> {
 macro_rules! impl_tuple {
     ($n:expr; $a:ident . $aidx:tt $(, $t:ident . $idx:tt)*) => {
         impl<$a: Serialize $(, $t: Serialize)*> Serialize for ($a, $($t,)*) {
-            fn write_json(&self, out: &mut String) {
+            fn write_json(&self, out: &mut ser::Out<'_>) {
                 out.push('[');
                 self.$aidx.write_json(out);
                 $(
@@ -328,7 +332,7 @@ impl_tuple!(4; A.0, B.1, C.2, D.3);
 // iterator yields `(&K, &V)`, which the tuple impl writes as `[k,v]`.
 
 impl<K: Serialize, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
@@ -346,7 +350,7 @@ where
 }
 
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
@@ -359,7 +363,7 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for std::collections::BTr
 }
 
 impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
@@ -376,7 +380,7 @@ where
 }
 
 impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
     }
 }
@@ -395,9 +399,9 @@ mod tests {
     use value::Number;
 
     fn json<T: Serialize + ?Sized>(x: &T) -> String {
-        let mut out = String::new();
+        let mut out = ser::Out::new();
         x.write_json(&mut out);
-        out
+        out.into_string()
     }
 
     #[test]

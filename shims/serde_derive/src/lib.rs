@@ -329,7 +329,7 @@ fn gen_serialize(item: &Input) -> String {
     };
     format!(
         "impl{generics} ::serde::Serialize for {ty} {{\n\
-         fn write_json(&self, out: &mut ::std::string::String) {{\n{body}\n}}\n}}"
+         fn write_json(&self, out: &mut ::serde::ser::Out<'_>) {{\n{body}\n}}\n}}"
     )
 }
 

@@ -1,6 +1,7 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
-//! [`to_string`], [`from_str`] and [`Error`]. Encoding is the serde shim's
-//! direct [`Serialize::write_json`]; decoding parses into the shim's
+//! [`to_string`], [`to_writer`], [`from_str`] and [`Error`]. Encoding is
+//! the serde shim's direct [`Serialize::write_json`]; decoding parses into
+//! the shim's
 //! [`serde::value::Value`] tree and rebuilds the target from it.
 //!
 //! Numbers print with Rust's shortest-round-trip float formatting, so every
@@ -8,6 +9,7 @@
 //! become `null`, as in the real crate).
 
 use serde::de::DeserializeOwned;
+use serde::ser::Out;
 use serde::value::{Number, Value};
 use serde::Serialize;
 
@@ -31,9 +33,22 @@ impl From<serde::DeError> for Error {
 
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
+    let mut out = Out::new();
     value.write_json(&mut out);
-    Ok(out)
+    Ok(out.into_string())
+}
+
+/// Serialize as compact JSON into `writer`, the same text [`to_string`]
+/// returns. It goes out in chunks of about [`serde::ser::CHUNK`] bytes,
+/// so memory stays bounded however large `value` encodes. Fails with the
+/// writer's first error.
+pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
+    mut writer: W,
+    value: &T,
+) -> Result<(), Error> {
+    let mut out = Out::with_sink(&mut writer);
+    value.write_json(&mut out);
+    out.finish().map_err(|e| Error(e.to_string()))
 }
 
 /// Deserialize from a JSON string.
@@ -490,5 +505,18 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert_eq!(to_string(&f32::NAN).unwrap(), "null");
         assert!(from_str::<f32>("null").unwrap().is_nan());
+    }
+
+    #[test]
+    fn to_writer_writes_exactly_the_to_string_text() {
+        let v: Vec<(String, Vec<f32>)> = (0..50_000)
+            .map(|i| (format!("row \"{i}\""), vec![i as f32 * 0.5, -1.25]))
+            .collect();
+        let mut bytes = Vec::new();
+        to_writer(&mut bytes, &v).unwrap();
+        let text = to_string(&v).unwrap();
+        assert!(text.len() > serde::ser::CHUNK, "spans several chunks");
+        assert_eq!(bytes, text.as_bytes());
+        assert_eq!(from_str::<Vec<(String, Vec<f32>)>>(&text).unwrap(), v);
     }
 }

@@ -33,11 +33,16 @@
 //!   and finishes bit-identical to an uninterrupted run. Truncated and
 //!   checksum-corrupt generations are stepped over with their reasons
 //!   surfaced.
+//! * **Checkpoint writer** — the supervisor writes checkpoints on a
+//!   writer thread. A fault there unwinds out of `run` by the next join,
+//!   and the restart is bit-identical; unwritable checkpoints are counted
+//!   as failures while the stream finishes; the wait histogram takes one
+//!   sample per join.
 //! * **Deadlines** — a batch whose charged backoff delays exceed the
 //!   per-batch deadline budget is dead-lettered with a "deadline
 //!   exceeded" reason instead of burning the remaining attempts.
 
-use emd_globalizer::core::local::LexiconEmd;
+use emd_globalizer::core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
 use emd_globalizer::core::supervisor::{StreamSupervisor, SupervisorConfig};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig, GlobalizerOutput};
 use emd_globalizer::guard::{AdmissionConfig, BreakerConfig, BreakerState, OverloadPolicy};
@@ -51,7 +56,7 @@ use emd_globalizer::text::token::{Sentence, SentenceId};
 use emd_globalizer::trace::{TraceEventKind, TracePhase, TraceSink};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serialises every test in this binary: fail points, the metrics flag,
@@ -599,4 +604,161 @@ fn shed_batches_emit_trace_events_the_auditor_folds() {
     assert_eq!(folded.sheds.len(), report.batches_shed);
     let shed_total: u64 = folded.sheds.iter().map(|(_, n, _)| n).sum();
     assert_eq!(shed_total as usize, report.batches_shed * 2);
+}
+
+/// A local system that counts the sentences it is handed.
+struct Counting {
+    inner: LexiconEmd,
+    seen: AtomicUsize,
+}
+
+impl LocalEmd for Counting {
+    fn name(&self) -> &str {
+        "Counting"
+    }
+    fn embedding_dim(&self) -> Option<usize> {
+        None
+    }
+    fn process(&self, sentence: &Sentence) -> LocalEmdOutput {
+        self.seen.fetch_add(1, Ordering::Relaxed);
+        self.inner.process(sentence)
+    }
+}
+
+/// A fault on the checkpoint writer (its rename fail point, on the
+/// second write) surfaces on the batch thread at the next join — before
+/// the next write starts — and unwinds out of `run`. The restart finds
+/// the ladder the crash left: generation 0 never landed, generation 1
+/// holds the first checkpoint.
+#[test]
+fn writer_fault_escapes_run_at_the_next_join_and_restart_is_bit_identical() {
+    let _l = guard_lock();
+    const BATCH: usize = 4;
+    let local = Counting {
+        inner: lexicon(),
+        seen: AtomicUsize::new(0),
+    };
+    let clf = accept_all(7);
+    let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let msgs: Vec<Vec<usize>> = (0..48).map(|i| vec![i % 12, (i + 7) % 12]).collect();
+    let stream = stream_from(&msgs);
+    let clean = run_batches(&g, &stream, BATCH);
+    let path = temp("writer_fault");
+    cleanup_ladder(&path, 2);
+    let sup = StreamSupervisor::new(
+        &g,
+        SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 3,
+            checkpoint_generations: 2,
+            batch_size: BATCH,
+            dead_letter_file: false,
+            ..Default::default()
+        },
+    );
+    local.seen.store(0, Ordering::Relaxed);
+    let crashed = emd_globalizer::resilience::isolate::catch(|| {
+        let _fp = failpoint::arm("checkpoint_rename", Schedule::AfterN(1));
+        let _ = sup.run(&stream);
+    });
+    assert!(crashed.is_err(), "the writer's fault unwound out of run");
+    failpoint::disarm_all();
+    // Batches 7–9 may run while the second write is in flight; the join
+    // before the third write re-raises the fault.
+    let seen = local.seen.load(Ordering::Relaxed);
+    assert!(
+        (6 * BATCH..=9 * BATCH).contains(&seen),
+        "{seen} sentences processed before the fault escaped"
+    );
+    let report = sup.run(&stream);
+    assert!(report.resumed_from_checkpoint);
+    assert_eq!(report.checkpoint_generation, 1);
+    assert_eq!(
+        report.batches_skipped, 3,
+        "resumed from the first checkpoint"
+    );
+    assert_eq!(report.checkpoint_fallbacks, 0, "a missing file is a skip");
+    assert_eq!(report.output.per_sentence, clean.per_sentence);
+    assert_eq!(report.output.n_candidates, clean.n_candidates);
+    assert_eq!(report.output.n_entities, clean.n_entities);
+    cleanup_ladder(&path, 2);
+}
+
+/// Writes that fail (their directory does not exist) are counted, one
+/// per scheduled checkpoint, and the stream runs on to the same output
+/// as an unsupervised run.
+#[test]
+fn unwritable_checkpoint_path_counts_every_failure_and_finishes() {
+    let _l = guard_lock();
+    const BATCH: usize = 4;
+    let local = lexicon();
+    let clf = accept_all(7);
+    let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let msgs: Vec<Vec<usize>> = (0..40).map(|i| vec![i % 12, (i + 3) % 12]).collect();
+    let stream = stream_from(&msgs);
+    let path = temp("missing_dir").join("no").join("state.ckpt");
+    let sup = StreamSupervisor::new(
+        &g,
+        SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 3,
+            checkpoint_generations: 2,
+            batch_size: BATCH,
+            ..Default::default()
+        },
+    );
+    let report = sup.run(&stream);
+    // 10 batches: checkpoints after 3, 6, 9 and the last.
+    assert_eq!(report.checkpoints_written, 0);
+    assert_eq!(report.checkpoint_write_failures, 4);
+    assert!(!path.exists());
+    let (plain, _) = g.run(&stream, BATCH);
+    assert_eq!(report.output.per_sentence, plain.per_sentence);
+    assert_eq!(report.output.n_candidates, plain.n_candidates);
+    assert_eq!(report.output.n_entities, plain.n_entities);
+}
+
+/// `emd_resilience_checkpoint_wait_ns` records one sample per join —
+/// one per write, landed or failed — and so does the writer's own
+/// `emd_resilience_checkpoint_write_ns`.
+#[test]
+fn checkpoint_wait_histogram_records_one_sample_per_join() {
+    let _l = guard_lock();
+    emd_globalizer::obs::set_enabled(true);
+    let local = lexicon();
+    let clf = accept_all(7);
+    let msgs: Vec<Vec<usize>> = (0..36).map(|i| vec![i % 12, (i + 5) % 12]).collect();
+    let stream = stream_from(&msgs);
+    let good = temp("wait_hist");
+    cleanup_ladder(&good, 2);
+    let bad = temp("wait_hist_missing").join("no").join("state.ckpt");
+    // 9 batches every 2: writes after 2, 4, 6, 8 and the last.
+    for (path, queued) in [(&good, false), (&good, true), (&bad, false)] {
+        cleanup_ladder(&good, 2);
+        let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+        g.set_scope(&emd_globalizer::obs::Scope::detached(&[("test", "wait")]));
+        let sup = StreamSupervisor::new(
+            &g,
+            SupervisorConfig {
+                checkpoint_path: Some(path.clone()),
+                checkpoint_every: 2,
+                checkpoint_generations: 2,
+                batch_size: 4,
+                dead_letter_file: false,
+                ..Default::default()
+            },
+        );
+        let report = if queued {
+            sup.run_queued(&stream, 1)
+        } else {
+            sup.run(&stream)
+        };
+        let joins = report.checkpoints_written + report.checkpoint_write_failures;
+        assert_eq!(joins, 5, "{path:?}");
+        let snap = g.metrics().snapshot();
+        let count = |name: &str| snap.histogram(name).map(|h| h.count).unwrap_or(0);
+        assert_eq!(count("emd_resilience_checkpoint_wait_ns"), joins as u64);
+        assert_eq!(count("emd_resilience_checkpoint_write_ns"), joins as u64);
+    }
+    cleanup_ladder(&good, 2);
 }

@@ -11,12 +11,13 @@
 use emd_globalizer::core::config::Ablation;
 use emd_globalizer::core::globalizer::GlobalizerState;
 use emd_globalizer::core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
+use emd_globalizer::core::supervisor::{StreamSupervisor, SupervisorConfig};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig, GlobalizerOutput};
 use emd_globalizer::nn::param::Net;
 use emd_globalizer::resilience::failpoint::{self, Schedule};
 use emd_globalizer::text::token::{Sentence, SentenceId};
 use emd_globalizer::trace::audit::{replay, ReplayedOutput};
-use emd_globalizer::trace::TraceSink;
+use emd_globalizer::trace::{TraceEventKind, TraceSink};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -368,4 +369,69 @@ fn exported_trace_replays_identically() {
     let back = emd_globalizer::trace::jsonl::from_jsonl(&jsonl).unwrap();
     assert_eq!(back, events);
     assert_eq!(replay(&back), flatten(&out));
+}
+
+/// A traced supervised run. The checkpoint writer finishes while later
+/// batches run, so each `CheckpointSaved` is emitted at the join that
+/// follows its write; it still carries the batch of the snapshot it
+/// wrote, never the batch current at the join. The replay of the
+/// supervised log still reconstructs the output.
+#[test]
+fn supervised_checkpoint_events_carry_their_snapshot_batch() {
+    let _t = trace_flag(true);
+    let local = lexicon();
+    let clf = biased_classifier(100.0);
+    let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let sink = TraceSink::with_capacity(1 << 16);
+    g.set_trace(sink.clone());
+    let msgs: Vec<Vec<usize>> = (0..40).map(|i| vec![i % 12, (i + 5) % 12, 8]).collect();
+    let stream = stream_from(&msgs);
+    let path = std::env::temp_dir().join(format!(
+        "emd_trace_audit_supervised_{}.ckpt",
+        std::process::id()
+    ));
+    let sup = StreamSupervisor::new(
+        &g,
+        SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 3,
+            checkpoint_generations: 2,
+            batch_size: 4,
+            dead_letter_file: false,
+            ..Default::default()
+        },
+    );
+    let report = sup.run(&stream);
+    assert_eq!(sink.dropped_total(), 0, "ring sized for the whole run");
+    let events = &report.trace_events;
+    let saved: Vec<(Option<u64>, Option<u64>)> = events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::CheckpointSaved)
+        .map(|e| (e.batch, e.count))
+        .collect();
+    // 10 batches, checkpoints after 3, 6, 9 and the last.
+    let want: Vec<(Option<u64>, Option<u64>)> =
+        [3, 6, 9, 10].iter().map(|&b| (Some(b), Some(b))).collect();
+    assert_eq!(saved, want);
+    // Every event lands after its snapshot's batch began.
+    for e in events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::CheckpointSaved)
+    {
+        let started = events
+            .iter()
+            .find(|s| s.kind == TraceEventKind::BatchStart && s.batch == e.batch)
+            .expect("the snapshot's batch started");
+        assert!(started.seq < e.seq);
+    }
+    assert!(
+        events.windows(2).all(|w| w[0].seq < w[1].seq),
+        "the supervised log is in sequence order"
+    );
+    assert_eq!(replay(events), flatten(&report.output));
+    for k in 0..2 {
+        let _ = std::fs::remove_file(emd_globalizer::resilience::checkpoint::generation_path(
+            &path, k,
+        ));
+    }
 }

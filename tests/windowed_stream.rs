@@ -14,7 +14,9 @@
 //! * **Crash-restart at production shape** — a supervised churn stream
 //!   thousands of sentences long, through a window of thousands, restarts
 //!   from its checkpoint ladder and finishes bit-identical to an
-//!   uninterrupted run.
+//!   uninterrupted run. The ladder the supervisor's writer thread leaves
+//!   equals, but for wall-clock timings, the one a synchronous save loop
+//!   writes.
 //! * **Snapshot isolation** — processing a batch on a clone of the state
 //!   never changes the original (records are shared copy-on-write), and a
 //!   supervised batch whose fully processed trial is discarded at commit
@@ -35,6 +37,7 @@ use emd_globalizer::text::token::{Sentence, SentenceId};
 use emd_globalizer::trace::audit::{replay, ReplayedOutput};
 use emd_globalizer::trace::{TraceEventKind, TraceSink};
 use proptest::prelude::*;
+use serde::value::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -373,6 +376,139 @@ fn supervised_churn_restart_at_window_scale_is_bit_identical() {
     assert_eq!(report.output.per_sentence, plain.per_sentence);
     assert_eq!(report.output.n_candidates, plain.n_candidates);
     assert_eq!(report.output.n_entities, plain.n_entities);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint payload as a JSON tree.
+struct Json(Value);
+
+impl serde::Deserialize for Json {
+    fn from_value(v: &Value) -> Result<Json, serde::DeError> {
+        Ok(Json(v.clone()))
+    }
+}
+
+/// Fields that encode a hash map or set: their entry order is the
+/// map's iteration order, which differs between two equal maps.
+const HASHED_FIELDS: [&str; 3] = ["index", "children", "quarantined_ids"];
+
+/// `v` with hashed containers' entries sorted and the wall-clock
+/// `timings` dropped: two states that are equal but for timings
+/// canonicalize to the same tree.
+fn canonical(v: Value) -> Value {
+    match v {
+        Value::Arr(items) => Value::Arr(items.into_iter().map(canonical).collect()),
+        Value::Obj(fields) => Value::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "timings")
+                .map(|(k, v)| {
+                    let mut v = canonical(v);
+                    if let (true, Value::Arr(items)) = (HASHED_FIELDS.contains(&k.as_str()), &mut v)
+                    {
+                        items.sort_by_cached_key(|item| format!("{item:?}"));
+                    }
+                    (k, v)
+                })
+                .collect(),
+        ),
+        scalar => scalar,
+    }
+}
+
+/// A checkpoint file's `seq` and its payload, canonicalized.
+fn checkpoint_tree(path: &std::path::Path) -> (u64, Value) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let (header, payload) = text.split_once('\n').unwrap();
+    let seq = header
+        .split(' ')
+        .find_map(|f| f.strip_prefix("seq="))
+        .and_then(|n| n.parse().ok())
+        .expect("seq field");
+    let Json(tree) = serde_json::from_str(payload).unwrap();
+    (seq, canonical(tree))
+}
+
+/// Pipelined checkpoints write what the synchronous loop would. At the
+/// windowed churn shape above, every ladder file `run` leaves decodes to
+/// the state a decomposed single-threaded loop reaches after the same
+/// batches — clone, `process_batch`, `compact` on the checkpoint
+/// schedule, `save_generations` — in every field but the wall-clock
+/// `timings`, and the newest one continues to the uninterrupted output.
+#[test]
+fn pipelined_checkpoints_equal_a_synchronous_save_loop_at_window_scale() {
+    let _g = global_flag(false);
+    const BATCH: usize = 256;
+    const EVERY: usize = 4;
+    const PREFIX: usize = 4_096 + 3 * BATCH;
+    let world = World::generate(&WorldConfig {
+        seed: 99,
+        ..Default::default()
+    });
+    let stream: Vec<Sentence> =
+        gen_churn_stream(&world, 6_000, 1_000, "churn", &NoiseConfig::default(), 7)
+            .sentences
+            .into_iter()
+            .map(|a| a.sentence)
+            .collect();
+    let chunker = NpChunker::new();
+    let clf = accept_all();
+    let g = Globalizer::new(
+        &chunker,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(2_000),
+            ..Default::default()
+        },
+    );
+    let dir = std::env::temp_dir().join(format!("emd_pipelined_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("state.ckpt");
+    let sup = StreamSupervisor::new(
+        &g,
+        SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: EVERY,
+            checkpoint_generations: 2,
+            batch_size: BATCH,
+            ..Default::default()
+        },
+    );
+    // 19 batches: checkpoints at 4, 8, 12, 16 and the last; the ladder
+    // holds 19 and 16.
+    let report = sup.run(&stream[..PREFIX]);
+    assert_eq!(report.checkpoints_written, 5);
+
+    let sync_path = dir.join("sync.ckpt");
+    let batches: Vec<&[Sentence]> = stream[..PREFIX].chunks(BATCH).collect();
+    let mut state = g.new_state();
+    for (i, batch) in batches.iter().enumerate() {
+        let mut trial = state.clone();
+        g.process_batch(&mut trial, batch);
+        state = trial;
+        let serviced = i + 1;
+        if serviced % EVERY == 0 || serviced == batches.len() {
+            state.compact();
+            checkpoint::save_generations(&sync_path, serviced as u64, &state, 2).unwrap();
+        }
+    }
+    for k in 0..2 {
+        let pipelined = checkpoint_tree(&checkpoint::generation_path(&path, k));
+        let sync = checkpoint_tree(&checkpoint::generation_path(&sync_path, k));
+        assert_eq!(pipelined.0, sync.0, "generation {k} seq");
+        assert!(pipelined.1 == sync.1, "generation {k} state differs");
+    }
+    let (seq, mut restored): (u64, GlobalizerState) = checkpoint::load(&path).unwrap();
+    assert_eq!(seq as usize, batches.len());
+    for batch in stream[PREFIX..].chunks(BATCH) {
+        g.process_batch(&mut restored, batch);
+    }
+    let out = g.finalize(&mut restored);
+    let (plain, _) = g.run(&stream, BATCH);
+    assert_eq!(out.per_sentence, plain.per_sentence);
+    assert_eq!(out.n_candidates, plain.n_candidates);
+    assert_eq!(out.n_entities, plain.n_entities);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
