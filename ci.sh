@@ -25,15 +25,6 @@ echo "== benchmark tests =="
 # every workload at a tiny scale.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== scalar-fallback arm (force-scalar feature) =="
-# The SIMD kernels ship two arms (lane-chunked + scalar) behind the
-# `force-scalar` feature, contractually bit-identical (see DESIGN.md
-# "Data layout & SIMD"). Build the feature matrix and run the full suite
-# once on the scalar arm so a regression in either arm — or a divergence
-# between them — fails CI, not a user on an exotic target.
-cargo build --workspace --features emd-simd/force-scalar
-cargo test --workspace --release --features emd-simd/force-scalar -q
-
 echo "== instrumented smoke pipeline =="
 # The quickstart runs the full pipeline with metric recording on and
 # asserts nonzero sample counts and sane quantiles for every phase

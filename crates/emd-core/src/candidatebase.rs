@@ -87,7 +87,9 @@ impl CandidateRecord {
     /// pooled this `(sentence, span)` pair already.
     pub fn add_mention(&mut self, local: &[f32], locally_detected: bool) {
         assert_eq!(local.len(), self.emb_sum.len(), "embedding dim mismatch");
-        emd_simd::add_assign(&mut self.emb_sum, local);
+        for (s, &v) in self.emb_sum.iter_mut().zip(local) {
+            *s += v;
+        }
         self.emb_count += 1;
         self.n_local += usize::from(locally_detected);
         if self.store_local {
@@ -119,7 +121,10 @@ impl CandidateRecord {
         }
         // Division (not reciprocal-multiply): the historical op sequence
         // of this path, preserved for bit-identity.
-        emd_simd::div_into(out, &self.emb_sum, self.emb_count as f32);
+        let n = self.emb_count as f32;
+        for (o, &s) in out.iter_mut().zip(&self.emb_sum) {
+            *o = s / n;
+        }
     }
 
     /// Global embedding under an explicit pooling mode (ablation support).
@@ -144,7 +149,9 @@ impl CandidateRecord {
                         out.clear();
                         out.extend_from_slice(first);
                         for emb in rows {
-                            emd_simd::max_assign(out, emb);
+                            for (o, &v) in out.iter_mut().zip(emb) {
+                                *o = o.max(v);
+                            }
                         }
                     }
                 }

@@ -87,6 +87,13 @@ pub struct ClassifierTrainReport {
     pub epochs_run: usize,
 }
 
+/// In-place ReLU.
+fn relu(xs: &mut [f32]) {
+    for v in xs {
+        *v = v.max(0.0);
+    }
+}
+
 impl EntityClassifier {
     /// New classifier over `in_dim` features (global embedding + length).
     pub fn new(in_dim: usize, seed: u64) -> EntityClassifier {
@@ -116,18 +123,17 @@ impl EntityClassifier {
     fn logit_infer(&self, x: &[f32]) -> f32 {
         // Hidden widths are fixed by the constructor (in → 32 → 16 → 1),
         // so the whole forward pass fits in stack buffers: no Matrix
-        // temporaries, no heap traffic per scored candidate. The kernels
-        // replicate `Dense::infer` + in-place ReLU exactly (same ikj
-        // accumulation order, bias added after the full dot product), so
-        // logits are bit-identical to the historical Matrix-based path.
+        // temporaries, no heap traffic per scored candidate.
+        // `Dense::infer_row_into` runs `Dense::infer`'s kernel and bias
+        // add, so logits are bit-identical to the Matrix-based path.
         let mut h1 = [0.0f32; 32];
         let mut h2 = [0.0f32; 16];
         let mut out = [0.0f32; 1];
-        emd_simd::dense_forward(x, &self.l1.w.value.data, &self.l1.b.value.data, &mut h1);
-        emd_simd::relu(&mut h1);
-        emd_simd::dense_forward(&h1, &self.l2.w.value.data, &self.l2.b.value.data, &mut h2);
-        emd_simd::relu(&mut h2);
-        emd_simd::dense_forward(&h2, &self.l3.w.value.data, &self.l3.b.value.data, &mut out);
+        self.l1.infer_row_into(x, &mut h1);
+        relu(&mut h1);
+        self.l2.infer_row_into(&h1, &mut h2);
+        relu(&mut h2);
+        self.l3.infer_row_into(&h2, &mut out);
         out[0]
     }
 

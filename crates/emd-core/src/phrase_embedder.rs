@@ -109,16 +109,17 @@ impl PhraseEmbedder {
         }
         let mut pooled = vec![0.0f32; self.in_dim()];
         for row in rows {
-            emd_simd::add_assign(&mut pooled, row);
+            assert_eq!(row.len(), pooled.len(), "embedding dim mismatch");
+            for (p, &v) in pooled.iter_mut().zip(row) {
+                *p += v;
+            }
         }
-        emd_simd::scale(&mut pooled, 1.0 / n_rows as f32);
+        let inv = 1.0 / n_rows as f32;
+        for p in &mut pooled {
+            *p *= inv;
+        }
         let mut out = vec![0.0f32; self.out_dim()];
-        emd_simd::dense_forward(
-            &pooled,
-            &self.dense.w.value.data,
-            &self.dense.b.value.data,
-            &mut out,
-        );
+        self.dense.infer_row_into(&pooled, &mut out);
         out
     }
 

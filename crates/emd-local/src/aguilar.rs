@@ -92,9 +92,20 @@ pub struct Aguilar {
 /// Per-sentence encoded inputs.
 struct Encoded {
     word_ids: Vec<u32>,
-    char_ids: Vec<Vec<u32>>,
+    /// Every token's character ids, concatenated; token `t`'s end at
+    /// `char_ends[t]`.
+    char_ids: Vec<u32>,
+    char_ends: Vec<usize>,
     pos_ids: Vec<u32>,
     gaz: Vec<[f32; GAZ_DIM]>,
+}
+
+impl Encoded {
+    /// Character ids of token `t`.
+    fn chars(&self, t: usize) -> &[u32] {
+        let start = if t == 0 { 0 } else { self.char_ends[t - 1] };
+        &self.char_ids[start..self.char_ends[t]]
+    }
 }
 
 impl Aguilar {
@@ -157,15 +168,22 @@ impl Aguilar {
     fn encode(&self, sentence: &Sentence) -> Encoded {
         let texts: Vec<&str> = sentence.texts().collect();
         let pos = tag_sentence(&texts);
+        // A token has at most as many characters as bytes: one allocation.
+        let mut char_ids = Vec::with_capacity(texts.iter().map(|t| t.len()).sum());
+        let char_ends = texts
+            .iter()
+            .map(|t| {
+                encode_chars(&self.char_vocab, t, &mut char_ids);
+                char_ids.len()
+            })
+            .collect();
         Encoded {
             word_ids: texts
                 .iter()
                 .map(|t| self.word_vocab.get(&normalize::normalize_token(t)))
                 .collect(),
-            char_ids: texts
-                .iter()
-                .map(|t| encode_chars(&self.char_vocab, t))
-                .collect(),
+            char_ids,
+            char_ends,
             pos_ids: pos.iter().map(|p| p.index() as u32 + 1).collect(),
             gaz: texts
                 .iter()
@@ -174,20 +192,27 @@ impl Aguilar {
         }
     }
 
-    /// Inference-only feature assembly `[T, FEAT_DIM]`.
+    /// Inference-only feature assembly `[T, FEAT_DIM]`. Embedding rows are
+    /// read in place and the char-CNN convolves borrowed rows of the char
+    /// table, so the only allocations are the output and one scratch
+    /// buffer, whatever the tokens' lengths.
     fn features_infer(&self, enc: &Encoded) -> Matrix {
         let t_len = enc.word_ids.len();
         let mut x = Matrix::zeros(t_len, FEAT_DIM);
-        let we = self.word_emb.infer(&enc.word_ids);
-        let pe = self.pos_emb.infer(&enc.pos_ids);
+        let max_chars = (0..t_len).map(|t| enc.chars(t).len()).max().unwrap_or(0);
+        let mut pre = Vec::with_capacity(max_chars * CNN_FILTERS);
         for t in 0..t_len {
             let row = x.row_mut(t);
-            row[..WORD_DIM].copy_from_slice(we.row(t));
-            let ce = self.char_emb.infer(&enc.char_ids[t]);
-            let cv = self.char_cnn.infer(&ce);
-            row[WORD_DIM..WORD_DIM + CNN_FILTERS].copy_from_slice(cv.row(0));
+            row[..WORD_DIM].copy_from_slice(self.word_emb.row(enc.word_ids[t]));
+            let chars = enc.chars(t);
+            self.char_cnn.infer_rows_into(
+                chars.len(),
+                |c| self.char_emb.row(chars[c]),
+                &mut pre,
+                &mut row[WORD_DIM..WORD_DIM + CNN_FILTERS],
+            );
             row[WORD_DIM + CNN_FILTERS..WORD_DIM + CNN_FILTERS + POS_DIM]
-                .copy_from_slice(pe.row(t));
+                .copy_from_slice(self.pos_emb.row(enc.pos_ids[t]));
             row[FEAT_DIM - GAZ_DIM..].copy_from_slice(&enc.gaz[t]);
         }
         x
@@ -222,7 +247,7 @@ impl Aguilar {
         let mut cnn_caches: Vec<CnnCache> = Vec::with_capacity(t_len);
         let mut x = Matrix::zeros(t_len, FEAT_DIM);
         for t in 0..t_len {
-            let ce = self.char_emb.infer(&enc.char_ids[t]);
+            let ce = self.char_emb.infer(enc.chars(t));
             let (cv, cache) = self.char_cnn.forward_cached(&ce);
             cnn_caches.push(cache);
             let row = x.row_mut(t);
@@ -254,7 +279,7 @@ impl Aguilar {
             let gc = Matrix::row_vector(&row[WORD_DIM..WORD_DIM + CNN_FILTERS]);
             let cache = cnn_caches[t].clone();
             let gchar = self.char_cnn.backward_cached(cache, &gc);
-            self.char_emb.accumulate_grad(&enc.char_ids[t], &gchar);
+            self.char_emb.accumulate_grad(enc.chars(t), &gchar);
         }
         self.word_emb.accumulate_grad(&enc.word_ids, &gw);
         self.pos_emb.accumulate_grad(&enc.pos_ids, &gp);
@@ -362,6 +387,66 @@ mod tests {
             "post-ReLU embeddings are non-negative"
         );
         assert!(model.is_deep());
+    }
+
+    /// The inference path equals a forward composed from the layers'
+    /// training-path `forward`s, bit for bit, on spans and embeddings;
+    /// and the allocation-free char encoding equals the per-character
+    /// `String` lookup it replaced.
+    #[test]
+    fn process_matches_training_path_forward() {
+        let (world, d5) = training_stream(24, 0.002);
+        let (model, _) = Aguilar::train(
+            &d5,
+            world.gazetteer.clone(),
+            &AguilarConfig {
+                epochs: 1,
+                ..Default::default()
+            },
+        );
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ann in d5.sentences.iter().take(25) {
+            let s = &ann.sentence;
+            let enc = model.encode(s);
+            for (t, text) in s.texts().enumerate() {
+                let old: Vec<u32> = text
+                    .chars()
+                    .map(|c| model.char_vocab.get(&c.to_string()))
+                    .collect();
+                assert_eq!(enc.chars(t), &old[..]);
+            }
+            let (mut word_emb, mut pos_emb, mut char_emb) = (
+                model.word_emb.clone(),
+                model.pos_emb.clone(),
+                model.char_emb.clone(),
+            );
+            let mut cnn = model.char_cnn.clone();
+            let we = word_emb.forward(&enc.word_ids);
+            let pe = pos_emb.forward(&enc.pos_ids);
+            let mut x = Matrix::zeros(s.len(), FEAT_DIM);
+            for t in 0..s.len() {
+                let cv = cnn.forward(&char_emb.forward(enc.chars(t)));
+                let row = x.row_mut(t);
+                row[..WORD_DIM].copy_from_slice(we.row(t));
+                row[WORD_DIM..WORD_DIM + CNN_FILTERS].copy_from_slice(cv.row(0));
+                row[WORD_DIM + CNN_FILTERS..WORD_DIM + CNN_FILTERS + POS_DIM]
+                    .copy_from_slice(pe.row(t));
+                row[FEAT_DIM - GAZ_DIM..].copy_from_slice(&enc.gaz[t]);
+            }
+            let h = model.bilstm.clone().forward(&x);
+            let a = Relu::new().forward(&model.dense.clone().forward(&h));
+            let e = model.emit.clone().forward(&a);
+            let bio: Vec<Bio> = model
+                .crf
+                .decode(&e)
+                .into_iter()
+                .map(Bio::from_index)
+                .collect();
+
+            let out = model.process(s);
+            assert_eq!(out.spans, bio_to_spans(&bio));
+            assert_eq!(bits(&out.token_embeddings.unwrap()), bits(&a));
+        }
     }
 
     #[test]

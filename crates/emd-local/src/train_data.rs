@@ -22,16 +22,18 @@ pub fn build_char_vocab(dataset: &Dataset) -> Vocab {
     for s in &dataset.sentences {
         for t in s.sentence.texts() {
             for c in t.chars() {
-                v.add(&c.to_string());
+                v.add(c.encode_utf8(&mut [0; 4]));
             }
         }
     }
     v
 }
 
-/// Encode a word's characters with a char vocabulary.
-pub fn encode_chars(vocab: &Vocab, word: &str) -> Vec<u32> {
-    word.chars().map(|c| vocab.get(&c.to_string())).collect()
+/// Append the ids of a word's characters in a char vocabulary to `out`.
+/// The vocabulary from [`build_char_vocab`] does not fold case, so the
+/// lookups do not allocate.
+pub fn encode_chars(vocab: &Vocab, word: &str, out: &mut Vec<u32>) {
+    out.extend(word.chars().map(|c| vocab.get(c.encode_utf8(&mut [0; 4]))));
 }
 
 /// Per-sentence gold BIO label indices for the whole dataset.
@@ -74,10 +76,12 @@ mod tests {
     #[test]
     fn char_vocab_and_encoding() {
         let v = build_char_vocab(&toy());
-        let ids = encode_chars(&v, "Ix");
+        let mut ids = Vec::new();
+        encode_chars(&v, "Ix", &mut ids);
         assert_eq!(ids.len(), 2);
         assert!(ids.iter().all(|&i| i != emd_text::vocab::UNK));
-        assert_eq!(encode_chars(&v, "Z")[0], emd_text::vocab::UNK);
+        encode_chars(&v, "Z", &mut ids);
+        assert_eq!(ids[2], emd_text::vocab::UNK);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! convolution, ReLU, global max pooling → a fixed `[1, n_filters]` vector
 //! per word.
 
-use crate::matrix::Matrix;
+use crate::matrix::{conv_rows_into, Matrix};
 use crate::param::{Net, Param};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -117,22 +117,46 @@ impl CharCnn {
 
     /// Cache-free forward pass for inference (`&self`).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let f = self.out_dim();
-        if x.rows == 0 {
-            return Matrix::zeros(1, f);
-        }
-        let patches = self.im2row(x);
-        let mut pre = patches.matmul(&self.w.value);
-        pre.add_row_broadcast(&self.b.value);
-        let mut out = Matrix::zeros(1, f);
-        for j in 0..f {
-            let mut best = f32::NEG_INFINITY;
-            for t in 0..pre.rows {
-                best = best.max(pre.get(t, j).max(0.0));
-            }
-            out.set(0, j, best);
-        }
+        let mut out = Matrix::zeros(1, self.out_dim());
+        self.infer_rows_into(x.rows, |t| x.row(t), &mut Vec::new(), &mut out.data);
         out
+    }
+
+    /// [`CharCnn::infer`] over `len` borrowed `[in_dim]` input rows —
+    /// e.g. straight out of an embedding table — into `out`
+    /// (`[n_filters]`). The convolution reads the rows in place (no patch
+    /// matrix; padding rows are skipped, as the kernel's zero skip would
+    /// drop them), so the result is bit-identical to [`CharCnn::forward`].
+    /// `pre` is caller-owned scratch for the `[len, n_filters]`
+    /// pre-activations: reused across calls, it makes this
+    /// allocation-free.
+    pub fn infer_rows_into<'a>(
+        &self,
+        len: usize,
+        row: impl Fn(usize) -> &'a [f32],
+        pre: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let f = self.out_dim();
+        assert_eq!(
+            out.len(),
+            f,
+            "CharCnn::infer_rows_into: out is not [n_filters]"
+        );
+        if len == 0 {
+            out.fill(0.0);
+            return;
+        }
+        pre.clear();
+        pre.resize(len * f, 0.0);
+        conv_rows_into(len, self.k, self.in_dim, row, &self.w.value.data, f, pre);
+        // Bias, ReLU, then max over time — the training path's order.
+        out.fill(f32::NEG_INFINITY);
+        for p in pre.chunks_exact(f) {
+            for ((best, &v), &b) in out.iter_mut().zip(p).zip(&self.b.value.data) {
+                *best = best.max((v + b).max(0.0));
+            }
+        }
     }
 
     /// Like [`CharCnn::forward`] but hands the cache to the caller, so many
@@ -233,6 +257,27 @@ mod tests {
         assert_eq!(y.data, vec![0.0; 5]);
         let dx = cnn.backward(&Matrix::from_vec(1, 5, vec![1.0; 5]));
         assert_eq!(dx.rows, 0);
+    }
+
+    #[test]
+    fn infer_matches_forward() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for (l, d, k, f) in [
+            (0, 3, 3, 4),
+            (1, 3, 3, 5),
+            (2, 4, 5, 9),
+            (7, 16, 3, 24),
+            (30, 16, 3, 24),
+        ] {
+            let mut cnn = CharCnn::new(d, k, f, &mut rng);
+            let mut x = input(l, d, 13 + l as u64);
+            if l > 1 {
+                x.row_mut(1).fill(0.0); // an all-zero row, like the padding id's
+            }
+            let want: Vec<u32> = cnn.forward(&x).data.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = cnn.infer(&x).data.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "L={l} d={d} k={k}");
+        }
     }
 
     #[test]

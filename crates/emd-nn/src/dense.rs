@@ -1,6 +1,6 @@
 //! Fully connected layer `y = xW + b`.
 
-use crate::matrix::Matrix;
+use crate::matrix::{matmul_into, Matrix};
 use crate::param::{Net, Param};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -55,6 +55,16 @@ impl Dense {
         y
     }
 
+    /// [`Dense::infer`] on one row, into a caller-owned `[out_dim]` buffer
+    /// (the kernel, then the bias — the same ops, so the same bits, as
+    /// `infer` on a one-row matrix).
+    pub fn infer_row_into(&self, x: &[f32], y: &mut [f32]) {
+        matmul_into(x, &self.w.value.data, y, x.len(), y.len());
+        for (v, &b) in y.iter_mut().zip(&self.b.value.data) {
+            *v += b;
+        }
+    }
+
     /// Backward pass: accumulates `dW = xᵀ·gy`, `db = colsum(gy)`, returns
     /// `dx = gy·Wᵀ`.
     pub fn backward(&mut self, gy: &Matrix) -> Matrix {
@@ -97,6 +107,18 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut rng);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
         assert_eq!(d.forward(&x).data, d.infer(&x).data);
+    }
+
+    #[test]
+    fn infer_row_into_matches_infer() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let d = Dense::new(4, 11, &mut rng);
+        let x = [0.25, 0.0, -1.5, 3.0];
+        let mut y = [f32::NAN; 11];
+        d.infer_row_into(&x, &mut y);
+        let want = d.infer(&Matrix::row_vector(&x));
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&want.data));
     }
 
     #[test]

@@ -48,17 +48,22 @@ impl Embedding {
 
     /// Lookup without caching.
     pub fn infer(&self, ids: &[u32]) -> Matrix {
-        let dim = self.dim();
-        let mut out = Matrix::zeros(ids.len(), dim);
+        let mut out = Matrix::zeros(ids.len(), self.dim());
         for (t, &id) in ids.iter().enumerate() {
-            let id = if (id as usize) < self.vocab() {
-                id as usize
-            } else {
-                0
-            };
-            out.row_mut(t).copy_from_slice(self.table.value.row(id));
+            out.row_mut(t).copy_from_slice(self.row(id));
         }
         out
+    }
+
+    /// Borrow the vector of one id (out-of-range ids map to 0).
+    #[inline]
+    pub fn row(&self, id: u32) -> &[f32] {
+        let id = if (id as usize) < self.vocab() {
+            id as usize
+        } else {
+            0
+        };
+        self.table.value.row(id)
     }
 
     /// Accumulate gradients for the rows used in the last forward.

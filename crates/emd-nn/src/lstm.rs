@@ -5,7 +5,7 @@
 //! pass — the standard encoder used by Aguilar et al. and HIRE-NER.
 
 use crate::activations::sigmoid;
-use crate::matrix::Matrix;
+use crate::matrix::{matmul_into, Matrix};
 use crate::param::{Net, Param};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -106,30 +106,51 @@ impl Lstm {
 
     /// Cache-free forward pass for inference (`&self`).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let t_len = x.rows;
-        let h = self.hidden;
-        let mut out = Matrix::zeros(t_len, h);
-        let mut h_prev = vec![0.0f32; h];
-        let mut c_prev = vec![0.0f32; h];
-        for t in 0..t_len {
-            let xt = Matrix::row_vector(x.row(t));
-            let hp = Matrix::row_vector(&h_prev);
-            let mut z = xt.matmul(&self.w.value);
-            z.add_assign(&hp.matmul(&self.u.value));
-            z.add_row_broadcast(&self.b.value);
-            let zr = z.row(0);
+        let mut out = Matrix::zeros(x.rows, self.hidden);
+        self.infer_into(x, false, &mut out.data, 0);
+        out
+    }
+
+    /// Inference over the steps of `x` — last to first when `reverse` —
+    /// writing step `t`'s hidden state to columns `col..col + H` of row
+    /// `t` of the row-major `out` (`T` rows). Bit-identical to
+    /// [`Lstm::forward`]: the input projection of every step is one kernel
+    /// call (each row's products are the per-step ones), and each step
+    /// adds `h U`, then `b`, to its row of it — `z = x_t W + h U + b` in
+    /// the training path's order. Allocates three buffers whatever the
+    /// length.
+    fn infer_into(&self, x: &Matrix, reverse: bool, out: &mut [f32], col: usize) {
+        let (t_len, h) = (x.rows, self.hidden);
+        if t_len == 0 {
+            return;
+        }
+        let stride = out.len() / t_len;
+        let gates = 4 * h;
+        let mut xw = vec![0.0f32; t_len * gates];
+        matmul_into(&x.data, &self.w.value.data, &mut xw, x.cols, gates);
+        // Step scratch: h U (4H) | h_prev (H) | c_prev (H).
+        let mut buf = vec![0.0f32; gates + 2 * h];
+        let (hu, state) = buf.split_at_mut(gates);
+        let (h_prev, c_prev) = state.split_at_mut(h);
+        for s in 0..t_len {
+            let t = if reverse { t_len - 1 - s } else { s };
+            matmul_into(h_prev, &self.u.value.data, hu, h, gates);
+            let z = &mut xw[t * gates..(t + 1) * gates];
+            for ((zj, &hj), &bj) in z.iter_mut().zip(&*hu).zip(&self.b.value.data) {
+                *zj += hj;
+                *zj += bj;
+            }
             for j in 0..h {
-                let i = sigmoid(zr[j]);
-                let f = sigmoid(zr[h + j]);
-                let g = zr[2 * h + j].tanh();
-                let o = sigmoid(zr[3 * h + j]);
+                let i = sigmoid(z[j]);
+                let f = sigmoid(z[h + j]);
+                let g = z[2 * h + j].tanh();
+                let o = sigmoid(z[3 * h + j]);
                 let c = f * c_prev[j] + i * g;
                 c_prev[j] = c;
                 h_prev[j] = o * c.tanh();
             }
-            out.row_mut(t).copy_from_slice(&h_prev);
+            out[t * stride + col..t * stride + col + h].copy_from_slice(h_prev);
         }
-        out
     }
 
     /// BPTT. `gy` is `[T, H]`; returns `dx` `[T, in]` and accumulates
@@ -238,11 +259,15 @@ impl BiLstm {
         hf.hcat(&hb)
     }
 
-    /// Cache-free forward pass for inference (`&self`).
+    /// Cache-free forward pass for inference (`&self`): each direction
+    /// writes its half of the `[T, 2H]` output in place, the backward one
+    /// stepping from the last row to the first.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let hf = self.fwd.infer(x);
-        let hb = reversed_rows(&self.bwd.infer(&reversed_rows(x)));
-        hf.hcat(&hb)
+        let h = self.fwd.hidden();
+        let mut out = Matrix::zeros(x.rows, 2 * h);
+        self.fwd.infer_into(x, false, &mut out.data, 0);
+        self.bwd.infer_into(x, true, &mut out.data, h);
+        out
     }
 
     /// Backward pass from `gy` `[T, 2H]` → `dx` `[T, in]`.
@@ -392,6 +417,35 @@ mod tests {
         // Forward half of row 0 must be unchanged.
         let first_row_fwd_changed = (0..h).any(|j| (y1.get(0, j) - y2.get(0, j)).abs() > 1e-9);
         assert!(!first_row_fwd_changed);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn lstm_infer_matches_forward() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (t, d, h) in [(0, 3, 4), (1, 5, 2), (7, 6, 5), (12, 62, 50)] {
+            let mut lstm = Lstm::new(d, h, &mut rng);
+            let mut x = input(t, d, 15 + t as u64);
+            if !x.data.is_empty() {
+                x.data[0] = 0.0; // exercise the kernel's zero skip
+            }
+            assert_eq!(bits(&lstm.infer(&x)), bits(&lstm.forward(&x)), "T={t}");
+        }
+    }
+
+    #[test]
+    fn bilstm_infer_matches_forward() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for (t, d, h) in [(0, 3, 4), (1, 4, 3), (9, 7, 6), (11, 62, 50)] {
+            let mut net = BiLstm::new(d, h, &mut rng);
+            let x = input(t, d, 17 + t as u64);
+            let y = net.infer(&x);
+            assert_eq!((y.rows, y.cols), (t, 2 * h));
+            assert_eq!(bits(&y), bits(&net.forward(&x)), "T={t}");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! frequency-based truncation, and reserved special ids (`PAD`, `UNK`).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Reserved id for padding.
@@ -42,21 +43,24 @@ impl Vocab {
         v
     }
 
-    fn key(&self, s: &str) -> String {
+    /// The stored form of `s`: borrowed as is unless the vocabulary folds
+    /// case, so lookups in a case-sensitive vocabulary never allocate.
+    fn key<'a>(&self, s: &'a str) -> Cow<'a, str> {
         if self.lowercase {
-            s.to_lowercase()
+            Cow::Owned(s.to_lowercase())
         } else {
-            s.to_string()
+            Cow::Borrowed(s)
         }
     }
 
     /// Intern `s`, bumping its frequency, returning its id.
     pub fn add(&mut self, s: &str) -> u32 {
         let k = self.key(s);
-        if let Some(&id) = self.map.get(&k) {
+        if let Some(&id) = self.map.get(k.as_ref()) {
             self.freqs[id as usize] += 1;
             return id;
         }
+        let k = k.into_owned();
         let id = self.items.len() as u32;
         self.map.insert(k.clone(), id);
         self.items.push(k);
@@ -66,14 +70,12 @@ impl Vocab {
 
     /// Look up without inserting; `UNK` if absent.
     pub fn get(&self, s: &str) -> u32 {
-        let k = self.key(s);
-        self.map.get(&k).copied().unwrap_or(UNK)
+        self.map.get(self.key(s).as_ref()).copied().unwrap_or(UNK)
     }
 
     /// Look up without inserting; `None` if absent.
     pub fn try_get(&self, s: &str) -> Option<u32> {
-        let k = self.key(s);
-        self.map.get(&k).copied()
+        self.map.get(self.key(s).as_ref()).copied()
     }
 
     /// The string for an id (panics on out-of-range).
