@@ -41,7 +41,7 @@ use crate::ctrie::CTrie;
 use crate::dirtyset::DirtySet;
 use crate::local::LocalEmd;
 use crate::mention::extract_mentions_into;
-use crate::obs::{PhaseTimings, PipelineMetrics};
+use crate::obs::{PhaseProbe, PhaseTimings, PipelineMetrics};
 use crate::phrase_embedder::PhraseEmbedder;
 use crate::tweetbase::{TweetBase, TweetRecord};
 use emd_guard::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
@@ -58,8 +58,8 @@ use emd_trace::{
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Position of the first entry `>= target` in the ascending `list`,
 /// found by doubling out from the front and then bisecting: O(log d) for
@@ -73,12 +73,6 @@ fn gallop(list: &[usize], target: usize) -> usize {
     }
     let lo = hi / 2;
     lo + list[lo..hi.min(list.len())].partition_point(|&x| x < target)
-}
-
-/// Elapsed nanoseconds since `t0`, saturating into a `u64`.
-#[inline]
-fn elapsed_ns(t0: Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Map a resilience phase onto the trace vocabulary (the trace crate is
@@ -511,6 +505,10 @@ pub struct Globalizer<'a> {
     /// `None` (the default) means no per-batch counting and no clock
     /// reads on the sentinel's behalf.
     monitor: Option<Mutex<MonitorCell>>,
+    /// The current batch's top-level phase readings, summed for the
+    /// attached sentinel (see [`Globalizer::finish`]); stays zero when
+    /// unmonitored.
+    batch_latency_ns: AtomicU64,
     /// Attached overload guard, if any ([`Globalizer::set_guard`]).
     /// `None` (the default) means every phase always runs — unguarded
     /// and guarded no-fault runs are bit-identical.
@@ -543,6 +541,7 @@ impl<'a> Globalizer<'a> {
             metrics: PipelineMetrics::global(),
             trace: emd_trace::global().clone(),
             monitor: None,
+            batch_latency_ns: AtomicU64::new(0),
             guard: None,
         }
     }
@@ -643,36 +642,40 @@ impl<'a> Globalizer<'a> {
     /// false when the pass saw at least one persistent failure. Emits any
     /// resulting transition.
     fn guard_record(&self, phase: TracePhase, ok: bool, reason: &str) {
-        let Some(g) = &self.guard else { return };
-        let t = {
-            let mut cell = Self::guard_lock(g);
-            let t = if ok {
-                cell.breaker_mut(phase).record_success()
+        self.guard_step(&[phase], |b| {
+            if ok {
+                b.record_success()
             } else {
-                cell.breaker_mut(phase).record_failure(reason)
-            };
-            if let Some(t) = &t {
-                cell.transitions.push((phase, t.clone()));
-                self.metrics
-                    .guard_breaker_open
-                    .set(cell.open_count() as f64);
+                b.record_failure(reason)
             }
-            t
-        };
-        if let Some(t) = t {
-            self.note_breaker_transition(phase, &t);
-        }
+        });
     }
 
     /// Advance every breaker's batch clock by one tick, emitting
     /// Open → HalfOpen transitions whose cooldowns are served.
     fn guard_tick(&self) {
+        self.guard_step(&GUARDED_PHASES, CircuitBreaker::tick);
+    }
+
+    /// Trip every breaker Open regardless of failure counts — the
+    /// sentinel-Critical escalation hook.
+    fn guard_force_open_all(&self, reason: &str) {
+        self.guard_step(&GUARDED_PHASES, |b| b.force_open(reason));
+    }
+
+    /// Apply `step` to the breakers of `phases` in order, then record and
+    /// emit the transitions it fired.
+    fn guard_step(
+        &self,
+        phases: &[TracePhase],
+        step: impl Fn(&mut CircuitBreaker) -> Option<BreakerTransition>,
+    ) {
         let Some(g) = &self.guard else { return };
         let fired: Vec<(TracePhase, BreakerTransition)> = {
             let mut cell = Self::guard_lock(g);
-            let fired: Vec<_> = GUARDED_PHASES
+            let fired: Vec<_> = phases
                 .iter()
-                .filter_map(|&p| cell.breaker_mut(p).tick().map(|t| (p, t)))
+                .filter_map(|&p| step(cell.breaker_mut(p)).map(|t| (p, t)))
                 .collect();
             if !fired.is_empty() {
                 cell.transitions.extend(fired.iter().cloned());
@@ -687,39 +690,16 @@ impl<'a> Globalizer<'a> {
         }
     }
 
-    /// Trip every breaker Open regardless of failure counts — the
-    /// sentinel-Critical escalation hook.
-    fn guard_force_open_all(&self, reason: &str) {
-        let Some(g) = &self.guard else { return };
-        let fired: Vec<(TracePhase, BreakerTransition)> = {
-            let mut cell = Self::guard_lock(g);
-            let fired: Vec<_> = GUARDED_PHASES
-                .iter()
-                .filter_map(|&p| cell.breaker_mut(p).force_open(reason).map(|t| (p, t)))
-                .collect();
-            cell.transitions.extend(fired.iter().cloned());
-            self.metrics
-                .guard_breaker_open
-                .set(cell.open_count() as f64);
-            fired
-        };
-        for (p, t) in &fired {
-            self.note_breaker_transition(*p, t);
-        }
-    }
-
     /// Count (and trace) one breaker state change.
     fn note_breaker_transition(&self, phase: TracePhase, t: &BreakerTransition) {
         self.metrics.guard_breaker_transitions_total.inc();
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                batch: Some(t.tick),
-                phase: Some(phase),
-                breaker: Some(trace_breaker(t.to)),
-                reason: Some(t.reason.clone()),
-                ..TraceEvent::of(TraceEventKind::BreakerTransition)
-            });
-        }
+        self.temit(|| TraceEvent {
+            batch: Some(t.tick),
+            phase: Some(phase),
+            breaker: Some(trace_breaker(t.to)),
+            reason: Some(t.reason.clone()),
+            ..TraceEvent::of(TraceEventKind::BreakerTransition)
+        });
     }
 
     /// Every breaker transition taken so far, in order, as
@@ -802,31 +782,31 @@ impl<'a> Globalizer<'a> {
         m.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Run `f` over the current batch's raw counts iff a sentinel is
-    /// attached. Count hooks live only in sequential apply sections.
-    fn mon_count(&self, f: impl FnOnce(&mut BatchObservation)) {
-        if let Some(m) = &self.monitor {
-            f(&mut Self::mon_lock(m).counts);
-        }
+    /// Count one slice of the batch's facts into their `emd_*` counters
+    /// and, when a sentinel is attached, its running observation. Count
+    /// sites live only in sequential apply sections.
+    fn count(&self, d: BatchObservation) {
+        let mut cell = self.monitor.as_ref().map(Self::mon_lock);
+        self.metrics.count(d, cell.as_mut().map(|c| &mut c.counts));
     }
 
     /// Fold the batch's accumulated counts into the sentinel, mirror the
     /// verdict into the `emd_sentinel_*` metrics, and emit
     /// `DriftDetected` / `HealthTransition` trace events. `closing`
     /// marks the finalize-time observation, which is normalized by the
-    /// resident window size rather than a batch size. Reads pipeline
-    /// state but never writes it — monitoring stays passive.
-    fn observe_batch(&self, state: &GlobalizerState, t0: Option<Instant>, closing: bool) {
+    /// resident window size rather than a batch size. The latency is the
+    /// sum [`Globalizer::finish`] kept of the batch's top-level readings.
+    /// Reads pipeline state but never writes it — monitoring stays
+    /// passive.
+    fn observe_batch(&self, state: &GlobalizerState, closing: bool) {
         let Some(m) = &self.monitor else { return };
         let observed = {
             let mut cell = Self::mon_lock(m);
             let mut counts = std::mem::take(&mut cell.counts);
             counts.batch = state.batch_seq;
+            counts.latency_ns = self.batch_latency_ns.swap(0, Ordering::Relaxed);
             if closing {
                 counts.sentences = state.tweetbase.len().max(1) as u64;
-            }
-            if let Some(t0) = t0 {
-                counts.latency_ns = elapsed_ns(t0);
             }
             let observed = cell.sentinel.observe(&counts);
             self.metrics
@@ -837,21 +817,18 @@ impl<'a> Globalizer<'a> {
         self.metrics
             .sentinel_alerts_total
             .add(observed.alerts.len() as u64);
-        let tracing = emd_trace::enabled();
         for a in &observed.alerts {
             if a.kind != AlertKind::Drift {
                 continue;
             }
             self.metrics.sentinel_drift_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    batch: Some(a.batch),
-                    series: Some(a.series.name().to_string()),
-                    score: Some(a.value as f32),
-                    reason: Some(a.detail.clone()),
-                    ..TraceEvent::of(TraceEventKind::DriftDetected)
-                });
-            }
+            self.temit(|| TraceEvent {
+                batch: Some(a.batch),
+                series: Some(a.series.name().to_string()),
+                score: Some(a.value as f32),
+                reason: Some(a.detail.clone()),
+                ..TraceEvent::of(TraceEventKind::DriftDetected)
+            });
         }
         // One SloBurn event per firing (slo, batch) pair — the trace
         // carries the whole burn interval, so `replay_slo` reconstructs
@@ -859,30 +836,26 @@ impl<'a> Globalizer<'a> {
         self.metrics
             .sentinel_slo_burn_total
             .add(observed.slo_burns.len() as u64);
-        if tracing {
-            for b in &observed.slo_burns {
-                self.temit(TraceEvent {
-                    batch: Some(b.batch),
-                    series: Some(b.name.clone()),
-                    score: Some(b.burn_fast as f32),
-                    reason: Some(format!(
-                        "burn_slow={:.2} threshold={}",
-                        b.burn_slow, b.threshold
-                    )),
-                    ..TraceEvent::of(TraceEventKind::SloBurn)
-                });
-            }
+        for b in &observed.slo_burns {
+            self.temit(|| TraceEvent {
+                batch: Some(b.batch),
+                series: Some(b.name.clone()),
+                score: Some(b.burn_fast as f32),
+                reason: Some(format!(
+                    "burn_slow={:.2} threshold={}",
+                    b.burn_slow, b.threshold
+                )),
+                ..TraceEvent::of(TraceEventKind::SloBurn)
+            });
         }
         if let Some(t) = &observed.transition {
             self.metrics.sentinel_transitions_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    batch: Some(t.batch),
-                    health: Some(trace_health(t.to)),
-                    reason: Some(t.reason.clone()),
-                    ..TraceEvent::of(TraceEventKind::HealthTransition)
-                });
-            }
+            self.temit(|| TraceEvent {
+                batch: Some(t.batch),
+                health: Some(trace_health(t.to)),
+                reason: Some(t.reason.clone()),
+                ..TraceEvent::of(TraceEventKind::HealthTransition)
+            });
             // Sense → act: a Critical stream force-opens every breaker,
             // so the next batches take the cheap degraded paths while the
             // storm passes (cooldown + probes decide when to re-engage).
@@ -892,44 +865,27 @@ impl<'a> Globalizer<'a> {
         }
     }
 
-    /// Push one trace event, keeping the `emd_trace_*` meta-counters in
-    /// step. Callers gate on `emd_trace::enabled()` *before* constructing
-    /// the event, so the disabled path allocates nothing.
-    fn temit(&self, ev: TraceEvent) -> Option<u64> {
-        match self.trace.push(ev) {
-            Some(seq) => {
-                self.metrics.trace_events_total.inc();
-                Some(seq)
-            }
-            None => {
-                self.metrics.trace_dropped_events_total.inc();
-                None
-            }
-        }
+    /// Push one trace event into this instance's sink when tracing is on
+    /// (see [`PipelineMetrics::push_trace`]).
+    fn temit(&self, ev: impl FnOnce() -> TraceEvent) -> Option<u64> {
+        self.metrics.push_trace(&self.trace, ev)
     }
 
-    /// An RAII span over a phase histogram, tagged — when tracing is on —
-    /// with the ring's next sequence number as the bucket's exemplar. The
-    /// first event the phase emits gets that seq, so a latency bucket in
-    /// the Prometheus export links straight to the trace events of a run
-    /// that landed in it. Costs one relaxed load when tracing is off and
-    /// nothing at all in noop metrics mode.
-    fn phase_timer(&self, hist: &emd_obs::Histogram) -> Timer {
-        Timer::start_tagged(hist, || emd_trace::enabled().then(|| self.trace.next_seq()))
+    /// Start observing one call of `phase`, nested under `parent`.
+    fn probe(&self, phase: TracePhase, parent: Option<TracePhase>) -> PhaseProbe<'_> {
+        let system = (phase == TracePhase::LocalInfer).then(|| self.local.name());
+        PhaseProbe::start(&self.metrics, &self.trace, phase, parent, system)
     }
 
-    /// Record a completed phase in the trace, reusing the wall-clock delta
-    /// the timings bookkeeping already measured — tracing adds no clock
-    /// read of its own, and none at all while disabled.
-    fn trace_phase_span(&self, phase: TracePhase, parent: Option<TracePhase>, dur_ns: u64) {
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                phase: Some(phase),
-                parent,
-                dur_ns: Some(dur_ns),
-                system: (phase == TracePhase::LocalInfer).then(|| self.local.name().to_string()),
-                ..TraceEvent::of(TraceEventKind::PhaseSpan)
-            });
+    /// Finish a phase probe into `timings`. A top-level reading also adds
+    /// to the attached sentinel's latency, so a batch's latency is the
+    /// sum of its top-level phases and the closing observation's is
+    /// finalize's own reading.
+    fn finish(&self, probe: PhaseProbe<'_>, timings: &mut PhaseTimings) {
+        let top = probe.parent().is_none();
+        let ns = probe.finish(timings);
+        if top && self.monitor.is_some() {
+            self.batch_latency_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
@@ -937,12 +893,10 @@ impl<'a> Globalizer<'a> {
     /// on the caller thread.
     fn note_shard_retry(&self, phase: TracePhase) {
         self.metrics.shard_retries_total.inc();
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                phase: Some(phase),
-                ..TraceEvent::of(TraceEventKind::ShardRetry)
-            });
-        }
+        self.temit(|| TraceEvent {
+            phase: Some(phase),
+            ..TraceEvent::of(TraceEventKind::ShardRetry)
+        });
     }
 
     /// Dimensionality of candidate embeddings: the phrase-embedder output
@@ -991,12 +945,10 @@ impl<'a> Globalizer<'a> {
     fn note_retries(&self, failed: usize) {
         if failed > 0 {
             self.metrics.item_retries_total.add(failed as u64);
-            if emd_trace::enabled() {
-                self.temit(TraceEvent {
-                    count: Some(failed as u64),
-                    ..TraceEvent::of(TraceEventKind::ItemRetry)
-                });
-            }
+            self.temit(|| TraceEvent {
+                count: Some(failed as u64),
+                ..TraceEvent::of(TraceEventKind::ItemRetry)
+            });
         }
     }
 
@@ -1011,18 +963,16 @@ impl<'a> Globalizer<'a> {
         phase: PipelinePhase,
         reason: String,
     ) {
-        self.metrics.quarantined_total.inc();
-        self.mon_count(|c| c.quarantined += 1);
-        let trace_event = if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                sid: Some(tsid(sid)),
-                phase: Some(trace_phase(phase)),
-                reason: Some(reason.clone()),
-                ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
-            })
-        } else {
-            None
-        };
+        self.count(BatchObservation {
+            quarantined: 1,
+            ..BatchObservation::default()
+        });
+        let trace_event = self.temit(|| TraceEvent {
+            sid: Some(tsid(sid)),
+            phase: Some(trace_phase(phase)),
+            reason: Some(reason.clone()),
+            ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
+        });
         state.quarantined_ids.insert(sid);
         state.quarantined.push(QuarantineEntry {
             sid,
@@ -1059,74 +1009,68 @@ impl<'a> Globalizer<'a> {
         r.result
     }
 
-    /// **Local EMD phase** for one batch: run the plug-in per sentence,
-    /// register seed candidates in the CTrie, store TweetBase records.
-    fn local_phase(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
-        let t0 = Instant::now();
-        let outputs: Vec<Result<crate::local::LocalEmdOutput, String>> = {
-            let _span = self.phase_timer(&self.metrics.local_infer_ns);
-            batch.iter().map(|s| self.local_attempt(s)).collect()
-        };
-        let dt = elapsed_ns(t0);
-        state.timings.local_infer_ns += dt;
-        self.trace_phase_span(TracePhase::LocalInfer, None, dt);
-        self.metrics.sentences_total.add(batch.len() as u64);
+    /// **Local EMD phase** for one batch: run the plug-in per sentence
+    /// (sharded across `n_threads`, see [`Globalizer::sharded`]), then
+    /// ingest the outputs in stream order, so results are bit-identical
+    /// at every thread count.
+    fn infer_local(&self, state: &mut GlobalizerState, batch: &[Sentence], n_threads: usize) {
+        let probe = self.probe(TracePhase::LocalInfer, None);
+        let outputs = self.sharded(
+            batch,
+            n_threads,
+            "local_shard",
+            TracePhase::LocalInfer,
+            |part| part.iter().map(|s| self.local_attempt(s)).collect(),
+        );
+        self.finish(probe, &mut state.timings);
         self.ingest_local_outputs(state, batch, outputs);
     }
 
-    /// Local EMD phase with sentence-level parallelism: the batch is split
-    /// across `n_threads` scoped threads (inference is `&self`), then the
-    /// outputs are ingested sequentially in stream order, so results are
-    /// bit-identical to the sequential path.
-    ///
-    /// Shards are joined unconditionally before any failure is acted on —
-    /// a panicked shard must not leak the surviving worker threads — and a
-    /// failed shard's sentences are re-run on the caller thread (the
-    /// surviving "pool"), so one poisoned shard degrades to sequential
-    /// work instead of aborting the batch.
-    fn local_phase_parallel(
+    /// Map `f` over `items` in up to `n_threads` contiguous shards on
+    /// scoped threads, concatenating the shard outputs in order; inline
+    /// at one thread (no spawn and no `shard_fp` fail point). `f` is
+    /// pure, so the result equals the inline run's. Shards are joined
+    /// unconditionally before any failure is acted on — a panicked shard
+    /// must not leak the surviving worker threads — and a panicked
+    /// shard's items are re-run on the caller thread, so one poisoned
+    /// shard degrades to sequential work instead of aborting the batch.
+    fn sharded<T: Sync, R: Send>(
         &self,
-        state: &mut GlobalizerState,
-        batch: &[Sentence],
+        items: &[T],
         n_threads: usize,
-    ) {
-        let n_threads = n_threads.max(1).min(batch.len().max(1));
-        let chunk = batch.len().div_ceil(n_threads).max(1);
-        let t0 = Instant::now();
-        let mut outputs: Vec<Result<crate::local::LocalEmdOutput, String>> =
-            Vec::with_capacity(batch.len());
-        {
-            let _span = self.phase_timer(&self.metrics.local_infer_ns);
-            let chunks: Vec<&[Sentence]> = batch.chunks(chunk).collect();
-            let shard_results: Vec<Option<Vec<_>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            failpoint::fire("local_shard");
-                            part.iter()
-                                .map(|s| self.local_attempt(s))
-                                .collect::<Vec<_>>()
-                        })
+        shard_fp: &str,
+        phase: TracePhase,
+        f: impl Fn(&[T]) -> Vec<R> + Sync,
+    ) -> Vec<R> {
+        let n_threads = n_threads.max(1).min(items.len().max(1));
+        if n_threads == 1 {
+            return f(items);
+        }
+        let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(n_threads)).collect();
+        let f = &f;
+        let shard_results: Vec<Option<Vec<R>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|part| {
+                    scope.spawn(move || {
+                        failpoint::fire(shard_fp);
+                        f(part)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            });
-            for (part, slot) in chunks.iter().zip(shard_results) {
-                match slot {
-                    Some(v) => outputs.extend(v),
-                    None => {
-                        self.note_shard_retry(TracePhase::LocalInfer);
-                        outputs.extend(part.iter().map(|s| self.local_attempt(s)));
-                    }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        });
+        let mut out = Vec::with_capacity(items.len());
+        for (part, slot) in chunks.iter().zip(shard_results) {
+            match slot {
+                Some(v) => out.extend(v),
+                None => {
+                    self.note_shard_retry(phase);
+                    out.extend(f(part));
                 }
             }
         }
-        let dt = elapsed_ns(t0);
-        state.timings.local_infer_ns += dt;
-        self.trace_phase_span(TracePhase::LocalInfer, None, dt);
-        self.metrics.sentences_total.add(batch.len() as u64);
-        self.ingest_local_outputs(state, batch, outputs);
+        out
     }
 
     /// Validation + span sanitation for one sentence's local output,
@@ -1185,8 +1129,7 @@ impl<'a> Globalizer<'a> {
         batch: &[Sentence],
         outputs: Vec<Result<crate::local::LocalEmdOutput, String>>,
     ) {
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.ingest_ns);
+        let probe = self.probe(TracePhase::Ingest, None);
         // Stage (fallible, isolated, read-only) per sentence.
         let staged: Vec<Result<crate::local::LocalEmdOutput, (PipelinePhase, String)>> = batch
             .iter()
@@ -1231,13 +1174,13 @@ impl<'a> Globalizer<'a> {
                     ));
                     state.dirty.insert(idx);
                     if tracing {
-                        self.temit(TraceEvent {
+                        self.temit(|| TraceEvent {
                             sid: Some(tsid(sentence.id)),
                             count: Some(out.spans.len() as u64),
                             ..TraceEvent::of(TraceEventKind::SentenceAdmitted)
                         });
                         for sp in &out.spans {
-                            self.temit(TraceEvent {
+                            self.temit(|| TraceEvent {
                                 sid: Some(tsid(sentence.id)),
                                 span: Some(tspan(sp)),
                                 system: Some(self.local.name().to_string()),
@@ -1249,7 +1192,7 @@ impl<'a> Globalizer<'a> {
                 }
             }
         }
-        let trie_span = self.phase_timer(&self.metrics.trie_register_ns);
+        let trie_span = Timer::start(&self.metrics.trie_register_ns);
         let mut n_inserted = 0u64;
         for (sentence, spans) in batch.iter().zip(&kept) {
             let Some(spans) = spans else { continue };
@@ -1260,30 +1203,26 @@ impl<'a> Globalizer<'a> {
                         .collect();
                     if state.ctrie.insert(state.tweetbase.interner_mut(), &toks) {
                         n_inserted += 1;
-                        if tracing {
-                            self.temit(TraceEvent {
-                                sid: Some(tsid(sentence.id)),
-                                span: Some(tspan(sp)),
-                                candidate: Some(toks.join(" ").to_lowercase()),
-                                phase: Some(TracePhase::TrieRegister),
-                                ..TraceEvent::of(TraceEventKind::TrieInsert)
-                            });
-                        }
+                        self.temit(|| TraceEvent {
+                            sid: Some(tsid(sentence.id)),
+                            span: Some(tspan(sp)),
+                            candidate: Some(toks.join(" ").to_lowercase()),
+                            phase: Some(TracePhase::TrieRegister),
+                            ..TraceEvent::of(TraceEventKind::TrieInsert)
+                        });
                         Self::mark_dirty(state, &toks);
                     }
                 }
             }
         }
         drop(trie_span);
-        self.metrics.local_spans_total.add(n_local_spans);
-        self.metrics.trie_inserts_total.add(n_inserted);
-        self.mon_count(|c| {
-            c.local_spans += n_local_spans;
-            c.trie_inserts += n_inserted;
+        self.count(BatchObservation {
+            sentences: batch.len() as u64,
+            local_spans: n_local_spans,
+            trie_inserts: n_inserted,
+            ..BatchObservation::default()
         });
-        let dt = elapsed_ns(t0);
-        state.timings.ingest_ns += dt;
-        self.trace_phase_span(TracePhase::Ingest, None, dt);
+        self.finish(probe, &mut state.timings);
     }
 
     /// Mark every stored sentence containing the newly registered
@@ -1430,7 +1369,9 @@ impl<'a> Globalizer<'a> {
     /// **Mention extraction + embedding pooling** over the given record
     /// indices. New mentions (not yet in the CandidateBase) contribute
     /// their local embeddings to the candidate pool; scanned records are
-    /// cleared from the dirty set.
+    /// cleared from the dirty set. The scan and pool probes nest under
+    /// `parent`: `None` for the batch scan, `Evict` for a settle rescan,
+    /// `Finalize` for the closing rescan.
     ///
     /// Extraction and embedding are read-only, so with `n_threads > 1` the
     /// indices are sharded across scoped threads; the *apply* step replays
@@ -1450,6 +1391,7 @@ impl<'a> Globalizer<'a> {
         indices: &[usize],
         n_threads: usize,
         phase: PipelinePhase,
+        parent: Option<TracePhase>,
     ) {
         if indices.is_empty() {
             return;
@@ -1474,80 +1416,22 @@ impl<'a> Globalizer<'a> {
             _ => "scan",
         };
         let tphase = trace_phase(phase);
-        // Finalize-time scans nest under the finalize frame in the flame
-        // view; batch-time scans are top-level.
-        let tparent = (phase == PipelinePhase::FinalizeRescan).then_some(TracePhase::Finalize);
         self.metrics.scan_records_total.add(indices.len() as u64);
-        let t_scan = Instant::now();
-        let results: Vec<(usize, Result<StagedScan, String>)> = {
-            let _span = self.phase_timer(&self.metrics.scan_ns);
-            let tweetbase = &state.tweetbase;
-            let ctrie = &state.ctrie;
-            let n_threads = n_threads.max(1).min(indices.len());
-            if n_threads == 1 {
+        let scan_probe = self.probe(tphase, parent);
+        let (tweetbase, ctrie) = (&state.tweetbase, &state.ctrie);
+        let results: Vec<(usize, Result<StagedScan, String>)> =
+            self.sharded(indices, n_threads, "scan_shard", tphase, |part| {
                 let _shard = Timer::start(&self.metrics.scan_shard_ns);
-                indices
-                    .iter()
+                part.iter()
                     .map(|&i| {
-                        (
-                            i,
-                            self.scan_attempt(tweetbase, ctrie, i, phase_fp, embed_allowed),
-                        )
+                        let staged =
+                            self.scan_attempt(tweetbase, ctrie, i, phase_fp, embed_allowed);
+                        (i, staged)
                     })
                     .collect()
-            } else {
-                let chunk = indices.len().div_ceil(n_threads);
-                let chunks: Vec<&[usize]> = indices.chunks(chunk).collect();
-                let shard_results: Vec<Option<Vec<_>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|part| {
-                            scope.spawn(move || {
-                                let _shard = Timer::start(&self.metrics.scan_shard_ns);
-                                failpoint::fire("scan_shard");
-                                part.iter()
-                                    .map(|&i| {
-                                        (
-                                            i,
-                                            self.scan_attempt(
-                                                tweetbase,
-                                                ctrie,
-                                                i,
-                                                phase_fp,
-                                                embed_allowed,
-                                            ),
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().ok()).collect()
-                });
-                let mut results = Vec::with_capacity(indices.len());
-                for (part, slot) in chunks.iter().zip(shard_results) {
-                    match slot {
-                        Some(v) => results.extend(v),
-                        None => {
-                            self.note_shard_retry(tphase);
-                            results.extend(part.iter().map(|&i| {
-                                (
-                                    i,
-                                    self.scan_attempt(tweetbase, ctrie, i, phase_fp, embed_allowed),
-                                )
-                            }));
-                        }
-                    }
-                }
-                results
-            }
-        };
-        let dt_scan = elapsed_ns(t_scan);
-        state.timings.scan_ns += dt_scan;
-        self.trace_phase_span(tphase, tparent, dt_scan);
-        let tracing = emd_trace::enabled();
-        let t_pool = Instant::now();
-        let _pool_span = self.phase_timer(&self.metrics.pool_ns);
+            });
+        self.finish(scan_probe, &mut state.timings);
+        let pool_probe = self.probe(TracePhase::Pool, parent);
         let mut n_mentions = 0u64;
         let mut n_pooled = 0u64;
         let mut n_scan_degraded = 0u64;
@@ -1557,14 +1441,12 @@ impl<'a> Globalizer<'a> {
                 Ok(st) => {
                     n_mentions += st.mentions.len() as u64;
                     n_scan_degraded += st.degraded_keys.len() as u64;
-                    if tracing {
-                        self.temit(TraceEvent {
-                            sid: Some(tsid(state.tweetbase.get_by_index(idx).sentence.id)),
-                            count: Some(st.mentions.len() as u64),
-                            phase: Some(tphase),
-                            ..TraceEvent::of(TraceEventKind::ScanRecord)
-                        });
-                    }
+                    self.temit(|| TraceEvent {
+                        sid: Some(tsid(state.tweetbase.get_by_index(idx).sentence.id)),
+                        count: Some(st.mentions.len() as u64),
+                        phase: Some(tphase),
+                        ..TraceEvent::of(TraceEventKind::ScanRecord)
+                    });
                     // Dedup against what the record pooled before this
                     // scan. A rescan that finds what the record already
                     // holds pools nothing and leaves the record untouched
@@ -1584,17 +1466,15 @@ impl<'a> Globalizer<'a> {
                                 .add_mention(&m.emb, m.locally_detected);
                             n_pooled += 1;
                         }
-                        if tracing {
-                            self.temit(TraceEvent {
-                                sid: Some(tsid(rec.sentence.id)),
-                                span: Some(tspan(&m.span)),
-                                candidate: Some(m.key),
-                                pooled: Some(pooled),
-                                local_hit: Some(m.locally_detected),
-                                phase: Some(tphase),
-                                ..TraceEvent::of(TraceEventKind::ScanMention)
-                            });
-                        }
+                        self.temit(|| TraceEvent {
+                            sid: Some(tsid(rec.sentence.id)),
+                            span: Some(tspan(&m.span)),
+                            candidate: Some(m.key),
+                            pooled: Some(pooled),
+                            local_hit: Some(m.locally_detected),
+                            phase: Some(tphase),
+                            ..TraceEvent::of(TraceEventKind::ScanMention)
+                        });
                     }
                     if changed {
                         state
@@ -1607,16 +1487,12 @@ impl<'a> Globalizer<'a> {
                         if !state.candidates.get(&key).is_some_and(|rec| rec.degraded) {
                             state.candidates.entry(&key).degraded = true;
                         }
-                        if tracing {
-                            self.temit(TraceEvent {
-                                candidate: Some(key),
-                                phase: Some(tphase),
-                                reason: Some(
-                                    "phrase embedding failed; zero vector pooled".to_string(),
-                                ),
-                                ..TraceEvent::of(TraceEventKind::CandidateDegraded)
-                            });
-                        }
+                        self.temit(|| TraceEvent {
+                            candidate: Some(key),
+                            phase: Some(tphase),
+                            reason: Some("phrase embedding failed; zero vector pooled".to_string()),
+                            ..TraceEvent::of(TraceEventKind::CandidateDegraded)
+                        });
                     }
                 }
                 Err(reason) => {
@@ -1631,12 +1507,11 @@ impl<'a> Globalizer<'a> {
                 }
             }
         }
-        self.metrics.scan_mentions_total.add(n_mentions);
-        self.metrics.pool_embeddings_total.add(n_pooled);
-        self.mon_count(|c| {
-            c.scan_mentions += n_mentions;
-            c.pooled += n_pooled;
-            c.degraded += n_scan_degraded;
+        self.count(BatchObservation {
+            scan_mentions: n_mentions,
+            pooled: n_pooled,
+            degraded: n_scan_degraded,
+            ..BatchObservation::default()
         });
         self.guard_record(
             TracePhase::Pool,
@@ -1650,9 +1525,7 @@ impl<'a> Globalizer<'a> {
                 "record rescan failed persistently",
             );
         }
-        let dt_pool = elapsed_ns(t_pool);
-        state.timings.pool_ns += dt_pool;
-        self.trace_phase_span(TracePhase::Pool, tparent, dt_pool);
+        self.finish(pool_probe, &mut state.timings);
     }
 
     /// Score candidates. Confident verdicts (α/β) freeze; ambiguous ones
@@ -1676,14 +1549,15 @@ impl<'a> Globalizer<'a> {
         resolve_ambiguous: bool,
         n_threads: usize,
     ) {
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.classify_ns);
+        let probe = self.probe(
+            TracePhase::Classify,
+            resolve_ambiguous.then_some(TracePhase::Finalize),
+        );
         // Breaker Open: skip scoring outright and give every unfrozen
         // candidate the end state a persistent classifier failure would
         // have produced — degraded, emission falling back to the local
         // system's detections — with zero retry burn.
         if !self.guard_allows(TracePhase::Classify) {
-            let tracing = emd_trace::enabled();
             let mut n_skipped = 0u64;
             for i in 0..state.candidates.len() {
                 if matches!(
@@ -1694,23 +1568,18 @@ impl<'a> Globalizer<'a> {
                 }
                 state.candidates.mark_degraded(i);
                 n_skipped += 1;
-                if tracing {
-                    self.temit(TraceEvent {
-                        candidate: Some(state.candidates.get_by_index(i).key.clone()),
-                        phase: Some(TracePhase::Classify),
-                        reason: Some("classify breaker open".to_string()),
-                        ..TraceEvent::of(TraceEventKind::CandidateDegraded)
-                    });
-                }
+                self.temit(|| TraceEvent {
+                    candidate: Some(state.candidates.get_by_index(i).key.clone()),
+                    phase: Some(TracePhase::Classify),
+                    reason: Some("classify breaker open".to_string()),
+                    ..TraceEvent::of(TraceEventKind::CandidateDegraded)
+                });
             }
-            self.mon_count(|c| c.degraded += n_skipped);
-            let dt = elapsed_ns(t0);
-            state.timings.classify_ns += dt;
-            self.trace_phase_span(
-                TracePhase::Classify,
-                resolve_ambiguous.then_some(TracePhase::Finalize),
-                dt,
-            );
+            self.count(BatchObservation {
+                degraded: n_skipped,
+                ..BatchObservation::default()
+            });
+            self.finish(probe, &mut state.timings);
             return;
         }
         // Scoring is pure, so it runs panic-isolated with the retry
@@ -1739,40 +1608,15 @@ impl<'a> Globalizer<'a> {
                     _ => Some(rec),
                 })
                 .collect();
-            let n_threads = n_threads.max(1).min(pending.len().max(1));
-            if n_threads == 1 {
-                pending.iter().map(|o| o.map(&score_one)).collect()
-            } else {
-                let chunk = pending.len().div_ceil(n_threads);
-                let chunks: Vec<&[Option<&CandidateRecord>]> = pending.chunks(chunk).collect();
-                let score_ref = &score_one;
-                let shard_results: Vec<Option<Vec<_>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|part| {
-                            scope.spawn(move || {
-                                failpoint::fire("classify_shard");
-                                part.iter().map(|o| o.map(score_ref)).collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().ok()).collect()
-                });
-                let mut scores = Vec::with_capacity(pending.len());
-                for (part, slot) in chunks.iter().zip(shard_results) {
-                    match slot {
-                        Some(v) => scores.extend(v),
-                        None => {
-                            self.note_shard_retry(TracePhase::Classify);
-                            scores.extend(part.iter().map(|o| o.map(score_ref)));
-                        }
-                    }
-                }
-                scores
-            }
+            self.sharded(
+                &pending,
+                n_threads,
+                "classify_shard",
+                TracePhase::Classify,
+                |part| part.iter().map(|o| o.map(&score_one)).collect(),
+            )
         };
         // Phase 2 (sequential): apply labels in discovery order.
-        let tracing = emd_trace::enabled();
         let mut n_scored = 0u64;
         let mut n_accepted = 0u64;
         let mut n_rejected = 0u64;
@@ -1789,14 +1633,12 @@ impl<'a> Globalizer<'a> {
                 Err(reason) => {
                     state.candidates.mark_degraded(i);
                     n_cls_degraded += 1;
-                    if tracing {
-                        self.temit(TraceEvent {
-                            candidate: Some(state.candidates.get_by_index(i).key.clone()),
-                            phase: Some(TracePhase::Classify),
-                            reason: Some(reason),
-                            ..TraceEvent::of(TraceEventKind::CandidateDegraded)
-                        });
-                    }
+                    self.temit(|| TraceEvent {
+                        candidate: Some(state.candidates.get_by_index(i).key.clone()),
+                        phase: Some(TracePhase::Classify),
+                        reason: Some(reason),
+                        ..TraceEvent::of(TraceEventKind::CandidateDegraded)
+                    });
                     continue;
                 }
             };
@@ -1826,52 +1668,37 @@ impl<'a> Globalizer<'a> {
                 CandidateLabel::NonEntity => n_rejected += 1,
                 _ => n_ambiguous += 1,
             }
-            if tracing {
-                self.temit(TraceEvent {
-                    candidate: Some(state.candidates.get_by_index(i).key.clone()),
-                    score: Some(p),
-                    label: Some(trace_label(label)),
-                    final_verdict: Some(resolve_ambiguous),
-                    phase: Some(TracePhase::Classify),
-                    ..TraceEvent::of(TraceEventKind::Verdict)
-                });
-            }
+            self.temit(|| TraceEvent {
+                candidate: Some(state.candidates.get_by_index(i).key.clone()),
+                score: Some(p),
+                label: Some(trace_label(label)),
+                final_verdict: Some(resolve_ambiguous),
+                phase: Some(TracePhase::Classify),
+                ..TraceEvent::of(TraceEventKind::Verdict)
+            });
         }
-        self.metrics.classify_candidates_total.add(n_scored);
-        self.mon_count(|c| {
-            c.scored += n_scored;
-            c.accepted += n_accepted;
-            c.rejected += n_rejected;
-            c.ambiguous += n_ambiguous;
-            c.score_sum += score_sum;
-            c.degraded += n_cls_degraded;
+        self.count(BatchObservation {
+            scored: n_scored,
+            accepted: n_accepted,
+            rejected: n_rejected,
+            ambiguous: n_ambiguous,
+            score_sum,
+            degraded: n_cls_degraded,
+            ..BatchObservation::default()
         });
         self.guard_record(
             TracePhase::Classify,
             n_cls_degraded == 0,
             "candidate scoring failed persistently",
         );
-        let dt = elapsed_ns(t0);
-        state.timings.classify_ns += dt;
-        self.trace_phase_span(
-            TracePhase::Classify,
-            resolve_ambiguous.then_some(TracePhase::Finalize),
-            dt,
-        );
+        self.finish(probe, &mut state.timings);
     }
 
     /// Consume one batch of the stream: Local EMD, candidate registration,
     /// mention extraction over the batch, pooling, and an interim
     /// classification pass (γ candidates stay pending).
     pub fn process_batch(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
-        // Clock read only on the sentinel's behalf; unmonitored runs pay
-        // nothing here.
-        let t0 = self.monitor.is_some().then(Instant::now);
-        self.start_batch(state, batch);
-        self.local_phase(state, batch);
-        self.global_stage(state, batch);
-        self.enforce_window(state);
-        self.observe_batch(state, t0, false);
+        self.process_batch_parallel(state, batch, 1);
     }
 
     /// Advance the batch counter (always — traced and untraced runs must
@@ -1883,40 +1710,37 @@ impl<'a> Globalizer<'a> {
         // Sheds recorded since the last batch ride along (shed batches
         // never start a frame of their own).
         if let Some(m) = &self.monitor {
+            self.batch_latency_ns.store(0, Ordering::Relaxed);
             let mut cell = Self::mon_lock(m);
             let shed = std::mem::take(&mut cell.pending_shed);
             cell.counts = BatchObservation {
                 batch: state.batch_seq,
-                sentences: batch.len() as u64,
                 shed,
                 ..BatchObservation::default()
             };
         }
         self.guard_tick();
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                batch: Some(state.batch_seq),
-                count: Some(batch.len() as u64),
-                ..TraceEvent::of(TraceEventKind::BatchStart)
-            });
-        }
+        self.temit(|| TraceEvent {
+            batch: Some(state.batch_seq),
+            count: Some(batch.len() as u64),
+            ..TraceEvent::of(TraceEventKind::BatchStart)
+        });
     }
 
     /// Like [`Globalizer::process_batch`] but runs Local EMD inference on
-    /// `n_threads` scoped threads. Outputs are identical to the sequential
-    /// path (ingestion stays in stream order).
+    /// `n_threads` scoped threads (inline at one). Outputs are identical
+    /// to the sequential path (ingestion stays in stream order).
     pub fn process_batch_parallel(
         &self,
         state: &mut GlobalizerState,
         batch: &[Sentence],
         n_threads: usize,
     ) {
-        let t0 = self.monitor.is_some().then(Instant::now);
         self.start_batch(state, batch);
-        self.local_phase_parallel(state, batch, n_threads);
+        self.infer_local(state, batch, n_threads);
         self.global_stage(state, batch);
         self.enforce_window(state);
-        self.observe_batch(state, t0, false);
+        self.observe_batch(state, false);
     }
 
     fn global_stage(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
@@ -1931,7 +1755,7 @@ impl<'a> Globalizer<'a> {
             .filter_map(|s| state.tweetbase.index_of(s.id))
             .filter(|i| !state.quarantined_idx.contains(i))
             .collect();
-        self.scan_records(state, &indices, 1, PipelinePhase::Scan);
+        self.scan_records(state, &indices, 1, PipelinePhase::Scan, None);
         if self.config.ablation == Ablation::Full {
             self.classify_candidates(state, false, 1);
         }
@@ -1952,8 +1776,7 @@ impl<'a> Globalizer<'a> {
         if !w.enabled() {
             return;
         }
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.evict_ns);
+        let probe = self.probe(TracePhase::Evict, None);
         if state.tweetbase.len() > w.max_sentences {
             let excess = state.tweetbase.len() - w.max_sentences;
             // Victims: the oldest live slots, ascending (= stream order).
@@ -1979,9 +1802,14 @@ impl<'a> Globalizer<'a> {
                     .copied()
                     .filter(|i| state.dirty.contains(*i))
                     .collect();
-                self.scan_records(state, &settle, 1, PipelinePhase::Scan);
+                self.scan_records(
+                    state,
+                    &settle,
+                    1,
+                    PipelinePhase::Scan,
+                    Some(TracePhase::Evict),
+                );
             }
-            let tracing = emd_trace::enabled();
             let mut n_evicted = 0u64;
             for &i in &victims {
                 state.dirty.remove(i);
@@ -1989,19 +1817,19 @@ impl<'a> Globalizer<'a> {
                 // reused for a live record, and compaction drops it.
                 if let Some(rec) = state.tweetbase.evict(i) {
                     self.freeze_adjacency(state, &rec);
-                    self.metrics.evicted_records_total.inc();
                     n_evicted += 1;
-                    if tracing {
-                        self.temit(TraceEvent {
-                            sid: Some(tsid(rec.sentence.id)),
-                            count: Some(rec.global_mentions.len() as u64),
-                            phase: Some(TracePhase::Evict),
-                            ..TraceEvent::of(TraceEventKind::SentenceEvicted)
-                        });
-                    }
+                    self.temit(|| TraceEvent {
+                        sid: Some(tsid(rec.sentence.id)),
+                        count: Some(rec.global_mentions.len() as u64),
+                        phase: Some(TracePhase::Evict),
+                        ..TraceEvent::of(TraceEventKind::SentenceEvicted)
+                    });
                 }
             }
-            self.mon_count(|c| c.evicted += n_evicted);
+            self.count(BatchObservation {
+                evicted: n_evicted,
+                ..BatchObservation::default()
+            });
             self.prune_candidates(state, w.prune_max_frequency);
             // Amortized O(1): compacting costs O(live + tombstones) and
             // only runs once tombstones outnumber live records.
@@ -2009,13 +1837,11 @@ impl<'a> Globalizer<'a> {
                 let dropped = state.compact();
                 if dropped > 0 {
                     self.metrics.compactions_total.inc();
-                    if tracing {
-                        self.temit(TraceEvent {
-                            count: Some(dropped as u64),
-                            phase: Some(TracePhase::Evict),
-                            ..TraceEvent::of(TraceEventKind::StateCompacted)
-                        });
-                    }
+                    self.temit(|| TraceEvent {
+                        count: Some(dropped as u64),
+                        phase: Some(TracePhase::Evict),
+                        ..TraceEvent::of(TraceEventKind::StateCompacted)
+                    });
                 }
             }
         }
@@ -2027,9 +1853,7 @@ impl<'a> Globalizer<'a> {
                 .resident_bytes
                 .set(state.resident_bytes() as f64);
         }
-        let dt = elapsed_ns(t0);
-        state.timings.evict_ns += dt;
-        self.trace_phase_span(TracePhase::Evict, None, dt);
+        self.finish(probe, &mut state.timings);
     }
 
     /// Fold an evicted record's adjacent-pair occurrences into the frozen
@@ -2096,19 +1920,18 @@ impl<'a> Globalizer<'a> {
         if pruned.is_empty() {
             return;
         }
-        self.mon_count(|c| c.pruned += pruned.len() as u64);
-        let tracing = emd_trace::enabled();
+        self.count(BatchObservation {
+            pruned: pruned.len() as u64,
+            ..BatchObservation::default()
+        });
         for rec in &pruned {
             state.ctrie.remove(state.tweetbase.interner(), &rec.tokens);
-            self.metrics.pruned_candidates_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    candidate: Some(rec.key.clone()),
-                    count: Some(rec.frequency() as u64),
-                    phase: Some(TracePhase::Evict),
-                    ..TraceEvent::of(TraceEventKind::CandidatePruned)
-                });
-            }
+            self.temit(|| TraceEvent {
+                candidate: Some(rec.key.clone()),
+                count: Some(rec.frequency() as u64),
+                phase: Some(TracePhase::Evict),
+                ..TraceEvent::of(TraceEventKind::CandidatePruned)
+            });
         }
     }
 
@@ -2203,39 +2026,34 @@ impl<'a> Globalizer<'a> {
             for &i in &dirty {
                 covered.insert(i);
             }
-            self.scan_records(state, &dirty, n_threads, PipelinePhase::FinalizeRescan);
-            let t_promo = Instant::now();
+            self.scan_records(
+                state,
+                &dirty,
+                n_threads,
+                PipelinePhase::FinalizeRescan,
+                Some(TracePhase::Finalize),
+            );
+            let probe = self.probe(TracePhase::Promotion, Some(TracePhase::Finalize));
             let promotions = self.find_promotions(state);
-            let dt_promo = elapsed_ns(t_promo);
-            state.timings.promotion_ns += dt_promo;
-            self.trace_phase_span(TracePhase::Promotion, Some(TracePhase::Finalize), dt_promo);
+            self.finish(probe, &mut state.timings);
             if promotions.is_empty() {
                 break;
             }
             for tokens in promotions {
                 if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
                     n_promoted += 1;
-                    if emd_trace::enabled() {
-                        self.temit(TraceEvent {
-                            candidate: Some(tokens.join(" ")),
-                            phase: Some(TracePhase::Promotion),
-                            ..TraceEvent::of(TraceEventKind::Promotion)
-                        });
-                    }
+                    self.temit(|| TraceEvent {
+                        candidate: Some(tokens.join(" ")),
+                        phase: Some(TracePhase::Promotion),
+                        ..TraceEvent::of(TraceEventKind::Promotion)
+                    });
                     Self::mark_dirty(state, &tokens);
                 }
             }
         }
         self.metrics
-            .finalize_rescan_sentences_total
-            .add(n_rescanned as u64);
-        self.metrics
-            .finalize_promotions_total
-            .add(n_promoted as u64);
-        self.metrics
             .rescan_coverage
             .set(covered.len() as f64 / state.tweetbase.len().max(1) as f64);
-        self.mon_count(|c| c.promoted += n_promoted as u64);
         (n_rescanned, n_promoted)
     }
 
@@ -2245,13 +2063,11 @@ impl<'a> Globalizer<'a> {
         n_rescanned: usize,
         n_promoted: usize,
     ) -> GlobalizerOutput {
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                ablation: Some(trace_ablation(self.config.ablation)),
-                count: Some(state.tweetbase.len() as u64),
-                ..TraceEvent::of(TraceEventKind::EmitStart)
-            });
-        }
+        self.temit(|| TraceEvent {
+            ablation: Some(trace_ablation(self.config.ablation)),
+            count: Some(state.tweetbase.len() as u64),
+            ..TraceEvent::of(TraceEventKind::EmitStart)
+        });
         let mut per_sentence = Vec::with_capacity(state.tweetbase.len());
         for (idx, rec) in state.tweetbase.iter_indexed() {
             if state.quarantined_idx.contains(&idx) {
@@ -2327,27 +2143,12 @@ impl<'a> Globalizer<'a> {
         state: &mut GlobalizerState,
         n_threads: usize,
     ) -> GlobalizerOutput {
-        let t0m = self.monitor.is_some().then(Instant::now);
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.finalize_ns);
+        let probe = self.probe(TracePhase::Finalize, None);
         // The closing pass counts as one breaker tick: a served cooldown
         // lets finalize probe a phase that was Open at the last batch.
         self.guard_tick();
         let (n_rescanned, n_promoted) = self.close_stream(state, n_threads);
-        if self.config.ablation == Ablation::Full {
-            self.classify_candidates(state, true, n_threads);
-        }
-        let t_emit = Instant::now();
-        let mut out = self.emit(state, n_rescanned, n_promoted);
-        let dt_emit = elapsed_ns(t_emit);
-        state.timings.emit_ns += dt_emit;
-        self.trace_phase_span(TracePhase::Emit, Some(TracePhase::Finalize), dt_emit);
-        let dt_total = elapsed_ns(t0);
-        state.timings.finalize_ns += dt_total;
-        self.trace_phase_span(TracePhase::Finalize, None, dt_total);
-        out.phase_timings = state.timings.clone();
-        self.observe_batch(state, t0m, true);
-        out
+        self.close_epilogue(state, probe, n_threads, n_rescanned, n_promoted)
     }
 
     /// Brute-force reference for [`Globalizer::finalize`]: rescans *every*
@@ -2359,9 +2160,7 @@ impl<'a> Globalizer<'a> {
         if self.config.ablation == Ablation::LocalOnly {
             return self.emit(state, 0, 0);
         }
-        let t0m = self.monitor.is_some().then(Instant::now);
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.finalize_ns);
+        let probe = self.probe(TracePhase::Finalize, None);
         self.guard_tick();
         let mut n_rescanned = 0;
         let mut n_promoted = 0;
@@ -2375,49 +2174,61 @@ impl<'a> Globalizer<'a> {
                 .filter(|i| !state.quarantined_idx.contains(i))
                 .collect();
             n_rescanned += all.len();
-            self.scan_records(state, &all, 1, PipelinePhase::FinalizeRescan);
-            let t_promo = Instant::now();
+            self.scan_records(
+                state,
+                &all,
+                1,
+                PipelinePhase::FinalizeRescan,
+                Some(TracePhase::Finalize),
+            );
+            let promo = self.probe(TracePhase::Promotion, Some(TracePhase::Finalize));
             let promotions = self.find_promotions(state);
-            let dt_promo = elapsed_ns(t_promo);
-            state.timings.promotion_ns += dt_promo;
-            self.trace_phase_span(TracePhase::Promotion, Some(TracePhase::Finalize), dt_promo);
+            self.finish(promo, &mut state.timings);
             if promotions.is_empty() {
                 break;
             }
             for tokens in promotions {
                 if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
                     n_promoted += 1;
-                    if emd_trace::enabled() {
-                        self.temit(TraceEvent {
-                            candidate: Some(tokens.join(" ")),
-                            phase: Some(TracePhase::Promotion),
-                            ..TraceEvent::of(TraceEventKind::Promotion)
-                        });
-                    }
+                    self.temit(|| TraceEvent {
+                        candidate: Some(tokens.join(" ")),
+                        phase: Some(TracePhase::Promotion),
+                        ..TraceEvent::of(TraceEventKind::Promotion)
+                    });
                 }
             }
         }
+        self.metrics.rescan_coverage.set(1.0);
+        self.close_epilogue(state, probe, 1, n_rescanned, n_promoted)
+    }
+
+    /// The close both finalize paths share: counting the closing pass,
+    /// γ resolution, emission, the finalize probe's reading, and the
+    /// closing sentinel observation.
+    fn close_epilogue(
+        &self,
+        state: &mut GlobalizerState,
+        probe: PhaseProbe<'_>,
+        n_threads: usize,
+        n_rescanned: usize,
+        n_promoted: usize,
+    ) -> GlobalizerOutput {
         self.metrics
             .finalize_rescan_sentences_total
             .add(n_rescanned as u64);
-        self.metrics
-            .finalize_promotions_total
-            .add(n_promoted as u64);
-        self.metrics.rescan_coverage.set(1.0);
-        self.mon_count(|c| c.promoted += n_promoted as u64);
+        self.count(BatchObservation {
+            promoted: n_promoted as u64,
+            ..BatchObservation::default()
+        });
         if self.config.ablation == Ablation::Full {
-            self.classify_candidates(state, true, 1);
+            self.classify_candidates(state, true, n_threads);
         }
-        let t_emit = Instant::now();
+        let emit = self.probe(TracePhase::Emit, Some(TracePhase::Finalize));
         let mut out = self.emit(state, n_rescanned, n_promoted);
-        let dt_emit = elapsed_ns(t_emit);
-        state.timings.emit_ns += dt_emit;
-        self.trace_phase_span(TracePhase::Emit, Some(TracePhase::Finalize), dt_emit);
-        let dt_total = elapsed_ns(t0);
-        state.timings.finalize_ns += dt_total;
-        self.trace_phase_span(TracePhase::Finalize, None, dt_total);
+        self.finish(emit, &mut state.timings);
+        self.finish(probe, &mut state.timings);
         out.phase_timings = state.timings.clone();
-        self.observe_batch(state, t0m, true);
+        self.observe_batch(state, true);
         out
     }
 
@@ -3282,10 +3093,10 @@ mod tests {
             ..Default::default()
         };
         let mut g = Globalizer::new(&local, None, &clf, cfg);
-        // Recording is process-global and off by default; flip it on (and
-        // leave it on — the pipeline is bit-identical either way) so the
-        // private registry actually sees the window counters.
-        emd_obs::set_enabled(true);
+        // Recording is process-global and off by default; hold it on for
+        // this test so the private registry actually sees the window
+        // counters.
+        let _obs = crate::obs::tests::obs_switch(true);
         let reg = emd_obs::Registry::new();
         g.set_metrics(PipelineMetrics::from_registry(&reg));
         let msgs: Vec<Vec<&str>> = (0..12).map(|_| vec!["Italy", "reports"]).collect();
@@ -3427,7 +3238,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = Globalizer::new(&local, None, &clf, cfg);
-        emd_obs::set_enabled(true);
+        let _obs = crate::obs::tests::obs_switch(true);
         let reg = emd_obs::Registry::new();
         g.set_metrics(PipelineMetrics::from_registry(&reg));
         // "Oddity" appears once at the very start (frequency 1); every

@@ -1,24 +1,32 @@
 //! Pipeline observability: named metric handles for every Globalizer
-//! phase, plus the always-on per-run [`PhaseTimings`] breakdown.
+//! phase, the always-on per-run [`PhaseTimings`] breakdown, and the
+//! `PhaseProbe` that feeds both.
 //!
-//! Two complementary mechanisms:
+//! One probe, three sinks: each phase call starts one `PhaseProbe` and
+//! finishes it once, and that single clock reading goes
 //!
-//! * [`PipelineMetrics`] — handles into an [`emd_obs::Registry`]
-//!   (the process-wide [`emd_obs::global`] one by default). Counters,
-//!   gauges, and latency histograms across runs; gated on the global
-//!   enabled flag ([`emd_obs::set_enabled`]), so an uninstrumented binary
-//!   pays only a relaxed load + branch per phase.
-//! * [`PhaseTimings`] — cumulative per-run wall-clock nanoseconds per
-//!   phase, accumulated unconditionally (one `Instant` read per phase
-//!   *call*, not per record) in the [`crate::GlobalizerState`] and copied
-//!   into [`crate::GlobalizerOutput::phase_timings`] at finalize. This is
-//!   what experiments persist to `results/` JSON.
+//! * into the phase's [`PhaseTimings`] field, always (copied into
+//!   [`crate::GlobalizerOutput::phase_timings`] at finalize; experiments
+//!   persist it and the benchmark's `phase.*` rows read it);
+//! * into the phase's `emd_pipeline_*_ns` histogram while emd-obs
+//!   recording is on ([`emd_obs::set_enabled`]), tagged with the trace
+//!   seq the phase started at when tracing is on too;
+//! * into the phase's `PhaseSpan` trace event while tracing is on.
+//!
+//! A top-level reading is also the attached sentinel's batch latency.
+//! Phases are inclusive: a nested probe (a settle rescan inside `evict`,
+//! the sub-phases of `finalize`) names its parent. Per-batch facts are
+//! counted alike: one `PipelineMetrics::count` call bumps the `emd_*`
+//! counters and the sentinel's [`BatchObservation`].
 //!
 //! Metric names follow `emd_<area>_<metric>_<unit>` (see DESIGN.md
 //! § "Observability").
 
 use emd_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
+use emd_sentinel::BatchObservation;
+use emd_trace::{TraceEvent, TraceEventKind, TracePhase, TraceSink};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Cumulative wall-clock nanoseconds spent in each pipeline phase over
 /// one run (one `GlobalizerState`'s lifetime). Accumulated at phase-call
@@ -194,6 +202,167 @@ impl PipelineMetrics {
     pub fn from_scope(scope: &emd_obs::Scope) -> PipelineMetrics {
         PipelineMetrics::from_registry(scope.registry())
     }
+
+    /// Push one trace event when tracing is on, keeping the `emd_trace_*`
+    /// meta-counters in step. `ev` is built only then, so the disabled
+    /// path allocates nothing; returns the event's seq, `None` when off
+    /// or dropped.
+    pub(crate) fn push_trace(
+        &self,
+        trace: &TraceSink,
+        ev: impl FnOnce() -> TraceEvent,
+    ) -> Option<u64> {
+        if !emd_trace::enabled() {
+            return None;
+        }
+        let seq = trace.push(ev());
+        match seq {
+            Some(_) => self.trace_events_total.inc(),
+            None => self.trace_dropped_events_total.inc(),
+        }
+        seq
+    }
+
+    /// Count one slice of a batch's facts: each field of `d` adds to its
+    /// `emd_*` counter, and the whole of `d` adds into `obs`, the attached
+    /// sentinel's running observation, when there is one. The one place
+    /// a [`BatchObservation`] field maps to its counter; the verdict
+    /// split, score sum, degraded count, sheds and latency have no
+    /// counter and reach the sentinel alone.
+    pub(crate) fn count(&self, d: BatchObservation, obs: Option<&mut BatchObservation>) {
+        for (counter, n) in [
+            (&self.sentences_total, d.sentences),
+            (&self.local_spans_total, d.local_spans),
+            (&self.trie_inserts_total, d.trie_inserts),
+            (&self.scan_mentions_total, d.scan_mentions),
+            (&self.pool_embeddings_total, d.pooled),
+            (&self.classify_candidates_total, d.scored),
+            (&self.quarantined_total, d.quarantined),
+            (&self.evicted_records_total, d.evicted),
+            (&self.pruned_candidates_total, d.pruned),
+            (&self.finalize_promotions_total, d.promoted),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        if let Some(o) = obs {
+            o.sentences += d.sentences;
+            o.local_spans += d.local_spans;
+            o.trie_inserts += d.trie_inserts;
+            o.scan_mentions += d.scan_mentions;
+            o.pooled += d.pooled;
+            o.scored += d.scored;
+            o.accepted += d.accepted;
+            o.rejected += d.rejected;
+            o.ambiguous += d.ambiguous;
+            o.score_sum += d.score_sum;
+            o.quarantined += d.quarantined;
+            o.degraded += d.degraded;
+            o.evicted += d.evicted;
+            o.pruned += d.pruned;
+            o.promoted += d.promoted;
+            o.shed += d.shed;
+            o.latency_ns += d.latency_ns;
+        }
+    }
+}
+
+/// The views one phase's readings accrue into: its [`PhaseTimings`]
+/// field and, for the phases that have one, its `emd_pipeline_*_ns`
+/// histogram (promotion and emit have none). The finalize-time rescan
+/// accrues into the scan views. The one place a [`TracePhase`] maps
+/// onto the phase views.
+pub(crate) fn phase_views<'t, 'm>(
+    phase: TracePhase,
+    timings: &'t mut PhaseTimings,
+    metrics: &'m PipelineMetrics,
+) -> (&'t mut u64, Option<&'m Histogram>) {
+    match phase {
+        TracePhase::LocalInfer => (&mut timings.local_infer_ns, Some(&metrics.local_infer_ns)),
+        TracePhase::Ingest => (&mut timings.ingest_ns, Some(&metrics.ingest_ns)),
+        TracePhase::Scan | TracePhase::FinalizeRescan => {
+            (&mut timings.scan_ns, Some(&metrics.scan_ns))
+        }
+        TracePhase::Pool => (&mut timings.pool_ns, Some(&metrics.pool_ns)),
+        TracePhase::Classify => (&mut timings.classify_ns, Some(&metrics.classify_ns)),
+        TracePhase::Promotion => (&mut timings.promotion_ns, None),
+        TracePhase::Emit => (&mut timings.emit_ns, None),
+        TracePhase::Finalize => (&mut timings.finalize_ns, Some(&metrics.finalize_ns)),
+        TracePhase::Evict => (&mut timings.evict_ns, Some(&metrics.evict_ns)),
+        TracePhase::TrieRegister | TracePhase::Supervisor => {
+            unreachable!("{} has no phase views", phase.name())
+        }
+    }
+}
+
+/// One phase call's observation: a single clock reading that
+/// [`PhaseProbe::finish`] fans out to the phase's [`PhaseTimings`]
+/// field, its histogram and its `PhaseSpan` trace event (see the module
+/// doc). A probe dropped unfinished, e.g. by a panic unwinding through
+/// the phase, records nothing in any view.
+#[must_use = "a probe records only when finished"]
+#[derive(Debug)]
+pub(crate) struct PhaseProbe<'a> {
+    metrics: &'a PipelineMetrics,
+    trace: &'a TraceSink,
+    phase: TracePhase,
+    parent: Option<TracePhase>,
+    system: Option<&'a str>,
+    /// The trace's next sequence number at start, captured only when
+    /// both the metrics and the trace switches are on: the first event
+    /// the phase emits gets it, so the histogram bucket links into the
+    /// trace.
+    exemplar: Option<u64>,
+    t0: Instant,
+}
+
+impl<'a> PhaseProbe<'a> {
+    /// Start observing `phase`, nested under `parent` (`None` for a
+    /// top-level phase). `system` names the Local EMD system on the
+    /// local-inference span.
+    pub(crate) fn start(
+        metrics: &'a PipelineMetrics,
+        trace: &'a TraceSink,
+        phase: TracePhase,
+        parent: Option<TracePhase>,
+        system: Option<&'a str>,
+    ) -> PhaseProbe<'a> {
+        let exemplar = (emd_obs::enabled() && emd_trace::enabled()).then(|| trace.next_seq());
+        PhaseProbe {
+            metrics,
+            trace,
+            phase,
+            parent,
+            system,
+            exemplar,
+            t0: Instant::now(),
+        }
+    }
+
+    /// The phase this probe nests under, if any.
+    pub(crate) fn parent(&self) -> Option<TracePhase> {
+        self.parent
+    }
+
+    /// Take the one reading and feed it to every view; returns it in
+    /// nanoseconds.
+    pub(crate) fn finish(self, timings: &mut PhaseTimings) -> u64 {
+        let ns = self.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let (field, hist) = phase_views(self.phase, timings, self.metrics);
+        *field += ns;
+        if let Some(hist) = hist {
+            hist.record_with_exemplar(ns, self.exemplar);
+        }
+        self.metrics.push_trace(self.trace, || TraceEvent {
+            phase: Some(self.phase),
+            parent: self.parent,
+            dur_ns: Some(ns),
+            system: self.system.map(str::to_string),
+            ..TraceEvent::of(TraceEventKind::PhaseSpan)
+        });
+        ns
+    }
 }
 
 impl Default for PipelineMetrics {
@@ -203,8 +372,18 @@ impl Default for PipelineMetrics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Set the process-wide emd-obs switch for a test. Tests that flip
+    /// the switch hold the returned lock, so one that turns recording off
+    /// cannot interleave with one that needs it on.
+    pub(crate) fn obs_switch(on: bool) -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        emd_obs::set_enabled(on);
+        guard
+    }
 
     #[test]
     fn snapshot_contains_every_pipeline_metric() {
@@ -279,6 +458,64 @@ mod tests {
         let sum: u64 = pairs.iter().map(|&(_, v)| v).sum();
         assert_eq!(sum, 45);
         assert_eq!(t.batch_total_ns(), 15);
+    }
+
+    #[test]
+    fn one_count_call_feeds_counters_and_observation() {
+        let _obs = obs_switch(true);
+        let m = PipelineMetrics::from_registry(&Registry::new());
+        let d = BatchObservation {
+            sentences: 3,
+            scored: 2,
+            accepted: 1,
+            score_sum: 1.5,
+            promoted: 4,
+            latency_ns: 9,
+            ..BatchObservation::default()
+        };
+        let mut obs = BatchObservation::default();
+        m.count(d.clone(), Some(&mut obs));
+        m.count(d.clone(), None);
+        assert_eq!(obs, d);
+        assert_eq!(m.sentences_total.get(), 6);
+        assert_eq!(m.classify_candidates_total.get(), 4);
+        assert_eq!(m.finalize_promotions_total.get(), 8);
+    }
+
+    #[test]
+    fn one_probe_reading_feeds_timings_and_histogram() {
+        let _obs = obs_switch(true);
+        let m = PipelineMetrics::from_registry(&Registry::new());
+        let sink = TraceSink::with_capacity(16);
+        let mut t = PhaseTimings::default();
+        let fin = Some(TracePhase::Finalize);
+        let scan = PhaseProbe::start(&m, &sink, TracePhase::FinalizeRescan, fin, None);
+        let a = scan.finish(&mut t);
+        let b = PhaseProbe::start(&m, &sink, TracePhase::Emit, fin, None).finish(&mut t);
+        assert_eq!((t.scan_ns, t.emit_ns), (a, b));
+        assert_eq!((m.scan_ns.count(), m.scan_ns.sum()), (1, a));
+    }
+
+    /// With emd-obs off the probe still times the phase into
+    /// `PhaseTimings` and the trace, but reads no exemplar seq at start
+    /// and records nothing into the histogram.
+    #[test]
+    fn noop_probe_reads_no_exemplar_and_records_no_sample() {
+        let _obs = obs_switch(false);
+        emd_trace::set_enabled(true);
+        let m = PipelineMetrics::from_registry(&Registry::new());
+        let sink = TraceSink::with_capacity(16);
+        let mut t = PhaseTimings::default();
+        let probe = PhaseProbe::start(&m, &sink, TracePhase::Classify, None, None);
+        let exemplar = probe.exemplar;
+        let ns = probe.finish(&mut t);
+        emd_trace::set_enabled(false);
+        assert_eq!(exemplar, None);
+        assert_eq!(t.classify_ns, ns);
+        assert_eq!(m.classify_ns.count(), 0);
+        let spans = sink.drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].dur_ns, Some(ns));
     }
 
     #[test]

@@ -391,18 +391,9 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
 
     /// Push one supervisor-level trace event, keeping the meta-counters
     /// in step with [`Globalizer`]'s own emission.
-    fn temit(&self, ev: TraceEvent) -> Option<u64> {
-        let m = self.globalizer.metrics();
-        match self.globalizer.trace().push(ev) {
-            Some(seq) => {
-                m.trace_events_total.inc();
-                Some(seq)
-            }
-            None => {
-                m.trace_dropped_events_total.inc();
-                None
-            }
-        }
+    fn temit(&self, ev: impl FnOnce() -> TraceEvent) -> Option<u64> {
+        let g = self.globalizer;
+        g.metrics().push_trace(g.trace(), ev)
     }
 
     /// Append one record to the dead-letter JSONL sibling of the
@@ -440,21 +431,16 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         batch: &[Sentence],
         phase: PipelinePhase,
         reason: &str,
-        tracing: bool,
     ) {
         let m = self.globalizer.metrics();
         for s in batch.iter() {
             m.quarantined_total.inc();
-            let trace_event = if tracing {
-                self.temit(TraceEvent {
-                    sid: Some((s.id.tweet_id, s.id.sent_id)),
-                    phase: Some(TracePhase::Supervisor),
-                    reason: Some(reason.to_string()),
-                    ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
-                })
-            } else {
-                None
-            };
+            let trace_event = self.temit(|| TraceEvent {
+                sid: Some((s.id.tweet_id, s.id.sent_id)),
+                phase: Some(TracePhase::Supervisor),
+                reason: Some(reason.to_string()),
+                ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
+            });
             state.quarantined.push(QuarantineEntry {
                 sid: s.id,
                 phase,
@@ -555,7 +541,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
                 } else {
                     last_err
                 };
-                self.quarantine_batch(state, batch, PipelinePhase::Supervisor, &reason, tracing);
+                self.quarantine_batch(state, batch, PipelinePhase::Supervisor, &reason);
                 self.dead_letter_persist(ctx, batch_index as u64, &reason, batch);
                 if tracing {
                     ctx.trace_events.extend(sink.drain());
@@ -592,15 +578,13 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         let dropped = state.compact();
         if dropped > 0 {
             m.compactions_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    count: Some(dropped as u64),
-                    phase: Some(TracePhase::Supervisor),
-                    ..TraceEvent::of(TraceEventKind::StateCompacted)
-                });
-            }
+            self.temit(|| TraceEvent {
+                count: Some(dropped as u64),
+                phase: Some(TracePhase::Supervisor),
+                ..TraceEvent::of(TraceEventKind::StateCompacted)
+            });
         }
-        self.join_write(writer, tracing, ctx);
+        self.join_write(writer, ctx);
         let snapshot = state.clone();
         let batch_seq = snapshot.batch_seq;
         let path = path.clone();
@@ -623,7 +607,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
     /// Wait for the write in flight, if any, and account for it:
     /// `CheckpointSaved` (stamped with the snapshot's batch) only for a
     /// write that landed. A panic on the writer re-raises here.
-    fn join_write(&self, writer: &mut CheckpointWriter, tracing: bool, ctx: &mut ServiceCtx) {
+    fn join_write(&self, writer: &mut CheckpointWriter, ctx: &mut ServiceCtx) {
         let Some(w) = writer.in_flight.take() else {
             return;
         };
@@ -634,14 +618,12 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         match joined {
             Ok(Ok(())) => {
                 ctx.checkpoints_written += 1;
-                if tracing {
-                    self.temit(TraceEvent {
-                        batch: Some(w.batch_seq),
-                        count: Some(w.serviced as u64),
-                        phase: Some(TracePhase::Supervisor),
-                        ..TraceEvent::of(TraceEventKind::CheckpointSaved)
-                    });
-                }
+                self.temit(|| TraceEvent {
+                    batch: Some(w.batch_seq),
+                    count: Some(w.serviced as u64),
+                    phase: Some(TracePhase::Supervisor),
+                    ..TraceEvent::of(TraceEventKind::CheckpointSaved)
+                });
             }
             Ok(Err(_)) => ctx.checkpoint_write_failures += 1,
             Err(panic) => std::panic::resume_unwind(panic),
@@ -666,13 +648,13 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             // batch, so replayed-suffix events slot in right after the
             // events the interrupted run had already flushed.
             sink.set_next_seq(state.trace_seq);
-            self.temit(TraceEvent {
+            self.temit(|| TraceEvent {
                 count: Some(completed as u64),
                 phase: Some(TracePhase::Supervisor),
                 ..TraceEvent::of(TraceEventKind::CheckpointRestored)
             });
             if generation > 0 {
-                self.temit(TraceEvent {
+                self.temit(|| TraceEvent {
                     count: Some(generation as u64),
                     reason: discard_reason.clone(),
                     phase: Some(TracePhase::Supervisor),
@@ -758,7 +740,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             }
             let output = self.globalizer.finalize(&mut state);
             // The last write overlaps the closing pass.
-            self.join_write(&mut writer, tracing, &mut ctx);
+            self.join_write(&mut writer, &mut ctx);
             if tracing {
                 ctx.trace_events.extend(sink.drain());
             }
@@ -794,16 +776,14 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         m.guard_shed_total.inc();
         self.globalizer.note_shed(batch.len() as u64);
         let reason = policy.name();
-        if tracing {
-            self.temit(TraceEvent {
-                batch: Some(serviced as u64),
-                count: Some(batch.len() as u64),
-                reason: Some(reason.to_string()),
-                phase: Some(TracePhase::Supervisor),
-                ..TraceEvent::of(TraceEventKind::BatchShed)
-            });
-        }
-        self.quarantine_batch(state, batch, PipelinePhase::Admission, reason, tracing);
+        self.temit(|| TraceEvent {
+            batch: Some(serviced as u64),
+            count: Some(batch.len() as u64),
+            reason: Some(reason.to_string()),
+            phase: Some(TracePhase::Supervisor),
+            ..TraceEvent::of(TraceEventKind::BatchShed)
+        });
+        self.quarantine_batch(state, batch, PipelinePhase::Admission, reason);
         self.dead_letter_persist(ctx, batch_index as u64, reason, batch);
         if policy == OverloadPolicy::ShedToLocalOnly {
             ctx.local_only_output
@@ -899,7 +879,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             }
             m.guard_queue_depth.set(0.0);
             let output = self.globalizer.finalize(&mut state);
-            self.join_write(&mut writer, tracing, &mut ctx);
+            self.join_write(&mut writer, &mut ctx);
             if tracing {
                 ctx.trace_events.extend(sink.drain());
             }

@@ -11,8 +11,9 @@
 //!   estimation and per-bucket trace **exemplars** — safe to record into
 //!   from any number of threads;
 //! * lightweight RAII [`Timer`] spans that measure a scope and record the
-//!   elapsed nanoseconds into a histogram on drop (optionally tagged with
-//!   a trace sequence exemplar via [`Timer::start_tagged`]);
+//!   elapsed nanoseconds into a histogram on drop (a sample tagged with a
+//!   trace sequence exemplar goes through
+//!   [`Histogram::record_with_exemplar`]);
 //! * per-stream [`Scope`]s managed by a cardinality-capped [`ScopeSet`]
 //!   whose roll-up snapshot renders every stream as labeled series plus a
 //!   process-level aggregate on one Prometheus page ([`promcheck`] is

@@ -14,7 +14,7 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct Timer {
     // None in noop mode: no clock read on either end of the span.
-    inner: Option<(Instant, Histogram, Option<u64>)>,
+    inner: Option<(Instant, Histogram)>,
 }
 
 impl Timer {
@@ -23,25 +23,7 @@ impl Timer {
     pub fn start(hist: &Histogram) -> Timer {
         Timer {
             inner: if crate::enabled() {
-                Some((Instant::now(), hist.clone(), None))
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Start timing a span whose recorded sample carries an exemplar.
-    /// `exemplar` is evaluated once, at span start and only when
-    /// recording is enabled (noop mode never calls it); returning
-    /// `Some(seq)` tags the histogram bucket the sample lands in with
-    /// that trace sequence number. Capture `TraceSink::next_seq()` here
-    /// and the exemplar points at the first trace event emitted inside
-    /// the measured span.
-    #[inline]
-    pub fn start_tagged(hist: &Histogram, exemplar: impl FnOnce() -> Option<u64>) -> Timer {
-        Timer {
-            inner: if crate::enabled() {
-                Some((Instant::now(), hist.clone(), exemplar()))
+                Some((Instant::now(), hist.clone()))
             } else {
                 None
             },
@@ -56,9 +38,9 @@ impl Timer {
 
     fn finish(&mut self) -> u64 {
         match self.inner.take() {
-            Some((t0, hist, exemplar)) => {
+            Some((t0, hist)) => {
                 let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                hist.record_with_exemplar(ns, exemplar);
+                hist.record(ns);
                 ns
             }
             None => 0,
@@ -105,26 +87,6 @@ mod tests {
         let _g = test_lock::disable();
         let h = Histogram::new();
         let ns = Timer::start(&h).stop();
-        assert_eq!(ns, 0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn tagged_timer_records_an_exemplar() {
-        let _g = test_lock::enable();
-        let h = Histogram::new();
-        Timer::start_tagged(&h, || Some(42)).stop();
-        let snap = h.snapshot("t_ns");
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.exemplars.len(), 1);
-        assert_eq!(snap.exemplars[0].trace_seq, 42);
-    }
-
-    #[test]
-    fn noop_tagged_timer_never_evaluates_the_exemplar() {
-        let _g = test_lock::disable();
-        let h = Histogram::new();
-        let ns = Timer::start_tagged(&h, || panic!("must not run in noop mode")).stop();
         assert_eq!(ns, 0);
         assert_eq!(h.count(), 0);
     }

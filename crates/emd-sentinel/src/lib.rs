@@ -93,7 +93,8 @@ pub struct BatchObservation {
     /// Sentences shed by the admission gate before this batch ran
     /// (overload pressure; zero in unguarded runs).
     pub shed: u64,
-    /// Wall-clock nanoseconds spent on the batch.
+    /// Wall-clock nanoseconds spent on the batch: the sum of its
+    /// top-level phase readings (finalize's own reading when closing).
     pub latency_ns: u64,
 }
 

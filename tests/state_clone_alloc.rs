@@ -24,31 +24,26 @@ use emd_globalizer::nn::param::Net;
 use emd_globalizer::text::token::{Sentence, SentenceId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// System allocator wrapper that counts allocation calls made by threads
-/// that opted in, so other test threads never disturb the count.
+/// System allocator wrapper that counts the allocation calls of threads
+/// that opted in, each into its own counter, so tests running on other
+/// threads never disturb a count.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// `Some((calls, fresh bytes))` while this thread counts.
+    static COUNT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 /// Count one allocation call; `fresh_bytes` is the size of a fresh block
 /// (zero for a reallocation, see [`count_alloc_bytes`]).
 fn note_alloc(fresh_bytes: usize) {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(fresh_bytes, Ordering::Relaxed);
-    }
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|(n, b)| (n + 1, b + fresh_bytes))));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only an
-// atomic and a const-initialised thread-local, neither of which allocates.
+// which upholds the `GlobalAlloc` contract; the counting touches only a
+// const-initialised thread-local, which does not allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_alloc(layout.size());
@@ -80,15 +75,10 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// vector, the posting lists) grow by O(window) on the next batch in any
 /// design, so reallocations count as calls but not as bytes.
 fn count_alloc_bytes<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    COUNTING.with(|c| c.set(true));
+    COUNT.with(|c| c.set(Some((0, 0))));
     let out = f();
-    COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before.0;
-    (out, allocs, BYTES.load(Ordering::Relaxed) - before.1)
+    let (allocs, bytes) = COUNT.with(|c| c.take()).unwrap_or((0, 0));
+    (out, allocs, bytes)
 }
 
 const VOCAB: usize = 600;

@@ -7,24 +7,28 @@
 //!   log reconstructs the pipeline's final mention set and summary counts
 //!   exactly, across streams exercising incremental rescan, adjacent-pair
 //!   promotion, degraded fallback, and quarantine.
+//! * **Phase views** — one reading per phase call: the phase histograms,
+//!   `PhaseTimings` and the `PhaseSpan` events agree exactly, and settle
+//!   rescans nest under `evict`.
 
-use emd_globalizer::core::config::Ablation;
+use emd_globalizer::core::config::{Ablation, WindowConfig};
 use emd_globalizer::core::globalizer::GlobalizerState;
 use emd_globalizer::core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
+use emd_globalizer::core::obs::PipelineMetrics;
 use emd_globalizer::core::supervisor::{StreamSupervisor, SupervisorConfig};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig, GlobalizerOutput};
 use emd_globalizer::nn::param::Net;
 use emd_globalizer::resilience::failpoint::{self, Schedule};
 use emd_globalizer::text::token::{Sentence, SentenceId};
 use emd_globalizer::trace::audit::{replay, ReplayedOutput};
-use emd_globalizer::trace::{TraceEventKind, TraceSink};
+use emd_globalizer::trace::{flame, TraceEvent, TraceEventKind, TracePhase, TraceSink};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
-/// The tracing switch and the fail-point registry are process-global, and
-/// cargo's harness runs the tests in this binary on multiple threads:
-/// serialise every test here and restore the default (tracing off, all
-/// fail points disarmed) on drop.
+/// The tracing and metrics switches and the fail-point registry are
+/// process-global, and cargo's harness runs the tests in this binary on
+/// multiple threads: serialise every test here and restore the default
+/// (tracing and metrics off, all fail points disarmed) on drop.
 static TRACE_FLAG: Mutex<()> = Mutex::new(());
 
 struct TraceGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
@@ -32,6 +36,7 @@ struct TraceGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 impl Drop for TraceGuard {
     fn drop(&mut self) {
         emd_globalizer::trace::set_enabled(false);
+        emd_globalizer::obs::set_enabled(false);
         failpoint::disarm_all();
     }
 }
@@ -433,5 +438,161 @@ fn supervised_checkpoint_events_carry_their_snapshot_batch() {
         let _ = std::fs::remove_file(emd_globalizer::resilience::checkpoint::generation_path(
             &path, k,
         ));
+    }
+}
+
+/// Local system that tags lexicon words only when capitalised, so a
+/// lower-case mention stays unseen until a later sentence registers the
+/// candidate and dirties it.
+struct CapitalisedLexiconEmd(LexiconEmd);
+
+impl LocalEmd for CapitalisedLexiconEmd {
+    fn name(&self) -> &str {
+        "CapitalisedLexiconEmd"
+    }
+    fn embedding_dim(&self) -> Option<usize> {
+        None
+    }
+    fn process(&self, sentence: &Sentence) -> LocalEmdOutput {
+        let mut out = self.0.process(sentence);
+        out.spans.retain(|sp| {
+            sentence.tokens[sp.start]
+                .text
+                .starts_with(char::is_uppercase)
+        });
+        out
+    }
+}
+
+/// A traced run over a 4-sentence window in batches of 2 that evicts,
+/// settles and promotes: "zutav" is first seen lower-case in sentence 0
+/// and registered by sentence 4, which dirties sentence 0 in the batch
+/// that evicts it; "Moross Lumsa" is adjacent in four sentences.
+fn windowed_run(g: &mut Globalizer) -> (GlobalizerOutput, Vec<TraceEvent>) {
+    let msgs: [&[&str]; 10] = [
+        &["zutav", "report", "news"],
+        &["Moross", "Lumsa", "visits", "Italy"],
+        &["the", "news", "again"],
+        &["Moross", "Lumsa", "cases"],
+        &["Zutav", "visit", "Italy"],
+        &["Moross", "Lumsa", "report"],
+        &["Covid", "cases", "again"],
+        &["Moross", "Lumsa", "news"],
+        &["zutav", "Covid", "the"],
+        &["Italy", "report", "Zutav"],
+    ];
+    let stream: Vec<Sentence> = msgs
+        .iter()
+        .enumerate()
+        .map(|(i, toks)| Sentence::from_tokens(SentenceId::new(i as u64, 0), toks.iter().copied()))
+        .collect();
+    g.config.window = WindowConfig::sliding(4);
+    let (out, events) = run_traced(g, &stream, 2, 1);
+    assert!(
+        events
+            .iter()
+            .any(|e| e.kind == TraceEventKind::SentenceEvicted),
+        "the run must evict"
+    );
+    assert!(out.n_promoted >= 1, "the run must promote: {out:?}");
+    (out, events)
+}
+
+/// Settle rescans run inside window enforcement, so their scan and pool
+/// spans nest under `evict`: inside a batch they are the scan/pool
+/// spans between the batch-time classification span and the evict span. The flame view then
+/// counts their time once, inside `emd;evict`.
+#[test]
+fn settle_rescan_spans_nest_under_evict() {
+    let _t = trace_flag(true);
+    let local = CapitalisedLexiconEmd(lexicon());
+    let clf = biased_classifier(100.0);
+    let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let (_, events) = windowed_run(&mut g);
+    let spans: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::PhaseSpan || e.kind == TraceEventKind::BatchStart)
+        .collect();
+    let mut settle = Vec::new();
+    let mut classified = false;
+    for e in &spans {
+        match (e.kind, e.phase) {
+            (TraceEventKind::BatchStart, _) | (_, Some(TracePhase::Evict)) => classified = false,
+            (_, Some(TracePhase::Classify)) => classified = true,
+            (_, Some(TracePhase::Scan | TracePhase::Pool)) if classified => settle.push(*e),
+            _ => {}
+        }
+    }
+    assert!(settle.len() >= 2, "the run must settle a record");
+    for e in &settle {
+        assert_eq!(e.parent, Some(TracePhase::Evict), "settle span {e:?}");
+    }
+    let stacks = flame::to_collapsed_stacks(&events);
+    assert!(stacks.contains("emd;evict;scan "), "{stacks}");
+}
+
+/// One reading per phase call: for every phase with a histogram, the
+/// histogram's sum, the `PhaseTimings` field and the summed `PhaseSpan`
+/// durations are the same number, the histogram holds one sample per
+/// span, and a sample's exemplar resolves to an event of the trace. The
+/// closing rescan accrues into the scan views.
+#[test]
+fn phase_histograms_timings_and_spans_agree() {
+    let _t = trace_flag(true);
+    emd_globalizer::obs::set_enabled(true);
+    let local = CapitalisedLexiconEmd(lexicon());
+    let clf = biased_classifier(100.0);
+    let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let reg = emd_globalizer::obs::Registry::new();
+    g.set_metrics(PipelineMetrics::from_registry(&reg));
+    let (out, events) = windowed_run(&mut g);
+    assert!(
+        events
+            .iter()
+            .any(|e| e.phase == Some(TracePhase::Scan) && e.parent == Some(TracePhase::Evict)),
+        "the run must settle a record"
+    );
+    let snap = g.metrics().snapshot();
+    let t = &out.phase_timings;
+    use TracePhase as P;
+    let views: [(&str, u64, &[TracePhase]); 7] = [
+        (
+            "emd_pipeline_local_infer_ns",
+            t.local_infer_ns,
+            &[P::LocalInfer],
+        ),
+        ("emd_pipeline_ingest_ns", t.ingest_ns, &[P::Ingest]),
+        (
+            "emd_pipeline_scan_ns",
+            t.scan_ns,
+            &[P::Scan, P::FinalizeRescan],
+        ),
+        ("emd_pipeline_pool_ns", t.pool_ns, &[P::Pool]),
+        ("emd_pipeline_classify_ns", t.classify_ns, &[P::Classify]),
+        ("emd_pipeline_evict_ns", t.evict_ns, &[P::Evict]),
+        ("emd_pipeline_finalize_ns", t.finalize_ns, &[P::Finalize]),
+    ];
+    for (name, field, phases) in views {
+        let hist = snap.histogram(name).expect("pipeline histogram");
+        let durs: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::PhaseSpan)
+            .filter(|e| e.phase.is_some_and(|p| phases.contains(&p)))
+            .map(|e| e.dur_ns.expect("span duration"))
+            .collect();
+        assert!(field > 0, "{name}: the phase ran");
+        assert_eq!(hist.sum, field, "{name}: histogram sum vs PhaseTimings");
+        assert_eq!(
+            durs.iter().sum::<u64>(),
+            field,
+            "{name}: spans vs PhaseTimings"
+        );
+        assert_eq!(hist.count, durs.len() as u64, "{name}: samples vs spans");
+        assert!(
+            hist.exemplars
+                .iter()
+                .any(|x| events.iter().any(|e| e.seq == x.trace_seq)),
+            "{name}: no exemplar resolves into the trace"
+        );
     }
 }
