@@ -34,6 +34,7 @@
 //! phase boundary drive the chaos test suite; they compile to nothing
 //! without the `failpoints` feature.
 
+use crate::adjacency::AdjacencyLedger;
 use crate::candidatebase::{CandidateBase, CandidateRecord};
 use crate::classifier::{CandidateLabel, EntityClassifier};
 use crate::config::{Ablation, GlobalizerConfig};
@@ -57,7 +58,7 @@ use emd_trace::{
 };
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -138,29 +139,12 @@ fn tspan(sp: &Span) -> (u32, u32) {
     (sp.start as u32, sp.end as u32)
 }
 
-/// Adjacent-pair promotion evidence preserved from an evicted record: the
-/// two candidate surfaces (lower-cased) and how many times they occurred
-/// adjacent in sentences that have since been evicted. Folded into
-/// [`Globalizer::finalize`]'s promotion search so bounding memory does not
-/// silently erase multi-token-entity evidence. Kept as a vector (first
-/// frozen first — evictions run oldest-first, so this is stream order of
-/// first adjacency among evicted records) rather than a map, both for
-/// deterministic iteration and because the checkpoint format is JSON.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FrozenAdjacency {
-    /// Left candidate key (lower-cased, space-joined).
-    pub first: String,
-    /// Right candidate key.
-    pub second: String,
-    /// Adjacency occurrences in evicted sentences.
-    pub count: u64,
-}
-
 /// Accumulated pipeline state across batches. Serializable: the
 /// `StreamSupervisor` checkpoints it between batches so an interrupted
 /// run can resume from the last completed batch. Decoding also reads the
-/// v3 schema, whose candidates listed their mentions (see
-/// `crate::state_v3`).
+/// v4 schema, whose frozen ledger counted only evicted records' pairs
+/// (see [`AdjacencyLedger::from_v4`]), and the v3 schema, whose
+/// candidates listed their mentions (see `crate::state_v3`).
 #[derive(Debug, Clone, Serialize)]
 pub struct GlobalizerState {
     /// Per-sentence records.
@@ -195,16 +179,11 @@ pub struct GlobalizerState {
     /// sentence is never silently re-admitted — quarantine decisions are
     /// permanent for the lifetime of the state.
     quarantined_ids: HashSet<SentenceId>,
-    /// Promotion evidence frozen out of evicted records (empty while
-    /// windowing is disabled).
-    frozen_adjacency: Vec<FrozenAdjacency>,
-    /// Transient pair → ledger-position index over `frozen_adjacency`, so
-    /// folding an evicted record is a hash probe instead of a linear scan
-    /// of the whole ledger. Excluded from checkpoints (it is derivable)
-    /// and lazily rebuilt whenever it is out of sync with the ledger,
-    /// e.g. right after a checkpoint restore.
-    #[serde(skip)]
-    frozen_index: HashMap<(String, String), usize>,
+    /// Adjacent-pair promotion evidence: the pairs of every live
+    /// record's stored mentions plus those of every evicted record as it
+    /// stood at eviction (see [`AdjacencyLedger`]). Empty while
+    /// promotion is disabled.
+    adjacency: AdjacencyLedger,
     /// Slot index the next eviction sweep starts from. Evictions walk the
     /// slot vector oldest-first and never revisit freed slots, so this
     /// cursor makes each sweep O(batch), not O(history). Rebased by
@@ -230,7 +209,8 @@ impl Deserialize for GlobalizerState {
 }
 
 impl GlobalizerState {
-    /// Decode the current (v4) schema.
+    /// Decode the current (v5) schema, or the v4 one, whose
+    /// `frozen_adjacency` becomes the ledger.
     fn decode(v: &Value) -> Result<GlobalizerState, DeError> {
         fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
             match v.get_field(name) {
@@ -243,8 +223,13 @@ impl GlobalizerState {
         if v.as_obj().is_none() {
             return Err(DeError::msg("expected object for `GlobalizerState`"));
         }
+        let tweetbase: TweetBase = field(v, "tweetbase")?;
+        let adjacency = match v.get_field("frozen_adjacency") {
+            Some(frozen) => AdjacencyLedger::from_v4(frozen, tweetbase.iter())?,
+            None => field(v, "adjacency")?,
+        };
         Ok(GlobalizerState {
-            tweetbase: field(v, "tweetbase")?,
+            tweetbase,
             ctrie: field(v, "ctrie")?,
             candidates: field(v, "candidates")?,
             dirty: field(v, "dirty")?,
@@ -252,12 +237,16 @@ impl GlobalizerState {
             quarantined: field(v, "quarantined")?,
             quarantined_idx: field(v, "quarantined_idx")?,
             quarantined_ids: field(v, "quarantined_ids")?,
-            frozen_adjacency: field(v, "frozen_adjacency")?,
-            frozen_index: HashMap::new(),
+            adjacency,
             evict_cursor: field(v, "evict_cursor")?,
             batch_seq: field(v, "batch_seq")?,
             trace_seq: field(v, "trace_seq")?,
         })
+    }
+
+    /// The adjacent-pair promotion evidence.
+    pub fn adjacency(&self) -> &AdjacencyLedger {
+        &self.adjacency
     }
 
     /// Number of records currently awaiting a rescan (the dirty-set
@@ -928,8 +917,7 @@ impl<'a> Globalizer<'a> {
             quarantined: Vec::new(),
             quarantined_idx: BTreeSet::new(),
             quarantined_ids: HashSet::new(),
-            frozen_adjacency: Vec::new(),
-            frozen_index: HashMap::new(),
+            adjacency: AdjacencyLedger::default(),
             evict_cursor: 0,
             batch_seq: 0,
             trace_seq: 0,
@@ -980,6 +968,35 @@ impl<'a> Globalizer<'a> {
             reason,
             trace_event,
         });
+    }
+
+    /// Quarantine the stored record in slot `idx` after a failed (or
+    /// refused) rescan. It keeps its slot, so indices stay stable, but
+    /// leaves the dirty set, and its stale mentions are retired (their
+    /// pairs uncounted): it must no longer feed promotions or emission.
+    fn quarantine_record(
+        &self,
+        state: &mut GlobalizerState,
+        idx: usize,
+        phase: PipelinePhase,
+        reason: String,
+    ) {
+        let sid = state.tweetbase.get_by_index(idx).sentence.id;
+        self.quarantine_sentence(state, sid, phase, reason);
+        state.quarantined_idx.insert(idx);
+        state.dirty.remove(idx);
+        self.uncount_pairs(state, idx);
+        state.tweetbase.get_mut_by_index(idx).retire_mentions();
+    }
+
+    /// Uncount the adjacent pairs of the record in slot `idx` before its
+    /// mentions go. The ledger is left empty while promotion is disabled.
+    fn uncount_pairs(&self, state: &mut GlobalizerState, idx: usize) {
+        if self.config.promotion_support > 0 {
+            state
+                .adjacency
+                .remove_record(state.tweetbase.get_by_index(idx));
+        }
     }
 
     /// Compute the local candidate embedding for the mention at `span` of
@@ -1167,6 +1184,11 @@ impl<'a> Globalizer<'a> {
                         continue;
                     }
                     n_local_spans += out.spans.len() as u64;
+                    // A re-delivered id replaces its live record, whose
+                    // adjacent pairs leave the ledger with it.
+                    if let Some(old) = state.tweetbase.index_of(sentence.id) {
+                        self.uncount_pairs(state, old);
+                    }
                     let idx = state.tweetbase.insert(TweetRecord::new(
                         sentence.clone(),
                         out.token_embeddings,
@@ -1402,11 +1424,7 @@ impl<'a> Globalizer<'a> {
         if phase == PipelinePhase::FinalizeRescan && !self.guard_allows(TracePhase::FinalizeRescan)
         {
             for &idx in indices {
-                let sid = state.tweetbase.get_by_index(idx).sentence.id;
-                self.quarantine_sentence(state, sid, phase, "rescan breaker open".to_string());
-                state.quarantined_idx.insert(idx);
-                state.dirty.remove(idx);
-                state.tweetbase.get_mut_by_index(idx).retire_mentions();
+                self.quarantine_record(state, idx, phase, "rescan breaker open".to_string());
             }
             return;
         }
@@ -1453,6 +1471,13 @@ impl<'a> Globalizer<'a> {
                     // (and shared with any snapshot).
                     let rec = state.tweetbase.get_by_index(idx);
                     let changed = rec.global_mentions != st.mentions;
+                    // The new extraction's pairs replace the old ones in
+                    // the ledger (counted first, so a pair both hold is
+                    // never dropped and re-inserted).
+                    if changed && self.config.promotion_support > 0 {
+                        state.adjacency.add(&st.mentions, |i| &st.staged[i].key);
+                        state.adjacency.remove_record(rec);
+                    }
                     for m in st.staged {
                         let pooled = changed && !rec.has_pooled(&m.span);
                         // A deduplicated mention still registers its
@@ -1496,14 +1521,8 @@ impl<'a> Globalizer<'a> {
                     }
                 }
                 Err(reason) => {
-                    let sid = state.tweetbase.get_by_index(idx).sentence.id;
-                    self.quarantine_sentence(state, sid, phase, reason);
-                    state.quarantined_idx.insert(idx);
-                    state.dirty.remove(idx);
+                    self.quarantine_record(state, idx, phase, reason);
                     n_scan_quarantined += 1;
-                    // Drop stale evidence: a quarantined record's old
-                    // mentions must not feed promotions or emission.
-                    state.tweetbase.get_mut_by_index(idx).retire_mentions();
                 }
             }
         }
@@ -1764,8 +1783,8 @@ impl<'a> Globalizer<'a> {
     /// **Window enforcement** (end of every batch, no-op unless
     /// [`crate::config::WindowConfig::enabled`]): evict the oldest live
     /// records beyond the window — settling still-dirty ones with one last
-    /// rescan first, and freezing their adjacency evidence for the
-    /// promotion search — then prune cold candidates whose every mention
+    /// rescan first; their adjacent pairs stay counted for the promotion
+    /// search — then prune cold candidates whose every mention
     /// has been evicted (removing their CTrie paths), and compact the slot
     /// vector once tombstones outnumber live records. Candidate pools are
     /// never rolled back: an evicted mention's contribution to pooled
@@ -1815,8 +1834,8 @@ impl<'a> Globalizer<'a> {
                 state.dirty.remove(i);
                 // `quarantined_idx` keeps the index: the slot is never
                 // reused for a live record, and compaction drops it.
+                // The record's adjacent pairs stay in the ledger.
                 if let Some(rec) = state.tweetbase.evict(i) {
-                    self.freeze_adjacency(state, &rec);
                     n_evicted += 1;
                     self.temit(|| TraceEvent {
                         sid: Some(tsid(rec.sentence.id)),
@@ -1854,46 +1873,6 @@ impl<'a> Globalizer<'a> {
                 .set(state.resident_bytes() as f64);
         }
         self.finish(probe, &mut state.timings);
-    }
-
-    /// Fold an evicted record's adjacent-pair occurrences into the frozen
-    /// ledger (see [`FrozenAdjacency`]). Quarantined records hold no
-    /// `global_mentions`, so they contribute nothing.
-    fn freeze_adjacency(&self, state: &mut GlobalizerState, rec: &TweetRecord) {
-        if self.config.promotion_support == 0 {
-            return;
-        }
-        // The index is transient (checkpoints carry only the ledger):
-        // rebuild it whenever it is out of sync, e.g. on the first
-        // eviction after a restore.
-        if state.frozen_index.len() != state.frozen_adjacency.len() {
-            state.frozen_index = state
-                .frozen_adjacency
-                .iter()
-                .enumerate()
-                .map(|(i, e)| ((e.first.clone(), e.second.clone()), i))
-                .collect();
-        }
-        for w in rec.global_mentions.windows(2) {
-            if w[0].end == w[1].start {
-                let key = (
-                    w[0].surface_lower(&rec.sentence),
-                    w[1].surface_lower(&rec.sentence),
-                );
-                if let Some(&i) = state.frozen_index.get(&key) {
-                    state.frozen_adjacency[i].count += 1;
-                } else {
-                    state
-                        .frozen_index
-                        .insert(key.clone(), state.frozen_adjacency.len());
-                    state.frozen_adjacency.push(FrozenAdjacency {
-                        first: key.0,
-                        second: key.1,
-                        count: 1,
-                    });
-                }
-            }
-        }
     }
 
     /// Frequency-decay candidate pruning: drop candidates — and their
@@ -1940,59 +1919,26 @@ impl<'a> Globalizer<'a> {
     /// fragmented multi-token entity the local system never detects in
     /// full, so their concatenation becomes a candidate of its own.
     ///
-    /// Computed purely from the stored (up-to-date) `global_mentions`, in
-    /// stream order, so the promotion set is independent of batch schedule
-    /// and rescan strategy. Returns candidate token vectors in
-    /// first-adjacency stream order.
+    /// Reads only the adjacency ledger, which the closing rescan has
+    /// brought up to date, so the promotion set is independent of batch
+    /// schedule and rescan strategy. Returns candidate token vectors in
+    /// ledger key order; every filter reads the state from before the
+    /// round, so the order cannot change which candidates are promoted
+    /// (DESIGN.md "Adjacency ledger").
     fn find_promotions(&self, state: &GlobalizerState) -> Vec<Vec<String>> {
-        let support = self.config.promotion_support;
+        let support = self.config.promotion_support as u64;
         if support == 0 {
             return Vec::new();
         }
-        let mut order: Vec<(String, String)> = Vec::new();
-        let mut adjacency: HashMap<(String, String), usize> = HashMap::new();
-        // Evidence frozen from evicted records is counted first: evictions
-        // run oldest-first, so the ledger precedes every live record in
-        // stream order and first-adjacency ordering is preserved. Empty
-        // unless windowing is enabled.
-        for e in &state.frozen_adjacency {
-            let pair = (e.first.clone(), e.second.clone());
-            let n = adjacency.entry(pair.clone()).or_insert(0);
-            if *n == 0 {
-                order.push(pair);
-            }
-            *n += e.count as usize;
-        }
-        for rec in state.tweetbase.iter() {
-            // Extraction emits non-overlapping spans in ascending order, so
-            // consecutive entries are the only adjacency candidates.
-            for w in rec.global_mentions.windows(2) {
-                if w[0].end == w[1].start {
-                    let pair = (
-                        w[0].surface_lower(&rec.sentence),
-                        w[1].surface_lower(&rec.sentence),
-                    );
-                    let n = adjacency.entry(pair.clone()).or_insert(0);
-                    if *n == 0 {
-                        order.push(pair);
-                    }
-                    *n += 1;
-                }
-            }
-        }
         let mut promotions = Vec::new();
-        for pair in order {
-            let adj = adjacency[&pair];
-            if adj < support {
-                continue;
-            }
-            let (Some(a), Some(b)) = (state.candidates.get(&pair.0), state.candidates.get(&pair.1))
+        for (first, second, adj) in state.adjacency.at_least(support) {
+            let (Some(a), Some(b)) = (state.candidates.get(first), state.candidates.get(second))
             else {
                 continue;
             };
             // The adjacency must dominate the rarer fragment: incidental
             // co-occurrence of two frequent independent entities stays out.
-            if 2 * adj < a.frequency().min(b.frequency()) {
+            if 2 * adj < a.frequency().min(b.frequency()) as u64 {
                 continue;
             }
             let mut tokens = a.tokens.clone();
@@ -2005,6 +1951,31 @@ impl<'a> Globalizer<'a> {
             promotions.push(tokens);
         }
         promotions
+    }
+
+    /// One promotion round of the closing fixpoint: register every
+    /// promotion in the CTrie, tracing it and dirtying the stored
+    /// sentences it can change. Returns how many were new; zero ends the
+    /// fixpoint.
+    fn promotion_round(&self, state: &mut GlobalizerState) -> usize {
+        let probe = self.probe(TracePhase::Promotion, Some(TracePhase::Finalize));
+        let promotions = self.find_promotions(state);
+        self.finish(probe, &mut state.timings);
+        let mut n_new = 0;
+        for tokens in promotions {
+            // Two pairs can spell one concatenation; the second insert
+            // finds it registered and is a no-op.
+            if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
+                n_new += 1;
+                self.temit(|| TraceEvent {
+                    candidate: Some(tokens.join(" ")),
+                    phase: Some(TracePhase::Promotion),
+                    ..TraceEvent::of(TraceEventKind::Promotion)
+                });
+                Self::mark_dirty(state, &tokens);
+            }
+        }
+        n_new
     }
 
     /// Closing rescan + promotion fixpoint. Returns `(n_rescanned,
@@ -2033,22 +2004,9 @@ impl<'a> Globalizer<'a> {
                 PipelinePhase::FinalizeRescan,
                 Some(TracePhase::Finalize),
             );
-            let probe = self.probe(TracePhase::Promotion, Some(TracePhase::Finalize));
-            let promotions = self.find_promotions(state);
-            self.finish(probe, &mut state.timings);
-            if promotions.is_empty() {
-                break;
-            }
-            for tokens in promotions {
-                if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
-                    n_promoted += 1;
-                    self.temit(|| TraceEvent {
-                        candidate: Some(tokens.join(" ")),
-                        phase: Some(TracePhase::Promotion),
-                        ..TraceEvent::of(TraceEventKind::Promotion)
-                    });
-                    Self::mark_dirty(state, &tokens);
-                }
+            match self.promotion_round(state) {
+                0 => break,
+                n => n_promoted += n,
             }
         }
         self.metrics
@@ -2181,21 +2139,11 @@ impl<'a> Globalizer<'a> {
                 PipelinePhase::FinalizeRescan,
                 Some(TracePhase::Finalize),
             );
-            let promo = self.probe(TracePhase::Promotion, Some(TracePhase::Finalize));
-            let promotions = self.find_promotions(state);
-            self.finish(promo, &mut state.timings);
-            if promotions.is_empty() {
-                break;
-            }
-            for tokens in promotions {
-                if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
-                    n_promoted += 1;
-                    self.temit(|| TraceEvent {
-                        candidate: Some(tokens.join(" ")),
-                        phase: Some(TracePhase::Promotion),
-                        ..TraceEvent::of(TraceEventKind::Promotion)
-                    });
-                }
+            // The round's dirtying is moot here: the next round clears
+            // the dirty set and rescans everything.
+            match self.promotion_round(state) {
+                0 => break,
+                n => n_promoted += n,
             }
         }
         self.metrics.rescan_coverage.set(1.0);
@@ -3156,9 +3104,9 @@ mod tests {
     #[test]
     fn frozen_adjacency_preserves_promotion_across_eviction() {
         // "Moross Lumsa" is only ever detected in fragments. Most of the
-        // supporting sentences are evicted before finalize; the frozen
-        // ledger must keep the adjacency evidence alive so the promotion
-        // still fires.
+        // supporting sentences are evicted before finalize; the adjacency
+        // ledger must keep their evidence alive so the promotion still
+        // fires.
         let local = LexiconEmd::new(["moross", "lumsa"]);
         let clf = accept_all(7);
         let cfg = GlobalizerConfig {
@@ -3175,15 +3123,63 @@ mod tests {
         }
         assert_eq!(state.n_evicted(), 4);
         assert!(
-            !state.frozen_adjacency.is_empty(),
-            "evicted adjacency evidence must be frozen"
+            !state.adjacency().at_least(1).is_empty(),
+            "evicted adjacency evidence must stay counted"
         );
+        // Four evicted sentences and two live ones hold the pair.
+        assert_eq!(state.adjacency().at_least(1), vec![("moross", "lumsa", 6)]);
         let out = g.finalize(&mut state);
         assert_eq!(out.n_promoted, 1, "promotion survives eviction");
         // Live sentences re-emit the merged mention.
         for (_, spans) in &out.per_sentence {
             assert_eq!(spans, &vec![Span::new(0, 2)]);
         }
+    }
+
+    #[test]
+    fn v4_state_migrates_to_the_ledger_an_uninterrupted_run_holds() {
+        // Four of six "Moross Lumsa" sentences are evicted: v4 froze
+        // their pairs and counted the two live ones only at the close.
+        let local = LexiconEmd::new(["moross", "lumsa"]);
+        let clf = accept_all(7);
+        let cfg = GlobalizerConfig {
+            window: crate::config::WindowConfig::sliding(2),
+            ..Default::default()
+        };
+        let g = Globalizer::new(&local, None, &clf, cfg);
+        let msgs: Vec<Vec<&str>> = (0..6).map(|_| vec!["Moross", "Lumsa", "speaks"]).collect();
+        let msgs: Vec<&[&str]> = msgs.iter().map(|v| v.as_slice()).collect();
+        let mut state = g.new_state();
+        for chunk in sents(&msgs).chunks(2) {
+            g.process_batch(&mut state, chunk);
+        }
+        let mut live = AdjacencyLedger::default();
+        for rec in state.tweetbase.iter() {
+            live.add_record(rec);
+        }
+        let frozen: Vec<String> = state
+            .adjacency()
+            .at_least(1)
+            .into_iter()
+            .map(|(a, b, n)| {
+                let n = n - live
+                    .at_least(1)
+                    .iter()
+                    .find(|p| (p.0, p.1) == (a, b))
+                    .map_or(0, |p| p.2);
+                format!(r#"{{"first":"{a}","second":"{b}","count":{n}}}"#)
+            })
+            .collect();
+        let v5 = serde_json::to_string(&state).unwrap();
+        let ledger = serde_json::to_string(state.adjacency()).unwrap();
+        let v4 = v5.replace(
+            &format!(r#""adjacency":{ledger}"#),
+            &format!(r#""frozen_adjacency":[{}]"#, frozen.join(",")),
+        );
+        assert!(v4.contains(r#""count":4"#), "{v4}");
+        let back: GlobalizerState = serde_json::from_str(&v4).unwrap();
+        assert_eq!(back.adjacency().at_least(1), vec![("moross", "lumsa", 6)]);
+        assert_eq!(back.adjacency(), state.adjacency());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! and incremental execution, and exposes the ablation modes of the paper's
 //! Figure 6.
 
+pub mod adjacency;
 pub mod candidatebase;
 pub mod classifier;
 pub mod config;

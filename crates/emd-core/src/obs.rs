@@ -57,12 +57,6 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Total nanoseconds across the batch-time phases (finalize already
-    /// subsumes its sub-phases, so it is not added again).
-    pub fn batch_total_ns(&self) -> u64 {
-        self.local_infer_ns + self.ingest_ns + self.scan_ns + self.pool_ns + self.classify_ns
-    }
-
     /// `(phase name, cumulative ns)` pairs in pipeline order, for tables
     /// and JSON reports.
     pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
@@ -457,7 +451,6 @@ pub(crate) mod tests {
         assert_eq!(pairs.len(), 9);
         let sum: u64 = pairs.iter().map(|&(_, v)| v).sum();
         assert_eq!(sum, 45);
-        assert_eq!(t.batch_total_ns(), 15);
     }
 
     #[test]

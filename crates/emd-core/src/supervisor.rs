@@ -12,8 +12,9 @@
 //!    records and interned token strings are shared with the pre-batch
 //!    state (`Arc`, copied on write), so it copies one pointer per record
 //!    plus the index structures (posting lists, CTrie, candidate key
-//!    index, frozen-adjacency ledger) — a few milliseconds at a 20k
-//!    window — and the batch deep-copies only the records it writes.
+//!    index, and the adjacency ledger's table, whose key strings are
+//!    shared too) — a few milliseconds at a 20k window — and the batch
+//!    deep-copies only the records it writes.
 //!    Retries back off exponentially with deterministic
 //!    seeded jitter ([`BackoffPolicy`]), and every delay is *charged*
 //!    against the optional per-batch deadline budget whether or not the

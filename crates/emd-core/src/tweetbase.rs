@@ -26,8 +26,8 @@
 //!
 //! `insert` drains an incoming record's `token_embeddings` matrix into the
 //! arena. Stored records answer through [`TweetBase::embedding_view`];
-//! `evict` hands the record back *without* its rows (the only consumer,
-//! the promotion ledger, reads mentions and text), so an evicted record's
+//! `evict` hands the record back *without* its rows (its caller reads
+//! only the id and mention count), so an evicted record's
 //! `token_embeddings` is `None` and its arena placement is meaningless
 //! once a later [`TweetBase::compact`] has run.
 //!

@@ -31,28 +31,6 @@ pub fn to_collapsed_stacks(events: &[TraceEvent]) -> String {
     render(totals)
 }
 
-/// Build collapsed-stack text straight from `PhaseTimings::as_pairs()`
-/// output (`("local_infer_ns", 12345)`-style pairs), for callers that
-/// want a flame view without event-level tracing. `promotion_ns` and
-/// `emit_ns` accrue only inside finalize, so they nest under it; the
-/// remaining phases run during both batch processing and the closing
-/// rescan and stay top-level.
-pub fn from_phase_timings(pairs: &[(&str, u64)]) -> String {
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for (name, ns) in pairs {
-        if *ns == 0 {
-            continue;
-        }
-        let frame = name.strip_suffix("_ns").unwrap_or(name);
-        let stack = match frame {
-            "promotion" | "emit" => format!("emd;finalize;{frame}"),
-            _ => format!("emd;{frame}"),
-        };
-        *totals.entry(stack).or_insert(0) += ns;
-    }
-    render(totals)
-}
-
 /// Turn per-stack totals into self-time lines, sorted by stack name.
 fn render(totals: BTreeMap<String, u64>) -> String {
     let mut out = String::new();
@@ -130,25 +108,6 @@ mod tests {
     fn non_span_events_are_ignored() {
         let events = vec![TraceEvent::of(K::BatchStart)];
         assert!(to_collapsed_stacks(&events).is_empty());
-    }
-
-    #[test]
-    fn phase_timings_pairs_nest_finalize_children() {
-        let pairs = vec![
-            ("local_infer_ns", 40u64),
-            ("ingest_ns", 10),
-            ("scan_ns", 0),
-            ("promotion_ns", 5),
-            ("emit_ns", 7),
-            ("finalize_ns", 30),
-        ];
-        let text = from_phase_timings(&pairs);
-        assert!(text.contains("emd;local_infer 40"));
-        assert!(text.contains("emd;ingest 10"));
-        assert!(text.contains("emd;finalize;promotion 5"));
-        assert!(text.contains("emd;finalize;emit 7"));
-        assert!(text.contains("emd;finalize 18"), "self = 30-5-7: {text}");
-        assert!(!text.contains("emd;scan"), "zero phases dropped");
     }
 
     #[test]

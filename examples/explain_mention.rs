@@ -155,12 +155,8 @@ fn main() {
     println!("JSONL export: {} bytes, round-trip verified", text.len());
 
     // 8. Self-profile: collapsed stacks (flamegraph.pl-compatible) from
-    //    the PhaseSpan events, falling back to the cumulative
-    //    PhaseTimings if a phase recorded no span.
-    let mut collapsed = flame::to_collapsed_stacks(&events);
-    if collapsed.is_empty() {
-        collapsed = flame::from_phase_timings(&output.phase_timings.as_pairs());
-    }
+    //    the PhaseSpan events.
+    let collapsed = flame::to_collapsed_stacks(&events);
     check(!collapsed.is_empty(), "flame profile must be non-empty");
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/flame.txt", &collapsed).expect("write flame profile");

@@ -1,11 +1,18 @@
-//! Checkpoint format compatibility. Both fixtures are the supervisor's
-//! ladder after the first 24 sentences of the windowed lexicon stream
-//! below (window 6, batch 4, a checkpoint every 2 batches).
+//! Checkpoint format compatibility. All three fixtures are the
+//! supervisor's ladder after the first 24 sentences of the windowed
+//! lexicon stream below (window 6, batch 4, a checkpoint every 2
+//! batches).
 //!
-//! * `tests/fixtures/windowed_lexicon_v4.ckpt` is in the current format,
-//!   v4. The build must restore it, re-encode the restored state to the
+//! * `tests/fixtures/windowed_lexicon_v5.ckpt` is in the current format,
+//!   v5. The build must restore it, re-encode the restored state to the
 //!   same bytes, and continue the run from it with output bit-identical
 //!   to an uninterrupted run.
+//! * `tests/fixtures/windowed_lexicon_v4.ckpt` was written in format v4,
+//!   whose `frozen_adjacency` counted only evicted records' pairs. The
+//!   build must migrate it to the v5 adjacency ledger (no pair is
+//!   adjacent in this stream, so the ledger is empty and the re-encoded
+//!   payload is v4's with that field renamed), and continue from it
+//!   bit-identically.
 //! * `tests/fixtures/windowed_lexicon_v3.ckpt` was written by an earlier
 //!   build's encoder in format v3, whose candidates listed their
 //!   mentions. The build must migrate it to counters equal to the
@@ -29,6 +36,10 @@ const FIXTURE_V3: &str = concat!(
 const FIXTURE_V4: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/windowed_lexicon_v4.ckpt"
+);
+const FIXTURE_V5: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/windowed_lexicon_v5.ckpt"
 );
 
 fn stream(n: u64) -> Vec<Sentence> {
@@ -94,6 +105,29 @@ fn assert_same_pools(a: &GlobalizerState, b: &GlobalizerState) {
         assert_eq!(x.global_mentions, y.global_mentions);
         assert_eq!(x.retired, y.retired);
     }
+    assert_eq!(a.adjacency(), b.adjacency());
+}
+
+/// Save `state` under `dir` and return the header line and payload.
+fn resave(dir: &Path, seq: u64, state: &GlobalizerState) -> (String, String) {
+    let path = dir.join("state.ckpt");
+    checkpoint::save(&path, seq, state).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (header, payload) = text.split_once('\n').unwrap();
+    (header.to_string(), payload.to_string())
+}
+
+/// Assert two payloads hold the same bytes. HashMap-backed fields
+/// iterate in a per-process order, so the payloads are compared as byte
+/// multisets: any change to a number, escape, key or bracket shows.
+fn assert_same_bytes(a: &str, b: &str) {
+    let sorted = |s: &str| {
+        let mut b = s.as_bytes().to_vec();
+        b.sort_unstable();
+        b
+    };
+    assert_eq!(a.len(), b.len());
+    assert_eq!(sorted(a), sorted(b));
 }
 
 /// Resume the 40-sentence run from a copy of `fixture`: the supervisor
@@ -157,7 +191,6 @@ fn golden_v3_checkpoint_restores_and_continues_bit_identically() {
 
 #[test]
 fn golden_v4_checkpoint_restores_resaves_and_continues_bit_identically() {
-    assert_eq!(FORMAT_VERSION, 4);
     let bytes = std::fs::read_to_string(FIXTURE_V4).unwrap();
     let (header, payload) = bytes.split_once('\n').unwrap();
     assert!(
@@ -172,27 +205,50 @@ fn golden_v4_checkpoint_restores_resaves_and_continues_bit_identically() {
     let (_, v3): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE_V3)).unwrap();
     assert_same_pools(&state, &v3);
 
-    // Saving the restored state writes the same bytes. HashMap-backed
-    // fields iterate in a per-process order, so the payloads are compared
-    // as byte multisets: any change to a number, escape, key or bracket
-    // shows.
+    // Migration renames the (empty) frozen ledger and changes nothing
+    // else; the re-encoded state is current-format.
+    assert!(state.adjacency().at_least(1).is_empty());
     let dir = scratch("v4");
-    let path = dir.join("state.ckpt");
-    checkpoint::save(&path, seq, &state).unwrap();
-    let resaved = std::fs::read_to_string(&path).unwrap();
-    let (header2, payload2) = resaved.split_once('\n').unwrap();
-    let sorted = |s: &str| {
-        let mut b = s.as_bytes().to_vec();
-        b.sort_unstable();
-        b
-    };
-    assert_eq!(payload2.len(), payload.len());
-    assert_eq!(sorted(payload2), sorted(payload));
+    let (header2, payload2) = resave(&dir, seq, &state);
+    assert_same_bytes(
+        &payload2,
+        &payload.replace(r#""frozen_adjacency":[]"#, r#""adjacency":[]"#),
+    );
     assert!(
-        header2.starts_with(&format!("{MAGIC} v4 seq=6 ")),
+        header2.starts_with(&format!("{MAGIC} v{FORMAT_VERSION} seq=6 ")),
         "{header2}"
     );
 
     continue_from(FIXTURE_V4, &dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn golden_v5_checkpoint_restores_resaves_and_continues_bit_identically() {
+    assert_eq!(FORMAT_VERSION, 5);
+    let bytes = std::fs::read_to_string(FIXTURE_V5).unwrap();
+    let (header, payload) = bytes.split_once('\n').unwrap();
+    assert!(
+        header.starts_with(&format!("{MAGIC} v5 seq=6 ")),
+        "{header}"
+    );
+
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE_V5)).unwrap();
+    assert_eq!(seq, 6);
+    assert!(state.n_evicted() > 0, "the window evicted before the save");
+    assert_eq!(state.tweetbase.n_slots(), state.tweetbase.len());
+    let (_, v4): (u64, GlobalizerState) = checkpoint::load(Path::new(FIXTURE_V4)).unwrap();
+    assert_same_pools(&state, &v4);
+
+    // Saving the restored state writes the same bytes.
+    let dir = scratch("v5");
+    let (header2, payload2) = resave(&dir, seq, &state);
+    assert_same_bytes(&payload2, payload);
+    assert!(
+        header2.starts_with(&format!("{MAGIC} v5 seq=6 ")),
+        "{header2}"
+    );
+
+    continue_from(FIXTURE_V5, &dir);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,6 +10,8 @@
 //! * **Phase views** — one reading per phase call: the phase histograms,
 //!   `PhaseTimings` and the `PhaseSpan` events agree exactly, and settle
 //!   rescans nest under `evict`.
+//! * **Adjacency ledger** — the promotion evidence the pipeline keeps
+//!   incrementally equals its definition, recounted from the trace.
 
 use emd_globalizer::core::config::{Ablation, WindowConfig};
 use emd_globalizer::core::globalizer::GlobalizerState;
@@ -23,6 +25,7 @@ use emd_globalizer::text::token::{Sentence, SentenceId};
 use emd_globalizer::trace::audit::{replay, ReplayedOutput};
 use emd_globalizer::trace::{flame, TraceEvent, TraceEventKind, TracePhase, TraceSink};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
 /// The tracing and metrics switches and the fail-point registry are
@@ -594,5 +597,135 @@ fn phase_histograms_timings_and_spans_agree() {
                 .any(|x| events.iter().any(|e| e.seq == x.trace_seq)),
             "{name}: no exemplar resolves into the trace"
         );
+    }
+}
+
+type Mention = ((u32, u32), String);
+
+/// The adjacency ledger's definition, recounted from the trace: each
+/// record's mentions as its last scan left them, and the pairs every
+/// evicted record held when it left the window.
+#[derive(Default)]
+struct PairRecount {
+    /// Per sentence: `(span, candidate)` for each mention, in span order.
+    held: HashMap<(u64, u32), Vec<Mention>>,
+    evicted: BTreeMap<(String, String), u64>,
+}
+
+impl PairRecount {
+    fn fold(&mut self, events: &[TraceEvent]) {
+        for e in events {
+            let Some(sid) = e.sid else { continue };
+            match e.kind {
+                // A scan restates the record's mentions; a (re-)admitted
+                // record has none yet; a quarantined one retires them.
+                TraceEventKind::ScanRecord
+                | TraceEventKind::SentenceAdmitted
+                | TraceEventKind::SentenceQuarantined => {
+                    self.held.insert(sid, Vec::new());
+                }
+                TraceEventKind::ScanMention => self
+                    .held
+                    .entry(sid)
+                    .or_default()
+                    .push((e.span.unwrap(), e.candidate.clone().unwrap())),
+                TraceEventKind::SentenceEvicted => {
+                    let held = self.held.remove(&sid).unwrap_or_default();
+                    for w in held.windows(2) {
+                        if w[0].0 .1 == w[1].0 .0 {
+                            *self
+                                .evicted
+                                .entry((w[0].1.clone(), w[1].1.clone()))
+                                .or_default() += 1;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The evicted pairs plus the adjacent pairs of every live record's
+    /// stored mentions.
+    fn expected(&self, state: &GlobalizerState) -> BTreeMap<(String, String), u64> {
+        let mut pairs = self.evicted.clone();
+        for rec in state.tweetbase.iter() {
+            for w in rec.global_mentions.windows(2) {
+                if w[0].end == w[1].start {
+                    let key = |i: usize| w[i].surface_lower(&rec.sentence);
+                    *pairs.entry((key(0), key(1))).or_default() += 1;
+                }
+            }
+        }
+        pairs
+    }
+}
+
+proptest! {
+    /// The adjacency ledger equals its definition after every batch and
+    /// every close: the adjacent pairs of the live records' stored
+    /// mentions, plus (windowed) those of every evicted record as it
+    /// stood at eviction; empty while promotion is disabled. Streams
+    /// re-deliver ids, close in between, and quarantine a batch's scans
+    /// or a close's rescans.
+    #[test]
+    fn adjacency_ledger_matches_its_definition(
+        msgs in proptest::collection::vec(
+            (0u64..20, proptest::collection::vec(0usize..12, 1..8)),
+            1..16,
+        ),
+        batch in 1usize..5,
+        window in 0usize..6,
+        support in 0usize..4,
+        plan in (0usize..6, 0usize..3, 0usize..6, 1usize..3),
+    ) {
+        let (close_every, fault, fault_at, threads) = plan;
+        let _t = trace_flag(true);
+        let local = lexicon();
+        let clf = biased_classifier(100.0);
+        let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig {
+            promotion_support: support,
+            window: WindowConfig::sliding(window),
+            ..Default::default()
+        });
+        let sink = TraceSink::with_capacity(1 << 16);
+        g.set_trace(sink.clone());
+        let words: Vec<Vec<usize>> = msgs.iter().map(|(_, w)| w.clone()).collect();
+        let mut stream = stream_from(&words);
+        for (s, (id, _)) in stream.iter_mut().zip(&msgs) {
+            s.id = SentenceId::new(*id, 0);
+        }
+        let mut state = g.new_state();
+        let mut recount = PairRecount::default();
+        let mut check = |state: &GlobalizerState, step: &str| -> Result<(), TestCaseError> {
+            recount.fold(&sink.drain());
+            let ledger: BTreeMap<(String, String), u64> = state
+                .adjacency()
+                .at_least(1)
+                .into_iter()
+                .map(|(a, b, n)| ((a.to_string(), b.to_string()), n))
+                .collect();
+            let want = if support == 0 { BTreeMap::new() } else { recount.expected(state) };
+            prop_assert_eq!(ledger, want, "after {}", step);
+            Ok(())
+        };
+        let chunks: Vec<&[Sentence]> = stream.chunks(batch).collect();
+        for (b, chunk) in chunks.iter().enumerate() {
+            {
+                let _fp = (fault == 1 && fault_at == b)
+                    .then(|| failpoint::arm("scan", Schedule::EveryK(1)));
+                g.process_batch(&mut state, chunk);
+            }
+            check(&state, &format!("batch {b}"))?;
+            let last = b + 1 == chunks.len();
+            if last || (close_every > 0 && (b + 1) % close_every == 0) {
+                let _fp = (fault == 2 && (fault_at == b || last))
+                    .then(|| failpoint::arm("finalize_rescan", Schedule::EveryK(1)));
+                g.finalize_with_threads(&mut state, threads);
+                drop(_fp);
+                check(&state, &format!("the close after batch {b}"))?;
+            }
+        }
+        prop_assert_eq!(sink.dropped_total(), 0);
     }
 }
