@@ -1,7 +1,9 @@
 //! CandidateBase: per-candidate records with incrementally pooled global
 //! embeddings.
 //!
-//! A candidate is keyed by its lower-cased space-joined token string. Every
+//! A candidate is named by its [`CandId`], its slot here, which its CTrie
+//! terminal holds from the first scan that extracts it until it is pruned;
+//! the record keeps the folded token symbols that spell it. Every
 //! mention found in the stream contributes its *local candidate embedding*
 //! to a running sum; the **global candidate embedding** is the mean over
 //! all contributions — "a consensus representation over all contextual
@@ -13,8 +15,8 @@
 //! of its sentence, and the sentence record owns it
 //! ([`crate::tweetbase::TweetRecord::global_mentions`] and
 //! [`crate::tweetbase::TweetRecord::retired`]); the candidate only counts
-//! what it has pooled. Because a `(sentence, span)` pair fixes its key —
-//! the span's folded surface — "has this candidate pooled that mention?"
+//! what it has pooled. Because a `(sentence, span)` pair fixes its
+//! candidate — the span's folded symbols — "has this candidate pooled that mention?"
 //! is answered by the sentence record, and the scan asks it there before
 //! pooling. Counts stay stream-cumulative when the window evicts
 //! sentences.
@@ -25,17 +27,19 @@
 //! read first and unshare only the records they change.
 
 use crate::classifier::CandidateLabel;
+use emd_text::intern::Sym;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A candidate's id: its slot in the [`CandidateBase`], held by its CTrie
+/// terminal. A pruned candidate's id is reused by a later discovery.
+pub type CandId = u32;
 
 /// Per-candidate record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CandidateRecord {
-    /// Lower-cased space-joined key.
-    pub key: String,
-    /// Lower-cased tokens of the candidate.
-    pub tokens: Vec<String>,
+    /// Folded token symbols of the candidate: its CTrie path.
+    pub syms: Vec<Sym>,
     /// Whether [`CandidateRecord::add_mention`] retains the individual
     /// per-mention embeddings (needed for max pooling and training
     /// harvests; released in windowed mean-pooling mode, where only the
@@ -66,11 +70,9 @@ pub struct CandidateRecord {
 }
 
 impl CandidateRecord {
-    fn new(key: String, dim: usize, store_local: bool) -> CandidateRecord {
-        let tokens = key.split(' ').map(|s| s.to_string()).collect();
+    fn new(syms: &[Sym], dim: usize, store_local: bool) -> CandidateRecord {
         CandidateRecord {
-            key,
-            tokens,
+            syms: syms.to_vec(),
             store_local,
             emb_sum: vec![0.0; dim],
             emb_count: 0,
@@ -181,16 +183,18 @@ impl CandidateRecord {
 
     /// Number of tokens in the candidate (the paper's `+1` length feature).
     pub fn token_len(&self) -> usize {
-        self.tokens.len()
+        self.syms.len()
     }
 }
 
-/// The stream-wide candidate store.
+/// The stream-wide candidate store: a slot vector indexed by [`CandId`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CandidateBase {
-    /// Records in discovery order, shared with clones until written.
-    records: Vec<Arc<CandidateRecord>>,
-    index: HashMap<String, usize>,
+    /// Records by id, shared with clones until written; `None` marks a
+    /// pruned id awaiting reuse.
+    records: Vec<Option<Arc<CandidateRecord>>>,
+    /// Pruned ids; the next discovery takes the last one.
+    free: Vec<CandId>,
     dim: usize,
     store_local: bool,
 }
@@ -200,7 +204,7 @@ impl CandidateBase {
     pub fn new(dim: usize) -> CandidateBase {
         CandidateBase {
             records: Vec::new(),
-            index: HashMap::new(),
+            free: Vec::new(),
             dim,
             store_local: true,
         }
@@ -219,135 +223,105 @@ impl CandidateBase {
         self.dim
     }
 
-    /// Get-or-create a record for the (already lower-cased) key. Copies
-    /// an existing record first if a clone of the store still shares it.
-    pub fn entry(&mut self, key: &str) -> &mut CandidateRecord {
-        let i = self.ensure(key);
-        Arc::make_mut(&mut self.records[i])
+    /// Create a fresh record for the candidate spelled by `syms`, in a
+    /// pruned id's slot when there is one, and return its id.
+    pub fn discover(&mut self, syms: &[Sym]) -> CandId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.records.push(None);
+            (self.records.len() - 1) as CandId
+        });
+        let rec = CandidateRecord::new(syms, self.dim, self.store_local);
+        self.records[id as usize] = Some(Arc::new(rec));
+        id
     }
 
-    /// Discovery-order position of the (already lower-cased) key,
-    /// appending a fresh record if it is new. An existing record is not
-    /// written, so a clone of the store keeps sharing it.
-    pub fn ensure(&mut self, key: &str) -> usize {
-        if let Some(&i) = self.index.get(key) {
-            return i;
-        }
-        let i = self.records.len();
-        self.index.insert(key.to_string(), i);
-        self.records.push(Arc::new(CandidateRecord::new(
-            key.to_string(),
-            self.dim,
-            self.store_local,
-        )));
-        i
+    /// The live record `id` names, if any.
+    pub fn get(&self, id: CandId) -> Option<&CandidateRecord> {
+        self.records.get(id as usize)?.as_deref()
     }
 
-    /// Lookup by key.
-    pub fn get(&self, key: &str) -> Option<&CandidateRecord> {
-        self.index.get(key).map(|&i| &*self.records[i])
+    /// The live record `id` names, copied first if a clone of the store
+    /// still shares it. Panics on an id that names no record.
+    pub fn get_mut(&mut self, id: CandId) -> &mut CandidateRecord {
+        Arc::make_mut(
+            self.records[id as usize]
+                .as_mut()
+                .expect("live candidate id"),
+        )
     }
 
-    /// Mutable lookup by key (copy-on-write, like
-    /// [`CandidateBase::entry`]).
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut CandidateRecord> {
-        let i = *self.index.get(key)?;
-        Some(self.get_mut_by_index(i))
-    }
-
-    /// Record by discovery-order position (`i < len()`).
-    pub fn get_by_index(&self, i: usize) -> &CandidateRecord {
-        &self.records[i]
-    }
-
-    /// Mutable record by discovery-order position (copy-on-write, like
-    /// [`CandidateBase::entry`]).
-    pub fn get_mut_by_index(&mut self, i: usize) -> &mut CandidateRecord {
-        Arc::make_mut(&mut self.records[i])
-    }
-
-    /// Flag record `i` degraded. A record that already is stays
+    /// Flag record `id` degraded. A record that already is stays
     /// untouched, so a snapshot sharing it is not copied.
-    pub fn mark_degraded(&mut self, i: usize) {
-        if !self.records[i].degraded {
-            Arc::make_mut(&mut self.records[i]).degraded = true;
+    pub fn mark_degraded(&mut self, id: CandId) {
+        if self.get(id).is_some_and(|r| !r.degraded) {
+            self.get_mut(id).degraded = true;
         }
     }
 
-    /// All records in discovery order.
-    pub fn iter(&self) -> impl Iterator<Item = &CandidateRecord> {
-        self.records.iter().map(|r| &**r)
+    /// Every slot in id order, `None` where an id is free.
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = Option<&CandidateRecord>> {
+        self.records.iter().map(|r| r.as_deref())
     }
 
-    /// Number of candidates.
+    /// Live records with their ids, in id order.
+    pub fn entries(&self) -> impl Iterator<Item = (CandId, &CandidateRecord)> {
+        self.slots()
+            .enumerate()
+            .filter_map(|(i, r)| Some((i as CandId, r?)))
+    }
+
+    /// Live records in id order: discovery order until a prune frees an
+    /// id for reuse.
+    pub fn iter(&self) -> impl Iterator<Item = &CandidateRecord> {
+        self.slots().flatten()
+    }
+
+    /// Number of live candidates.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records.len() - self.free.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// Drop every record failing `keep`, preserving discovery order of the
-    /// survivors and rebuilding the key index. Returns the pruned records
-    /// (the caller traces them and removes their CTrie paths). A candidate
-    /// pruned here and re-seen later is simply rediscovered as a fresh
-    /// record — the paper's Figure 7 argument: a low-frequency candidate
-    /// whose mentions have all left the window no longer contributes to
-    /// global-embedding quality, so its pool can be rebuilt from scratch.
+    /// Drop every record failing `keep` (asked once per live record, in
+    /// id order), freeing its id. Returns the pruned records with their
+    /// ids (the caller traces them and removes their CTrie paths). A
+    /// candidate pruned here and re-seen later is simply rediscovered as a
+    /// fresh record — the paper's Figure 7 argument: a low-frequency
+    /// candidate whose mentions have all left the window no longer
+    /// contributes to global-embedding quality, so its pool can be rebuilt
+    /// from scratch.
     pub fn prune_retain<F: FnMut(&CandidateRecord) -> bool>(
         &mut self,
         mut keep: F,
-    ) -> Vec<Arc<CandidateRecord>> {
-        // Pruning fires every window enforcement, but on most batches
-        // nothing is prunable — scan for the first casualty before
-        // committing to the record sweep, so the common case is one
-        // predicate pass with no moves, no allocation, and no index
-        // rebuild. `keep` runs exactly once per record in discovery
-        // order either way.
-        let first_pruned = match self.records.iter().position(|r| !keep(r)) {
-            None => return Vec::new(),
-            Some(i) => i,
-        };
+    ) -> Vec<(CandId, Arc<CandidateRecord>)> {
         let mut pruned = Vec::new();
-        let tail: Vec<Arc<CandidateRecord>> = self.records.drain(first_pruned..).collect();
-        for (j, r) in tail.into_iter().enumerate() {
-            // `position` already judged the first tail record prunable.
-            if j > 0 && keep(&r) {
-                self.records.push(r);
-            } else {
-                pruned.push(r);
+        for (id, slot) in self.records.iter_mut().enumerate() {
+            if slot.as_deref().is_some_and(|r| !keep(r)) {
+                pruned.extend(slot.take().map(|r| (id as CandId, r)));
+                self.free.push(id as CandId);
             }
-        }
-        self.index.clear();
-        for (i, r) in self.records.iter().enumerate() {
-            self.index.insert(r.key.clone(), i);
         }
         pruned
     }
 
-    /// Estimated resident heap bytes: record blocks, keys, and the pooled
-    /// and per-mention embeddings (the dominant term for deep local
+    /// Estimated resident heap bytes: record blocks, symbols, and the
+    /// pooled and per-mention embeddings (the dominant term for deep local
     /// systems). Records shared with a clone are counted in full. An
     /// estimate for gauges, not allocator-exact.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = self.records.capacity() * size_of::<Arc<CandidateRecord>>();
-        for r in &self.records {
+        let mut total = self.records.capacity() * size_of::<Option<Arc<CandidateRecord>>>()
+            + self.free.capacity() * size_of::<CandId>();
+        for r in self.iter() {
             // The shared block: the record plus its two reference counts.
             total += size_of::<CandidateRecord>() + 2 * size_of::<usize>();
-            total += r.key.len();
-            total += r
-                .tokens
-                .iter()
-                .map(|t| t.len() + size_of::<String>())
-                .sum::<usize>();
+            total += r.syms.capacity() * size_of::<Sym>();
             total += r.emb_sum.capacity() * size_of::<f32>();
             total += r.local_flat.capacity() * size_of::<f32>();
-        }
-        for key in self.index.keys() {
-            total += key.len() + size_of::<usize>();
         }
         total
     }
@@ -356,21 +330,27 @@ impl CandidateBase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emd_text::intern::Interner;
 
     #[test]
-    fn entry_creates_once() {
+    fn discover_names_records_by_slot() {
+        let mut it = Interner::new();
+        let andy = [it.intern("andy"), it.intern("beshear")];
         let mut cb = CandidateBase::new(3);
-        cb.entry("andy beshear");
-        cb.entry("andy beshear");
-        cb.entry("italy");
+        assert_eq!(cb.discover(&andy), 0);
+        assert_eq!(cb.discover(&[it.intern("italy")]), 1);
         assert_eq!(cb.len(), 2);
-        assert_eq!(cb.get("andy beshear").unwrap().token_len(), 2);
+        let rec = cb.get(0).unwrap();
+        assert_eq!(rec.token_len(), 2);
+        assert_eq!(it.join(&rec.syms), "andy beshear");
+        assert!(cb.get(2).is_none());
     }
 
     #[test]
     fn incremental_pooling_is_mean() {
         let mut cb = CandidateBase::new(2);
-        let r = cb.entry("covid");
+        let id = cb.discover(&[0]);
+        let r = cb.get_mut(id);
         r.add_mention(&[1.0, 0.0], true);
         r.add_mention(&[0.0, 1.0], false);
         r.add_mention(&[2.0, 2.0], false);
@@ -382,7 +362,8 @@ mod tests {
     fn max_pooling() {
         use crate::config::Pooling;
         let mut cb = CandidateBase::new(2);
-        let r = cb.entry("covid");
+        let id = cb.discover(&[0]);
+        let r = cb.get_mut(id);
         r.add_mention(&[1.0, 0.0], true);
         r.add_mention(&[0.0, 2.0], true);
         assert_eq!(r.pooled_embedding(Pooling::Max), vec![1.0, 2.0]);
@@ -392,7 +373,8 @@ mod tests {
     #[test]
     fn empty_pool_is_zeros() {
         let mut cb = CandidateBase::new(4);
-        let r = cb.entry("x");
+        let id = cb.discover(&[0]);
+        let r = cb.get(id).unwrap();
         assert_eq!(r.global_embedding(), vec![0.0; 4]);
         assert_eq!(r.frequency(), 0);
     }
@@ -400,7 +382,8 @@ mod tests {
     #[test]
     fn one_call_counts_the_mention_and_pools_it() {
         let mut cb = CandidateBase::new(1);
-        let r = cb.entry("italy");
+        let id = cb.discover(&[0]);
+        let r = cb.get_mut(id);
         for i in 0..6 {
             r.add_mention(&[i as f32], i % 2 == 0);
         }
@@ -414,82 +397,85 @@ mod tests {
     #[should_panic(expected = "embedding dim mismatch")]
     fn wrong_dim_panics() {
         let mut cb = CandidateBase::new(3);
-        cb.entry("x").add_mention(&[1.0], true);
+        let id = cb.discover(&[0]);
+        cb.get_mut(id).add_mention(&[1.0], true);
     }
 
     #[test]
-    fn prune_retain_preserves_order_and_rebuilds_index() {
+    fn prune_retain_frees_ids_for_reuse() {
         let mut cb = CandidateBase::new(1);
-        for key in ["a", "b", "c", "d"] {
-            cb.entry(key);
+        for sym in [10, 11, 12, 13] {
+            cb.discover(&[sym]);
         }
-        let pruned = cb.prune_retain(|r| r.key != "b" && r.key != "d");
-        assert_eq!(
-            pruned.iter().map(|r| r.key.as_str()).collect::<Vec<_>>(),
-            vec!["b", "d"]
-        );
-        assert_eq!(
-            cb.iter().map(|r| r.key.as_str()).collect::<Vec<_>>(),
-            vec!["a", "c"]
-        );
+        let pruned = cb.prune_retain(|r| r.syms != [11] && r.syms != [13]);
+        let ids: Vec<CandId> = pruned.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![1, 3]);
+        let live: Vec<(CandId, Sym)> = cb.entries().map(|(id, r)| (id, r.syms[0])).collect();
+        assert_eq!(live, vec![(0, 10), (2, 12)]);
         assert_eq!(cb.len(), 2);
-        assert!(cb.get("b").is_none());
-        // The rebuilt index must point at the right survivors.
-        cb.get_mut("c").unwrap().add_mention(&[1.0], false);
-        assert_eq!(cb.get("c").unwrap().frequency(), 1);
-        assert_eq!(cb.get("a").unwrap().frequency(), 0);
-        // A pruned key re-enters as a fresh record at the tail.
-        cb.entry("b");
-        assert_eq!(cb.len(), 3);
-        assert_eq!(cb.get("b").unwrap().frequency(), 0);
+        assert!(cb.get(1).is_none());
+        // The survivors keep their ids.
+        cb.get_mut(2).add_mention(&[1.0], false);
+        assert_eq!(cb.get(2).unwrap().frequency(), 1);
+        assert_eq!(cb.get(0).unwrap().frequency(), 0);
+        // A rediscovered candidate starts fresh, in the last freed slot.
+        assert_eq!(cb.discover(&[11]), 3);
+        assert_eq!(cb.discover(&[14]), 1);
+        assert_eq!(cb.discover(&[15]), 4);
+        assert_eq!(cb.len(), 5);
+        assert_eq!(cb.get(3).unwrap().frequency(), 0);
     }
 
     #[test]
     fn prune_retain_all_kept_is_noop() {
         let mut cb = CandidateBase::new(1);
-        cb.entry("a");
-        cb.entry("b");
+        cb.discover(&[0]);
+        cb.discover(&[1]);
         let pruned = cb.prune_retain(|_| true);
         assert!(pruned.is_empty());
         assert_eq!(cb.len(), 2);
-        assert_eq!(cb.get("a").unwrap().key, "a");
+        assert_eq!(cb.get(0).unwrap().syms, vec![0]);
     }
 
     #[test]
     fn clones_share_records_until_a_mention_is_pooled() {
         let mut cb = CandidateBase::new(1);
-        for key in ["italy", "covid"] {
-            cb.entry(key).add_mention(&[1.0], true);
+        for sym in [0, 1] {
+            let id = cb.discover(&[sym]);
+            cb.get_mut(id).add_mention(&[1.0], true);
         }
         let snap = cb.clone();
-        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
-        // Looking a known key up (a rescan meeting a mention its sentence
-        // already pooled) copies nothing.
-        assert_eq!(cb.ensure("italy"), 0);
-        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
-        // A new key is appended; the shared records stay shared.
-        assert_eq!(cb.ensure("new key"), 2);
-        assert_eq!(cb.get("new key").unwrap().frequency(), 0);
-        assert!(Arc::ptr_eq(&cb.records[1], &snap.records[1]));
+        let shared = |cb: &CandidateBase, snap: &CandidateBase, id: usize| {
+            Arc::ptr_eq(
+                cb.records[id].as_ref().unwrap(),
+                snap.records[id].as_ref().unwrap(),
+            )
+        };
+        assert!(shared(&cb, &snap, 0));
+        // A new candidate is appended; the shared records stay shared.
+        assert_eq!(cb.discover(&[2]), 2);
+        assert_eq!(cb.get(2).unwrap().frequency(), 0);
+        assert!(shared(&cb, &snap, 1));
         // Pooling copies the record the snapshot holds, and only it.
-        cb.entry("covid").add_mention(&[1.0], false);
-        assert!(!Arc::ptr_eq(&cb.records[1], &snap.records[1]));
-        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
-        assert_eq!(snap.get("covid").unwrap().frequency(), 1);
-        assert_eq!(cb.get("covid").unwrap().frequency(), 2);
-        assert_eq!(cb.get("covid").unwrap().locally_detected_frequency(), 1);
+        cb.get_mut(1).add_mention(&[1.0], false);
+        assert!(!shared(&cb, &snap, 1));
+        assert!(shared(&cb, &snap, 0));
+        assert_eq!(snap.get(1).unwrap().frequency(), 1);
+        assert_eq!(cb.get(1).unwrap().frequency(), 2);
+        assert_eq!(cb.get(1).unwrap().locally_detected_frequency(), 1);
         // A record already flagged degraded is not copied to flag it again.
         cb.mark_degraded(0);
         let snap = cb.clone();
         cb.mark_degraded(0);
-        assert!(Arc::ptr_eq(&cb.records[0], &snap.records[0]));
+        assert!(shared(&cb, &snap, 0));
     }
 
     #[test]
     fn store_local_off_skips_per_mention_embeddings() {
         let mut cb = CandidateBase::new(2);
         cb.set_store_local(false);
-        let r = cb.entry("covid");
+        let id = cb.discover(&[0]);
+        let r = cb.get_mut(id);
         r.add_mention(&[1.0, 0.0], true);
         r.add_mention(&[0.0, 1.0], true);
         // The pooled mean is unaffected; only the per-mention list is
@@ -503,12 +489,11 @@ mod tests {
     fn resident_bytes_shrinks_on_prune() {
         let mut cb = CandidateBase::new(8);
         for i in 0..16 {
-            let key = format!("candidate number {i}");
-            let r = cb.entry(&key);
-            r.add_mention(&[0.5; 8], true);
+            let id = cb.discover(&[i, i + 1, i + 2]);
+            cb.get_mut(id).add_mention(&[0.5; 8], true);
         }
         let before = cb.resident_bytes();
-        cb.prune_retain(|r| r.key.ends_with('1'));
+        cb.prune_retain(|r| r.syms[0] % 10 == 1);
         assert!(
             cb.resident_bytes() < before,
             "pruning must shrink resident bytes"

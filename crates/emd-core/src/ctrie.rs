@@ -6,15 +6,18 @@
 //! candidate-mention-extraction scan (§V-A) needs: `child_sym(node, sym)`
 //! and `is_terminal(node)`.
 //!
-//! Since the SoA-layout PR, edges are labelled with interned
-//! [`Sym`]s from the pipeline's shared [`Interner`] rather than owned
-//! `String`s: the scan walks the trie with integer compares against
-//! symbols the ingest step already produced, so the per-token
-//! `to_lowercase()` allocation the old scan paid is gone entirely. The
-//! string-facing entry points (`insert`/`remove`/`contains`/`child`) take
-//! the interner and fold through it with `str::to_lowercase()` semantics,
-//! exactly as before.
+//! Edges are labelled with interned [`Sym`]s from the pipeline's shared
+//! [`Interner`]: the scan walks the trie with integer compares against
+//! symbols the ingest step already produced. The string-facing entry
+//! points (`insert`/`child`) take the interner and fold through it with
+//! `str::to_lowercase()` semantics.
+//!
+//! A terminal is a candidate's one identity: from the first scan that
+//! extracts the candidate until it is pruned, the terminal holds the
+//! candidate's [`CandId`], its slot in the
+//! [`crate::candidatebase::CandidateBase`].
 
+use crate::candidatebase::CandId;
 use emd_text::intern::{Interner, Sym};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -28,6 +31,8 @@ struct Node {
     /// True when the path from the root to this node spells a registered
     /// candidate.
     terminal: bool,
+    /// The candidate's id, once a scan has extracted it.
+    cand: Option<CandId>,
 }
 
 /// Case-insensitive token-level prefix trie forest.
@@ -40,7 +45,7 @@ struct Node {
 pub struct CTrie {
     nodes: Vec<Node>,
     n_candidates: usize,
-    /// Arena slots freed by [`CTrie::remove`], reused by later inserts.
+    /// Arena slots freed by [`CTrie::remove_syms`], reused by later inserts.
     free: Vec<NodeId>,
 }
 
@@ -66,22 +71,11 @@ impl CTrie {
     /// Insert a candidate given its tokens (any casing), interning each
     /// folded token. Returns `true` if the candidate was new.
     pub fn insert<S: AsRef<str>>(&mut self, interner: &mut Interner, tokens: &[S]) -> bool {
-        if tokens.is_empty() {
-            return false;
-        }
-        let mut node = Self::ROOT;
-        for t in tokens {
-            let key = interner.intern_folded(t.as_ref());
-            node = self.child_or_insert(node, key);
-        }
-        let node = &mut self.nodes[node as usize];
-        if node.terminal {
-            false
-        } else {
-            node.terminal = true;
-            self.n_candidates += 1;
-            true
-        }
+        let syms: Vec<Sym> = tokens
+            .iter()
+            .map(|t| interner.intern_folded(t.as_ref()))
+            .collect();
+        self.insert_syms(&syms)
     }
 
     /// Insert a candidate given its already-folded symbols. Returns `true`
@@ -110,7 +104,7 @@ impl CTrie {
         match self.nodes[node as usize].children.get(&key) {
             Some(&id) => id,
             None => {
-                // Reuse a slot freed by `remove` before growing the arena
+                // Reuse a freed slot before growing the arena
                 // (freed nodes are reset to default on removal).
                 let id = match self.free.pop() {
                     Some(id) => id,
@@ -126,27 +120,11 @@ impl CTrie {
         }
     }
 
-    /// Remove a registered candidate. Unmarks the terminal and frees every
-    /// now-childless, non-terminal node on the path (bottom-up) onto the
-    /// free-list. Returns `true` when the candidate was present. Paths
-    /// shared with other candidates (prefixes or extensions) are left
-    /// intact.
-    pub fn remove<S: AsRef<str>>(&mut self, interner: &Interner, tokens: &[S]) -> bool {
-        if tokens.is_empty() {
-            return false;
-        }
-        // A token the interner has never seen cannot label any edge.
-        let mut syms = Vec::with_capacity(tokens.len());
-        for t in tokens {
-            match interner.lookup_folded(t.as_ref()) {
-                Some(s) => syms.push(s),
-                None => return false,
-            }
-        }
-        self.remove_syms(&syms)
-    }
-
-    /// [`CTrie::remove`] by already-folded symbols.
+    /// Remove a registered candidate by its folded symbols. Unmarks the
+    /// terminal, drops its id, and frees every now-childless, non-terminal
+    /// node on the path (bottom-up) onto the free-list. Returns `true`
+    /// when the candidate was present. Paths shared with other candidates
+    /// (prefixes or extensions) are left intact.
     pub fn remove_syms(&mut self, syms: &[Sym]) -> bool {
         if syms.is_empty() {
             return false;
@@ -166,7 +144,9 @@ impl CTrie {
         if !self.nodes[node as usize].terminal {
             return false;
         }
-        self.nodes[node as usize].terminal = false;
+        let n = &mut self.nodes[node as usize];
+        n.terminal = false;
+        n.cand = None;
         self.n_candidates -= 1;
         // Prune childless non-terminal nodes bottom-up; stop at the first
         // node still needed (terminal, or carrying other candidates below).
@@ -206,16 +186,27 @@ impl CTrie {
         self.nodes[node as usize].terminal
     }
 
-    /// Is the full token sequence a registered candidate?
-    pub fn contains<S: AsRef<str>>(&self, interner: &Interner, tokens: &[S]) -> bool {
-        let mut node = Self::ROOT;
-        for t in tokens {
-            match self.child(interner, node, t.as_ref()) {
-                Some(n) => node = n,
-                None => return false,
-            }
-        }
-        node != Self::ROOT && self.is_terminal(node)
+    /// The node the path `syms` ends at, if the trie holds that path.
+    pub fn find(&self, syms: &[Sym]) -> Option<NodeId> {
+        syms.iter()
+            .try_fold(Self::ROOT, |node, &sym| self.child_sym(node, sym))
+    }
+
+    /// The id of the candidate the path `syms` spells, once named.
+    pub fn cand_of(&self, syms: &[Sym]) -> Option<CandId> {
+        self.cand(self.find(syms)?)
+    }
+
+    /// The id of the candidate whose terminal is `node`, once named.
+    #[inline]
+    pub fn cand(&self, node: NodeId) -> Option<CandId> {
+        self.nodes[node as usize].cand
+    }
+
+    /// Name the terminal `node` with candidate id `id`.
+    pub fn set_cand(&mut self, node: NodeId, id: CandId) {
+        debug_assert!(self.is_terminal(node));
+        self.nodes[node as usize].cand = Some(id);
     }
 
     /// Number of registered candidates.
@@ -233,39 +224,31 @@ impl CTrie {
     pub fn n_nodes(&self) -> usize {
         self.nodes.len() - self.free.len()
     }
-
-    /// Enumerate all candidates as lower-cased token vectors (test &
-    /// diagnostics helper; not on the hot path).
-    pub fn candidates(&self, interner: &Interner) -> Vec<Vec<String>> {
-        let mut out = Vec::with_capacity(self.n_candidates);
-        let mut stack: Vec<(NodeId, Vec<String>)> = vec![(Self::ROOT, Vec::new())];
-        while let Some((node, path)) = stack.pop() {
-            let n = &self.nodes[node as usize];
-            if n.terminal {
-                out.push(path.clone());
-            }
-            for (&tok, &child) in &n.children {
-                let mut p = path.clone();
-                p.push(interner.resolve(tok).to_string());
-                stack.push((child, p));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn syms(it: &mut Interner, tokens: &[&str]) -> Vec<Sym> {
+        tokens.iter().map(|t| it.intern_folded(t)).collect()
+    }
+
+    /// Is the token sequence (any casing) a registered candidate?
+    fn holds(t: &CTrie, it: &Interner, tokens: &[&str]) -> bool {
+        let syms: Option<Vec<Sym>> = tokens.iter().map(|w| it.lookup_folded(w)).collect();
+        syms.and_then(|s| t.find(&s))
+            .is_some_and(|n| n != CTrie::ROOT && t.is_terminal(n))
+    }
+
     #[test]
-    fn insert_and_contains_case_insensitive() {
+    fn insert_and_find_case_insensitive() {
         let mut it = Interner::new();
         let mut t = CTrie::new();
         assert!(t.insert(&mut it, &["Andy", "Beshear"]));
-        assert!(t.contains(&it, &["andy", "beshear"]));
-        assert!(t.contains(&it, &["ANDY", "BESHEAR"]));
-        assert!(!t.contains(&it, &["andy"]));
+        assert!(holds(&t, &it, &["andy", "beshear"]));
+        assert!(holds(&t, &it, &["ANDY", "BESHEAR"]));
+        assert!(!holds(&t, &it, &["andy"]));
         assert_eq!(t.len(), 1);
     }
 
@@ -283,10 +266,10 @@ mod tests {
         let mut it = Interner::new();
         let mut t = CTrie::new();
         t.insert(&mut it, &["world", "health", "organization"]);
-        assert!(!t.contains(&it, &["world"]));
-        assert!(!t.contains(&it, &["world", "health"]));
+        assert!(!holds(&t, &it, &["world"]));
+        assert!(!holds(&t, &it, &["world", "health"]));
         t.insert(&mut it, &["world", "health"]);
-        assert!(t.contains(&it, &["world", "health"]));
+        assert!(holds(&t, &it, &["world", "health"]));
         assert_eq!(t.len(), 2);
     }
 
@@ -314,6 +297,7 @@ mod tests {
         // Symbol-level traversal agrees with the string-level one.
         let york = it.lookup_folded("york").unwrap();
         assert_eq!(t.child_sym(n1, york), Some(n2));
+        assert_eq!(t.find(&syms(&mut it, &["new", "york", "city"])), Some(n3));
     }
 
     #[test]
@@ -352,13 +336,14 @@ mod tests {
         let mut t = CTrie::new();
         t.insert(&mut it, &["world", "health", "organization"]);
         assert_eq!(t.n_nodes(), 4);
-        assert!(t.remove(&it, &["World", "Health", "Organization"]));
-        assert!(!t.contains(&it, &["world", "health", "organization"]));
+        let who = syms(&mut it, &["World", "Health", "Organization"]);
+        assert!(t.remove_syms(&who));
+        assert!(!holds(&t, &it, &["world", "health", "organization"]));
         assert_eq!(t.len(), 0);
         assert_eq!(t.n_nodes(), 1, "exclusive path fully pruned");
-        // Removing again is a no-op, as is removing unknown vocabulary.
-        assert!(!t.remove(&it, &["world", "health", "organization"]));
-        assert!(!t.remove(&it, &["never", "interned"]));
+        // Removing again is a no-op, as is removing an unknown path.
+        assert!(!t.remove_syms(&who));
+        assert!(!t.remove_syms(&syms(&mut it, &["never", "inserted"])));
     }
 
     #[test]
@@ -368,16 +353,17 @@ mod tests {
         t.insert(&mut it, &["andy", "beshear"]);
         t.insert(&mut it, &["andy", "murray"]);
         t.insert(&mut it, &["andy"]);
-        assert!(t.remove(&it, &["andy", "beshear"]));
-        assert!(t.contains(&it, &["andy", "murray"]));
-        assert!(t.contains(&it, &["andy"]));
+        assert!(t.remove_syms(&syms(&mut it, &["andy", "beshear"])));
+        assert!(holds(&t, &it, &["andy", "murray"]));
+        assert!(holds(&t, &it, &["andy"]));
         assert_eq!(t.len(), 2);
         // Removing a terminal that still has children keeps the node.
-        assert!(t.remove(&it, &["andy"]));
-        assert!(t.contains(&it, &["andy", "murray"]));
-        assert!(!t.contains(&it, &["andy"]));
+        let andy = syms(&mut it, &["andy"]);
+        assert!(t.remove_syms(&andy));
+        assert!(holds(&t, &it, &["andy", "murray"]));
+        assert!(!holds(&t, &it, &["andy"]));
         // A prefix that was never inserted cannot be removed.
-        assert!(!t.remove(&it, &["andy"]));
+        assert!(!t.remove_syms(&andy));
     }
 
     #[test]
@@ -386,7 +372,7 @@ mod tests {
         let mut t = CTrie::new();
         t.insert(&mut it, &["alpha", "beta"]);
         let peak = t.n_nodes();
-        t.remove(&it, &["alpha", "beta"]);
+        t.remove_syms(&syms(&mut it, &["alpha", "beta"]));
         assert_eq!(t.n_nodes(), 1);
         t.insert(&mut it, &["gamma", "delta"]);
         assert_eq!(
@@ -394,35 +380,39 @@ mod tests {
             peak,
             "arena reuses freed slots instead of growing"
         );
-        assert!(t.contains(&it, &["gamma", "delta"]));
+        assert!(holds(&t, &it, &["gamma", "delta"]));
     }
 
     #[test]
     fn sym_level_insert_matches_string_level() {
         let mut it = Interner::new();
         let mut t = CTrie::new();
-        let syms = vec![it.intern_folded("New"), it.intern_folded("York")];
+        let syms = syms(&mut it, &["New", "York"]);
         assert!(t.insert_syms(&syms));
-        assert!(t.contains(&it, &["new", "york"]));
+        assert!(holds(&t, &it, &["new", "york"]));
         assert!(!t.insert(&mut it, &["NEW", "YORK"]), "same candidate");
         assert!(t.remove_syms(&syms));
         assert!(t.is_empty());
     }
 
     #[test]
-    fn enumerate_candidates() {
+    fn a_terminal_holds_its_id_until_removed() {
         let mut it = Interner::new();
         let mut t = CTrie::new();
-        t.insert(&mut it, &["Italy"]);
-        t.insert(&mut it, &["Andy", "Beshear"]);
-        let mut cands = t.candidates(&it);
-        cands.sort();
-        assert_eq!(
-            cands,
-            vec![
-                vec!["andy".to_string(), "beshear".to_string()],
-                vec!["italy".to_string()]
-            ]
-        );
+        let path = syms(&mut it, &["andy", "beshear"]);
+        t.insert_syms(&path);
+        let node = t.find(&path).unwrap();
+        assert_eq!(t.cand(node), None, "unnamed until first extracted");
+        t.set_cand(node, 7);
+        assert_eq!(t.cand(node), Some(7));
+        // Re-inserting a registered candidate keeps its id.
+        assert!(!t.insert_syms(&path));
+        assert_eq!(t.cand(node), Some(7));
+        // A removed and re-registered candidate starts unnamed.
+        t.insert(&mut it, &["andy", "beshear", "jr"]);
+        t.remove_syms(&path);
+        t.insert_syms(&path);
+        assert_eq!(t.find(&path), Some(node));
+        assert_eq!(t.cand(node), None);
     }
 }

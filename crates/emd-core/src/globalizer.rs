@@ -35,13 +35,13 @@
 //! without the `failpoints` feature.
 
 use crate::adjacency::AdjacencyLedger;
-use crate::candidatebase::{CandidateBase, CandidateRecord};
+use crate::candidatebase::{CandId, CandidateBase, CandidateRecord};
 use crate::classifier::{CandidateLabel, EntityClassifier};
 use crate::config::{Ablation, GlobalizerConfig};
-use crate::ctrie::CTrie;
+use crate::ctrie::{CTrie, NodeId};
 use crate::dirtyset::DirtySet;
 use crate::local::LocalEmd;
-use crate::mention::extract_mentions_into;
+use crate::mention::walk_mentions;
 use crate::obs::{PhaseProbe, PhaseTimings, PipelineMetrics};
 use crate::phrase_embedder::PhraseEmbedder;
 use crate::tweetbase::{TweetBase, TweetRecord};
@@ -51,6 +51,7 @@ use emd_resilience::quarantine::{PipelinePhase, QuarantineEntry};
 use emd_resilience::{failpoint, isolate, validate};
 use emd_sentinel::{AlertKind, BatchObservation, HealthReport, HealthState, Sentinel};
 use emd_text::casing::{syntactic_class, SyntacticClass};
+use emd_text::intern::Sym;
 use emd_text::token::{Sentence, SentenceId, Span};
 use emd_trace::{
     TraceAblation, TraceBreaker, TraceEvent, TraceEventKind, TraceHealth, TraceLabel, TracePhase,
@@ -142,16 +143,16 @@ fn tspan(sp: &Span) -> (u32, u32) {
 /// Accumulated pipeline state across batches. Serializable: the
 /// `StreamSupervisor` checkpoints it between batches so an interrupted
 /// run can resume from the last completed batch. Decoding also reads the
-/// v4 schema, whose frozen ledger counted only evicted records' pairs
-/// (see [`AdjacencyLedger::from_v4`]), and the v3 schema, whose
-/// candidates listed their mentions (see `crate::state_v3`).
+/// v3 to v5 schemas, which named candidates by their text (see
+/// `crate::migrate`).
 #[derive(Debug, Clone, Serialize)]
 pub struct GlobalizerState {
     /// Per-sentence records.
     pub tweetbase: TweetBase,
     /// Seed candidate index.
     pub ctrie: CTrie,
-    /// Per-candidate records with pooled global embeddings.
+    /// Per-candidate records with pooled global embeddings, indexed by
+    /// the ids the CTrie terminals hold.
     pub candidates: CandidateBase,
     /// Stream-order indices of records whose stored `global_mentions` may
     /// be stale: never scanned yet, or a candidate whose whole token
@@ -183,7 +184,7 @@ pub struct GlobalizerState {
     /// record's stored mentions plus those of every evicted record as it
     /// stood at eviction (see [`AdjacencyLedger`]). Empty while
     /// promotion is disabled.
-    adjacency: AdjacencyLedger,
+    pub(crate) adjacency: AdjacencyLedger,
     /// Slot index the next eviction sweep starts from. Evictions walk the
     /// slot vector oldest-first and never revisit freed slots, so this
     /// cursor makes each sweep O(batch), not O(history). Rebased by
@@ -201,17 +202,9 @@ pub struct GlobalizerState {
 
 impl Deserialize for GlobalizerState {
     fn from_value(v: &Value) -> Result<GlobalizerState, DeError> {
-        if crate::state_v3::is_v3(v) {
-            return GlobalizerState::decode(&crate::state_v3::migrate(v)?);
+        if crate::migrate::is_pre_v6(v) {
+            return crate::migrate::to_v6(v);
         }
-        GlobalizerState::decode(v)
-    }
-}
-
-impl GlobalizerState {
-    /// Decode the current (v5) schema, or the v4 one, whose
-    /// `frozen_adjacency` becomes the ledger.
-    fn decode(v: &Value) -> Result<GlobalizerState, DeError> {
         fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
             match v.get_field(name) {
                 Some(fv) => T::from_value(fv),
@@ -223,13 +216,8 @@ impl GlobalizerState {
         if v.as_obj().is_none() {
             return Err(DeError::msg("expected object for `GlobalizerState`"));
         }
-        let tweetbase: TweetBase = field(v, "tweetbase")?;
-        let adjacency = match v.get_field("frozen_adjacency") {
-            Some(frozen) => AdjacencyLedger::from_v4(frozen, tweetbase.iter())?,
-            None => field(v, "adjacency")?,
-        };
         Ok(GlobalizerState {
-            tweetbase,
+            tweetbase: field(v, "tweetbase")?,
             ctrie: field(v, "ctrie")?,
             candidates: field(v, "candidates")?,
             dirty: field(v, "dirty")?,
@@ -237,16 +225,32 @@ impl GlobalizerState {
             quarantined: field(v, "quarantined")?,
             quarantined_idx: field(v, "quarantined_idx")?,
             quarantined_ids: field(v, "quarantined_ids")?,
-            adjacency,
+            adjacency: field(v, "adjacency")?,
             evict_cursor: field(v, "evict_cursor")?,
             batch_seq: field(v, "batch_seq")?,
             trace_seq: field(v, "trace_seq")?,
         })
     }
+}
 
+impl GlobalizerState {
     /// The adjacent-pair promotion evidence.
     pub fn adjacency(&self) -> &AdjacencyLedger {
         &self.adjacency
+    }
+
+    /// The id of the live candidate spelled by `text` (tokens in any
+    /// casing, space-separated).
+    pub fn candidate_id(&self, text: &str) -> Option<CandId> {
+        let interner = self.tweetbase.interner();
+        let syms: Option<Vec<Sym>> = text.split(' ').map(|t| interner.lookup_folded(t)).collect();
+        self.ctrie.cand_of(&syms?)
+    }
+
+    /// The text of live candidate `id`: its folded tokens, space-joined.
+    pub fn candidate_key(&self, id: CandId) -> String {
+        let rec = self.candidates.get(id).expect("live candidate id");
+        self.tweetbase.interner().join(&rec.syms)
     }
 
     /// Number of records currently awaiting a rescan (the dirty-set
@@ -389,14 +393,18 @@ impl GlobalizerOutput {
 /// One mention a rescan found, with the embedding to pool if the record
 /// has not pooled it yet.
 struct StagedMention {
-    /// Candidate key (the span's folded surface).
-    key: String,
+    /// The CTrie terminal the match ended on, which names its candidate.
+    terminal: NodeId,
     /// Token span inside the record's sentence.
     span: Span,
     /// Whether the Local EMD system proposed this span itself.
     locally_detected: bool,
     /// Local candidate embedding.
     emb: Vec<f32>,
+    /// The embedding computation panicked or produced non-finite values
+    /// (or the pool breaker is open): `emb` is a zero vector, and the
+    /// apply step marks the candidate degraded.
+    degraded: bool,
 }
 
 /// One staged rescan result, computed read-only (a rescan worker runs the
@@ -406,10 +414,6 @@ struct StagedScan {
     mentions: Vec<Span>,
     /// One entry per re-extracted mention, in span order.
     staged: Vec<StagedMention>,
-    /// Candidate keys whose embedding computation panicked or produced
-    /// non-finite values; a zero vector was pooled in its place and the
-    /// apply step marks the candidate degraded.
-    degraded_keys: Vec<String>,
 }
 
 /// Live monitoring attachment: the quality sentinel plus the raw counts
@@ -995,7 +999,7 @@ impl<'a> Globalizer<'a> {
         if self.config.promotion_support > 0 {
             state
                 .adjacency
-                .remove_record(state.tweetbase.get_by_index(idx));
+                .remove_record(state.tweetbase.get_by_index(idx), &state.ctrie);
         }
     }
 
@@ -1220,19 +1224,20 @@ impl<'a> Globalizer<'a> {
             let Some(spans) = spans else { continue };
             for sp in spans {
                 if sp.len() <= self.config.max_candidate_len {
-                    let toks: Vec<&str> = (sp.start..sp.end)
-                        .map(|i| sentence.tokens[i].text.as_str())
+                    let interner = state.tweetbase.interner_mut();
+                    let syms: Vec<Sym> = (sp.start..sp.end)
+                        .map(|i| interner.intern_folded(&sentence.tokens[i].text))
                         .collect();
-                    if state.ctrie.insert(state.tweetbase.interner_mut(), &toks) {
+                    if state.ctrie.insert_syms(&syms) {
                         n_inserted += 1;
                         self.temit(|| TraceEvent {
                             sid: Some(tsid(sentence.id)),
                             span: Some(tspan(sp)),
-                            candidate: Some(toks.join(" ").to_lowercase()),
+                            candidate: Some(state.tweetbase.interner().join(&syms)),
                             phase: Some(TracePhase::TrieRegister),
                             ..TraceEvent::of(TraceEventKind::TrieInsert)
                         });
-                        Self::mark_dirty(state, &toks);
+                        Self::mark_dirty(state, &syms);
                     }
                 }
             }
@@ -1254,25 +1259,15 @@ impl<'a> Globalizer<'a> {
     /// only new terminal, so no other sentence's extraction can change.
     /// Quarantined records are permanently excluded.
     ///
-    /// Tokens resolve through the interner (any casing); an unknown token
-    /// occurs in no stored sentence, so there is nothing to dirty. The
-    /// walk follows the rarest symbol's posting list. A multi-token
+    /// The walk follows the rarest symbol's posting list. A multi-token
     /// candidate's hits must also appear in every other symbol's list,
     /// rarest first, before the contiguous match is confirmed on the
     /// record's symbols: the rarest symbol of a noun phrase is often a
     /// common word, and the list probes are far cheaper than
     /// dereferencing a record only to fail the match.
-    fn mark_dirty<S: AsRef<str>>(state: &mut GlobalizerState, tokens: &[S]) {
-        let interner = state.tweetbase.interner();
-        let Some(syms) = tokens
-            .iter()
-            .map(|t| interner.lookup_folded(t.as_ref()))
-            .collect::<Option<Vec<_>>>()
-        else {
-            return;
-        };
+    fn mark_dirty(state: &mut GlobalizerState, syms: &[Sym]) {
         let tweetbase = &state.tweetbase;
-        let mut distinct = syms.clone();
+        let mut distinct = syms.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         let mut lists: Vec<&[usize]> = distinct
@@ -1325,51 +1320,39 @@ impl<'a> Globalizer<'a> {
         let record = tweetbase.get_by_index(idx);
         // Symbol-level trie walk over the record's pre-interned folded
         // tokens: no case folding, no string hashing, no per-token
-        // allocation — the vector below becomes the record's stored
-        // mention list.
+        // allocation. Each match ends on the terminal that names its
+        // candidate; `mentions` becomes the record's stored mention list.
         let mut mentions = Vec::new();
-        extract_mentions_into(
+        let mut staged = Vec::new();
+        walk_mentions(
             ctrie,
             &record.tok_syms,
             self.config.max_candidate_len,
-            &mut mentions,
-        );
-        let mut degraded_keys = Vec::new();
-        let staged = mentions
-            .iter()
-            .map(|sp| {
-                let key = sp.surface_lower(&record.sentence);
+            |span, terminal| {
                 // Pool breaker Open: skip the embedder outright; zero
                 // vector + degraded is exactly the persistent-failure end
                 // state, minus the retry burn.
-                let emb = if !embed_allowed {
-                    degraded_keys.push(key.clone());
-                    vec![0.0; self.candidate_dim()]
-                } else {
-                    match isolate::catch(|| {
-                        failpoint::fire("phrase_embed");
-                        self.local_embedding(tweetbase, idx, sp)
-                    }) {
-                        Ok(emb) if validate::all_finite(&emb) => emb,
-                        _ => {
-                            degraded_keys.push(key.clone());
-                            vec![0.0; self.candidate_dim()]
-                        }
-                    }
-                };
-                StagedMention {
-                    key,
-                    span: *sp,
-                    locally_detected: record.local_spans.contains(sp),
-                    emb,
-                }
-            })
-            .collect();
-        StagedScan {
-            mentions,
-            staged,
-            degraded_keys,
-        }
+                let emb = embed_allowed
+                    .then(|| {
+                        isolate::catch(|| {
+                            failpoint::fire("phrase_embed");
+                            self.local_embedding(tweetbase, idx, &span)
+                        })
+                        .ok()
+                        .filter(|emb| validate::all_finite(emb))
+                    })
+                    .flatten();
+                mentions.push(span);
+                staged.push(StagedMention {
+                    terminal,
+                    span,
+                    locally_detected: record.local_spans.contains(&span),
+                    degraded: emb.is_none(),
+                    emb: emb.unwrap_or_else(|| vec![0.0; self.candidate_dim()]),
+                });
+            },
+        );
+        StagedScan { mentions, staged }
     }
 
     /// One record's staging, panic-isolated with the retry budget.
@@ -1458,7 +1441,6 @@ impl<'a> Globalizer<'a> {
             match outcome {
                 Ok(st) => {
                     n_mentions += st.mentions.len() as u64;
-                    n_scan_degraded += st.degraded_keys.len() as u64;
                     self.temit(|| TraceEvent {
                         sid: Some(tsid(state.tweetbase.get_by_index(idx).sentence.id)),
                         count: Some(st.mentions.len() as u64),
@@ -1471,35 +1453,48 @@ impl<'a> Globalizer<'a> {
                     // (and shared with any snapshot).
                     let rec = state.tweetbase.get_by_index(idx);
                     let changed = rec.global_mentions != st.mentions;
-                    // The new extraction's pairs replace the old ones in
-                    // the ledger (counted first, so a pair both hold is
-                    // never dropped and re-inserted).
-                    if changed && self.config.promotion_support > 0 {
-                        state.adjacency.add(&st.mentions, |i| &st.staged[i].key);
-                        state.adjacency.remove_record(rec);
-                    }
-                    for m in st.staged {
+                    let mut degraded = Vec::new();
+                    for m in &st.staged {
                         let pooled = changed && !rec.has_pooled(&m.span);
-                        // A deduplicated mention still registers its
-                        // candidate (without writing to it), which keeps
-                        // discovery order independent of the dedup.
-                        let i = state.candidates.ensure(&m.key);
+                        // The first extraction discovers the candidate: a
+                        // record for it, and its id on the terminal. A
+                        // deduplicated mention discovers it too (without
+                        // pooling), which keeps discovery order independent
+                        // of the dedup.
+                        let id = state.ctrie.cand(m.terminal).unwrap_or_else(|| {
+                            let id = state.candidates.discover(rec.syms_of(&m.span));
+                            state.ctrie.set_cand(m.terminal, id);
+                            id
+                        });
                         if pooled {
                             state
                                 .candidates
-                                .get_mut_by_index(i)
+                                .get_mut(id)
                                 .add_mention(&m.emb, m.locally_detected);
                             n_pooled += 1;
+                        }
+                        if m.degraded {
+                            degraded.push(id);
                         }
                         self.temit(|| TraceEvent {
                             sid: Some(tsid(rec.sentence.id)),
                             span: Some(tspan(&m.span)),
-                            candidate: Some(m.key),
+                            candidate: Some(state.candidate_key(id)),
                             pooled: Some(pooled),
                             local_hit: Some(m.locally_detected),
                             phase: Some(tphase),
                             ..TraceEvent::of(TraceEventKind::ScanMention)
                         });
+                    }
+                    // The new extraction's pairs replace the old ones in
+                    // the ledger (counted first, so a pair both hold is
+                    // never dropped and re-inserted).
+                    if changed && self.config.promotion_support > 0 {
+                        let ctrie = &state.ctrie;
+                        state
+                            .adjacency
+                            .add(&st.mentions, |i| ctrie.cand(st.staged[i].terminal));
+                        state.adjacency.remove_record(rec, ctrie);
                     }
                     if changed {
                         state
@@ -1508,12 +1503,11 @@ impl<'a> Globalizer<'a> {
                             .set_global_mentions(st.mentions);
                     }
                     state.dirty.remove(idx);
-                    for key in st.degraded_keys {
-                        if !state.candidates.get(&key).is_some_and(|rec| rec.degraded) {
-                            state.candidates.entry(&key).degraded = true;
-                        }
+                    n_scan_degraded += degraded.len() as u64;
+                    for id in degraded {
+                        state.candidates.mark_degraded(id);
                         self.temit(|| TraceEvent {
-                            candidate: Some(key),
+                            candidate: Some(state.candidate_key(id)),
                             phase: Some(tphase),
                             reason: Some("phrase embedding failed; zero vector pooled".to_string()),
                             ..TraceEvent::of(TraceEventKind::CandidateDegraded)
@@ -1576,19 +1570,24 @@ impl<'a> Globalizer<'a> {
         // candidate the end state a persistent classifier failure would
         // have produced — degraded, emission falling back to the local
         // system's detections — with zero retry burn.
+        let frozen = |rec: &CandidateRecord| {
+            matches!(
+                rec.label,
+                CandidateLabel::Entity | CandidateLabel::NonEntity
+            )
+        };
         if !self.guard_allows(TracePhase::Classify) {
-            let mut n_skipped = 0u64;
-            for i in 0..state.candidates.len() {
-                if matches!(
-                    state.candidates.get_by_index(i).label,
-                    CandidateLabel::Entity | CandidateLabel::NonEntity
-                ) {
-                    continue;
-                }
-                state.candidates.mark_degraded(i);
-                n_skipped += 1;
+            let unfrozen: Vec<CandId> = state
+                .candidates
+                .entries()
+                .filter(|(_, rec)| !frozen(rec))
+                .map(|(id, _)| id)
+                .collect();
+            let n_skipped = unfrozen.len() as u64;
+            for id in unfrozen {
+                state.candidates.mark_degraded(id);
                 self.temit(|| TraceEvent {
-                    candidate: Some(state.candidates.get_by_index(i).key.clone()),
+                    candidate: Some(state.candidate_key(id)),
                     phase: Some(TracePhase::Classify),
                     reason: Some("classify breaker open".to_string()),
                     ..TraceEvent::of(TraceEventKind::CandidateDegraded)
@@ -1617,15 +1616,15 @@ impl<'a> Globalizer<'a> {
             self.note_retries(r.failed_attempts);
             r.result
         };
-        // Phase 1 (parallelizable): score every unfrozen candidate.
+        // Phase 1 (parallelizable): score every unfrozen candidate. One
+        // entry per slot, so a position is an id: a list of `(id, record)`
+        // pairs for the live records made this phase ~50% slower on the
+        // churn stream.
         let scores: Vec<Option<Result<f32, String>>> = {
             let pending: Vec<Option<&CandidateRecord>> = state
                 .candidates
-                .iter()
-                .map(|rec| match rec.label {
-                    CandidateLabel::Entity | CandidateLabel::NonEntity => None,
-                    _ => Some(rec),
-                })
+                .slots()
+                .map(|rec| rec.filter(|rec| !frozen(rec)))
                 .collect();
             self.sharded(
                 &pending,
@@ -1645,15 +1644,16 @@ impl<'a> Globalizer<'a> {
         // Records are indexed, not iterated mutably: only the ones whose
         // verdict changes are written, so a snapshot keeps sharing the
         // rest.
-        for (i, p) in scores.into_iter().enumerate() {
+        for (id, p) in scores.into_iter().enumerate() {
+            let id = id as CandId;
             let Some(p) = p else { continue };
             let p = match p {
                 Ok(p) => p,
                 Err(reason) => {
-                    state.candidates.mark_degraded(i);
+                    state.candidates.mark_degraded(id);
                     n_cls_degraded += 1;
                     self.temit(|| TraceEvent {
-                        candidate: Some(state.candidates.get_by_index(i).key.clone()),
+                        candidate: Some(state.candidate_key(id)),
                         phase: Some(TracePhase::Classify),
                         reason: Some(reason),
                         ..TraceEvent::of(TraceEventKind::CandidateDegraded)
@@ -1662,7 +1662,10 @@ impl<'a> Globalizer<'a> {
                 }
             };
             n_scored += 1;
-            let rec = state.candidates.get_by_index(i);
+            let rec = state
+                .candidates
+                .get(id)
+                .expect("scored candidates stay live");
             let mut label = EntityClassifier::classify(p, &self.config);
             if resolve_ambiguous && label == CandidateLabel::Ambiguous {
                 // Cumulative ratios (evicted mentions included), so the
@@ -1677,7 +1680,7 @@ impl<'a> Globalizer<'a> {
                 };
             }
             if rec.score.map(f32::to_bits) != Some(p.to_bits()) || rec.label != label {
-                let rec = state.candidates.get_mut_by_index(i);
+                let rec = state.candidates.get_mut(id);
                 rec.score = Some(p);
                 rec.label = label;
             }
@@ -1688,7 +1691,7 @@ impl<'a> Globalizer<'a> {
                 _ => n_ambiguous += 1,
             }
             self.temit(|| TraceEvent {
-                candidate: Some(state.candidates.get_by_index(i).key.clone()),
+                candidate: Some(state.candidate_key(id)),
                 score: Some(p),
                 label: Some(trace_label(label)),
                 final_verdict: Some(resolve_ambiguous),
@@ -1882,7 +1885,8 @@ impl<'a> Globalizer<'a> {
     /// verdict, and its mention frequency is at most `max_freq`. At the
     /// default thresholds (`prune_max_frequency: 2 < promotion_support:
     /// 3`) a fragment with enough adjacency evidence to promote is never
-    /// pruned.
+    /// pruned. A pruned candidate's id is freed and its adjacent pairs
+    /// leave the ledger.
     fn prune_candidates(&self, state: &mut GlobalizerState, max_freq: usize) {
         if max_freq == 0 {
             return;
@@ -1892,9 +1896,9 @@ impl<'a> Globalizer<'a> {
             rec.label == CandidateLabel::Entity
                 || rec.frequency() > max_freq
                 || rec
-                    .tokens
+                    .syms
                     .first()
-                    .is_some_and(|t| !tweetbase.indices_with_token(t).is_empty())
+                    .is_some_and(|&t| !tweetbase.indices_with_sym(t).is_empty())
         });
         if pruned.is_empty() {
             return;
@@ -1903,10 +1907,12 @@ impl<'a> Globalizer<'a> {
             pruned: pruned.len() as u64,
             ..BatchObservation::default()
         });
-        for rec in &pruned {
-            state.ctrie.remove(state.tweetbase.interner(), &rec.tokens);
+        let ids: Vec<CandId> = pruned.iter().map(|&(id, _)| id).collect();
+        state.adjacency.forget(&ids);
+        for (_, rec) in &pruned {
+            state.ctrie.remove_syms(&rec.syms);
             self.temit(|| TraceEvent {
-                candidate: Some(rec.key.clone()),
+                candidate: Some(state.tweetbase.interner().join(&rec.syms)),
                 count: Some(rec.frequency() as u64),
                 phase: Some(TracePhase::Evict),
                 ..TraceEvent::of(TraceEventKind::CandidatePruned)
@@ -1921,11 +1927,12 @@ impl<'a> Globalizer<'a> {
     ///
     /// Reads only the adjacency ledger, which the closing rescan has
     /// brought up to date, so the promotion set is independent of batch
-    /// schedule and rescan strategy. Returns candidate token vectors in
-    /// ledger key order; every filter reads the state from before the
-    /// round, so the order cannot change which candidates are promoted
-    /// (DESIGN.md "Adjacency ledger").
-    fn find_promotions(&self, state: &GlobalizerState) -> Vec<Vec<String>> {
+    /// schedule and rescan strategy. Returns the concatenations' symbols
+    /// in ledger id order, registered ones included (their insert is a
+    /// no-op); every filter reads the state from before the round, so the
+    /// order cannot change which candidates are promoted (DESIGN.md
+    /// "Adjacency ledger").
+    fn find_promotions(&self, state: &GlobalizerState) -> Vec<Vec<Sym>> {
         let support = self.config.promotion_support as u64;
         if support == 0 {
             return Vec::new();
@@ -1938,17 +1945,12 @@ impl<'a> Globalizer<'a> {
             };
             // The adjacency must dominate the rarer fragment: incidental
             // co-occurrence of two frequent independent entities stays out.
-            if 2 * adj < a.frequency().min(b.frequency()) as u64 {
-                continue;
-            }
-            let mut tokens = a.tokens.clone();
-            tokens.extend(b.tokens.iter().cloned());
-            if tokens.len() > self.config.max_candidate_len
-                || state.ctrie.contains(state.tweetbase.interner(), &tokens)
+            if 2 * adj < a.frequency().min(b.frequency()) as u64
+                || a.token_len() + b.token_len() > self.config.max_candidate_len
             {
                 continue;
             }
-            promotions.push(tokens);
+            promotions.push([&a.syms[..], &b.syms[..]].concat());
         }
         promotions
     }
@@ -1962,17 +1964,17 @@ impl<'a> Globalizer<'a> {
         let promotions = self.find_promotions(state);
         self.finish(probe, &mut state.timings);
         let mut n_new = 0;
-        for tokens in promotions {
-            // Two pairs can spell one concatenation; the second insert
-            // finds it registered and is a no-op.
-            if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
+        for syms in promotions {
+            // A concatenation registered earlier, or spelled by two pairs,
+            // finds its terminal in place and the insert is a no-op.
+            if state.ctrie.insert_syms(&syms) {
                 n_new += 1;
                 self.temit(|| TraceEvent {
-                    candidate: Some(tokens.join(" ")),
+                    candidate: Some(state.tweetbase.interner().join(&syms)),
                     phase: Some(TracePhase::Promotion),
                     ..TraceEvent::of(TraceEventKind::Promotion)
                 });
-                Self::mark_dirty(state, &tokens);
+                Self::mark_dirty(state, &syms);
             }
         }
         n_new
@@ -2038,10 +2040,10 @@ impl<'a> Globalizer<'a> {
                     .global_mentions
                     .iter()
                     .filter(|sp| {
-                        let key = sp.surface_lower(&rec.sentence);
                         state
-                            .candidates
-                            .get(&key)
+                            .ctrie
+                            .cand_of(rec.syms_of(sp))
+                            .and_then(|id| state.candidates.get(id))
                             .map(|c| {
                                 if c.degraded {
                                     // Degraded fallback: the classifier
@@ -2246,6 +2248,29 @@ mod tests {
             .map(|(i, words)| {
                 Sentence::from_tokens(SentenceId::new(i as u64, 0), words.iter().copied())
             })
+            .collect()
+    }
+
+    /// The record of the live candidate spelled by `text`.
+    fn cand<'a>(state: &'a GlobalizerState, text: &str) -> Option<&'a CandidateRecord> {
+        state.candidates.get(state.candidate_id(text)?)
+    }
+
+    /// Does the CTrie register the candidate spelled by `text`?
+    fn registered(state: &GlobalizerState, text: &str) -> bool {
+        let interner = state.tweetbase.interner();
+        let syms: Option<Vec<Sym>> = text.split(' ').map(|t| interner.lookup_folded(t)).collect();
+        syms.and_then(|s| state.ctrie.find(&s))
+            .is_some_and(|n| state.ctrie.is_terminal(n))
+    }
+
+    /// The adjacency ledger's pairs, by candidate text.
+    fn pairs(state: &GlobalizerState) -> Vec<(String, String, u64)> {
+        let key = |id| state.candidate_key(id);
+        let ledger = state.adjacency().at_least(1);
+        ledger
+            .into_iter()
+            .map(|(a, b, n)| (key(a), key(b), n))
             .collect()
     }
 
@@ -2511,7 +2536,7 @@ mod tests {
         let stream = sents(&[&["Italy", "x"], &["italy", "y"]]);
         let state = index_stream(&local, None, &GlobalizerConfig::default(), &stream);
         assert_eq!(state.candidates.len(), 1);
-        let rec = state.candidates.get("italy").unwrap();
+        let rec = cand(&state, "italy").unwrap();
         assert_eq!(rec.frequency(), 2);
         assert_eq!(rec.label, CandidateLabel::Pending);
         assert_eq!(rec.n_pooled(), 2);
@@ -2581,8 +2606,11 @@ mod tests {
         assert_eq!(inc.n_candidates, full.n_candidates);
         assert_eq!(inc.n_entities, full.n_entities);
         assert_eq!(inc.n_promoted, full.n_promoted);
-        let keys1: Vec<&str> = s1.candidates.iter().map(|c| c.key.as_str()).collect();
-        let keys2: Vec<&str> = s2.candidates.iter().map(|c| c.key.as_str()).collect();
+        let keys = |s: &GlobalizerState| -> Vec<String> {
+            let ids: Vec<CandId> = s.candidates.entries().map(|(id, _)| id).collect();
+            ids.into_iter().map(|id| s.candidate_key(id)).collect()
+        };
+        let (keys1, keys2) = (keys(&s1), keys(&s2));
         assert_eq!(keys1, keys2, "candidate discovery order must match");
         for (a, b) in s1.candidates.iter().zip(s2.candidates.iter()) {
             assert_eq!(
@@ -2697,14 +2725,12 @@ mod tests {
         ]);
         let (out, state) = g.run(&stream, 10);
         assert_eq!(out.n_promoted, 1);
-        assert!(state
-            .ctrie
-            .contains(state.tweetbase.interner(), &["moross", "lumsa"]));
+        assert!(registered(&state, "moross lumsa"));
         assert_eq!(out.per_sentence[0].1, vec![Span::new(0, 2)]);
         assert_eq!(out.per_sentence[1].1, vec![Span::new(2, 4)]);
         assert_eq!(out.per_sentence[2].1, vec![Span::new(0, 2)]);
         // The promoted candidate pooled one embedding per recovered mention.
-        let promoted = state.candidates.get("moross lumsa").unwrap();
+        let promoted = cand(&state, "moross lumsa").unwrap();
         assert_eq!(promoted.frequency(), 3);
         assert_eq!(promoted.n_pooled(), 3);
     }
@@ -2723,9 +2749,7 @@ mod tests {
         ]);
         let (out, state) = g.run(&stream, 10);
         assert_eq!(out.n_promoted, 0);
-        assert!(!state
-            .ctrie
-            .contains(state.tweetbase.interner(), &["italy", "canada"]));
+        assert!(!registered(&state, "italy canada"));
         assert_eq!(
             out.per_sentence[0].1,
             vec![Span::new(0, 1), Span::new(1, 2)]
@@ -2810,7 +2834,7 @@ mod tests {
                 "only the valid span survives under {ablation:?}"
             );
             if ablation != Ablation::LocalOnly {
-                let rec = state.candidates.get("italy").unwrap();
+                let rec = cand(&state, "italy").unwrap();
                 assert_eq!(rec.locally_detected_frequency(), rec.frequency());
             }
         }
@@ -3025,7 +3049,8 @@ mod tests {
         assert_eq!(out.n_degraded, 0);
         // Degrade the candidate and re-emit: only the local detection
         // survives.
-        state.candidates.get_mut("coronavirus").unwrap().degraded = true;
+        let id = state.candidate_id("coronavirus").unwrap();
+        state.candidates.get_mut(id).degraded = true;
         let out = g.emit(&state, 0, 0);
         assert_eq!(out.n_degraded, 1);
         assert_eq!(out.per_sentence[0].1, vec![Span::new(0, 1)]);
@@ -3069,7 +3094,7 @@ mod tests {
             assert_eq!(spans, &vec![Span::new(0, 1)]);
         }
         // Pooled evidence from evicted mentions is retained.
-        assert_eq!(state.candidates.get("italy").unwrap().frequency(), 12);
+        assert_eq!(cand(&state, "italy").unwrap().frequency(), 12);
         let snap = g.metrics().snapshot();
         assert_eq!(snap.counter("emd_window_evicted_records_total"), Some(8));
         assert_eq!(snap.gauge("emd_window_depth"), Some(4.0));
@@ -3127,7 +3152,7 @@ mod tests {
             "evicted adjacency evidence must stay counted"
         );
         // Four evicted sentences and two live ones hold the pair.
-        assert_eq!(state.adjacency().at_least(1), vec![("moross", "lumsa", 6)]);
+        assert_eq!(pairs(&state), vec![("moross".into(), "lumsa".into(), 6)]);
         let out = g.finalize(&mut state);
         assert_eq!(out.n_promoted, 1, "promotion survives eviction");
         // Live sentences re-emit the merged mention.
@@ -3137,49 +3162,31 @@ mod tests {
     }
 
     #[test]
-    fn v4_state_migrates_to_the_ledger_an_uninterrupted_run_holds() {
-        // Four of six "Moross Lumsa" sentences are evicted: v4 froze
-        // their pairs and counted the two live ones only at the close.
-        let local = LexiconEmd::new(["moross", "lumsa"]);
-        let clf = accept_all(7);
+    fn pruned_fragment_is_rediscovered_with_no_evidence() {
+        // "Moross Lumsa" is seen once, then evicted: both cold fragments
+        // are pruned, and their pair leaves the ledger with them. Seen
+        // again, they start over like their pools do.
+        let local = LexiconEmd::new(["moross", "lumsa", "italy"]);
+        let clf = reject_all(7);
         let cfg = GlobalizerConfig {
             window: crate::config::WindowConfig::sliding(2),
             ..Default::default()
         };
         let g = Globalizer::new(&local, None, &clf, cfg);
-        let msgs: Vec<Vec<&str>> = (0..6).map(|_| vec!["Moross", "Lumsa", "speaks"]).collect();
-        let msgs: Vec<&[&str]> = msgs.iter().map(|v| v.as_slice()).collect();
+        let mut msgs: Vec<&[&str]> = vec![&["Moross", "Lumsa", "here"]];
+        msgs.extend([&["Italy", "reports"][..]; 4]);
+        msgs.push(&["Moross", "Lumsa", "again"]);
+        let stream = sents(&msgs);
         let mut state = g.new_state();
-        for chunk in sents(&msgs).chunks(2) {
-            g.process_batch(&mut state, chunk);
+        for s in &stream[..5] {
+            g.process_batch(&mut state, std::slice::from_ref(s));
         }
-        let mut live = AdjacencyLedger::default();
-        for rec in state.tweetbase.iter() {
-            live.add_record(rec);
-        }
-        let frozen: Vec<String> = state
-            .adjacency()
-            .at_least(1)
-            .into_iter()
-            .map(|(a, b, n)| {
-                let n = n - live
-                    .at_least(1)
-                    .iter()
-                    .find(|p| (p.0, p.1) == (a, b))
-                    .map_or(0, |p| p.2);
-                format!(r#"{{"first":"{a}","second":"{b}","count":{n}}}"#)
-            })
-            .collect();
-        let v5 = serde_json::to_string(&state).unwrap();
-        let ledger = serde_json::to_string(state.adjacency()).unwrap();
-        let v4 = v5.replace(
-            &format!(r#""adjacency":{ledger}"#),
-            &format!(r#""frozen_adjacency":[{}]"#, frozen.join(",")),
-        );
-        assert!(v4.contains(r#""count":4"#), "{v4}");
-        let back: GlobalizerState = serde_json::from_str(&v4).unwrap();
-        assert_eq!(back.adjacency().at_least(1), vec![("moross", "lumsa", 6)]);
-        assert_eq!(back.adjacency(), state.adjacency());
+        assert!(cand(&state, "moross").is_none(), "cold fragment pruned");
+        assert!(!registered(&state, "lumsa"), "CTrie path removed");
+        assert!(state.adjacency().at_least(1).is_empty(), "its pair dropped");
+        g.process_batch(&mut state, &stream[5..]);
+        assert_eq!(cand(&state, "moross").unwrap().frequency(), 1);
+        assert_eq!(pairs(&state), vec![("moross".into(), "lumsa".into(), 1)]);
     }
 
     #[test]
@@ -3255,21 +3262,10 @@ mod tests {
         for chunk in stream.chunks(2) {
             g.process_batch(&mut state, chunk);
         }
-        assert!(
-            state.candidates.get("oddity").is_none(),
-            "cold candidate pruned"
-        );
-        assert!(
-            state.candidates.get("italy").is_some(),
-            "hot candidate kept"
-        );
-        assert!(
-            !state
-                .ctrie
-                .contains(state.tweetbase.interner(), &["oddity"]),
-            "CTrie path removed"
-        );
-        assert!(state.ctrie.contains(state.tweetbase.interner(), &["italy"]));
+        assert!(cand(&state, "oddity").is_none(), "cold candidate pruned");
+        assert!(cand(&state, "italy").is_some(), "hot candidate kept");
+        assert!(!registered(&state, "oddity"), "CTrie path removed");
+        assert!(registered(&state, "italy"));
         // Tombstones never exceed the live count by more than one batch.
         assert!(
             state.tweetbase.n_slots() <= 2 * state.tweetbase.len() + 2,

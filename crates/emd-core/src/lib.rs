@@ -37,9 +37,9 @@ pub mod dirtyset;
 pub mod globalizer;
 pub mod local;
 pub mod mention;
+mod migrate;
 pub mod obs;
 pub mod phrase_embedder;
-mod state_v3;
 pub mod supervisor;
 pub mod training;
 pub mod tweetbase;

@@ -14,28 +14,35 @@
 //! a partial extraction like `Andy` is replaced by the full registered
 //! candidate `Andy Beshear` when the full string is present.
 //!
-//! The hot-path entry point is [`extract_mentions_into`]: it walks a
-//! sentence's pre-interned folded symbols (built once at ingest) against
-//! the trie's symbol-labelled edges and writes into a caller-owned scratch
-//! vector, so a steady-state scan performs **zero heap allocations** —
-//! no `to_lowercase()`, no per-call `Vec`. [`extract_mentions`] is the
+//! The hot-path entry point is [`walk_mentions`]: it walks a sentence's
+//! pre-interned folded symbols (built once at ingest) against the trie's
+//! symbol-labelled edges and hands each mention, with the terminal node
+//! that names its candidate, to a callback, so a steady-state scan
+//! performs **zero heap allocations** — no `to_lowercase()`, no per-call
+//! `Vec`. [`extract_mentions_into`] collects the spans alone into a
+//! caller-owned scratch vector, and [`extract_mentions`] is the
 //! convenience form for tests and callers holding a raw [`Sentence`].
 
-use crate::ctrie::CTrie;
+use crate::ctrie::{CTrie, NodeId};
 use emd_text::intern::{Interner, Sym};
 use emd_text::token::{Sentence, Span};
 
 /// Find all (non-overlapping, greedy-longest) candidate mentions in the
 /// pre-folded symbol sequence `syms`, bounded by `max_len` tokens per
-/// mention, appending them to `out` (which is cleared first). Performs no
-/// heap allocation beyond `out`'s amortized growth.
-pub fn extract_mentions_into(trie: &CTrie, syms: &[Sym], max_len: usize, out: &mut Vec<Span>) {
-    out.clear();
+/// mention, calling `each(span, terminal)` for them in order, where
+/// `terminal` is the CTrie node the match ended on. Performs no heap
+/// allocation.
+pub fn walk_mentions(
+    trie: &CTrie,
+    syms: &[Sym],
+    max_len: usize,
+    mut each: impl FnMut(Span, NodeId),
+) {
     let n = syms.len();
     let mut i = 0usize;
     while i < n {
         let mut node = CTrie::ROOT;
-        let mut last_terminal: Option<usize> = None; // exclusive end
+        let mut last_terminal: Option<(usize, NodeId)> = None; // exclusive end
         let mut j = i;
         while j < n && j - i < max_len {
             match trie.child_sym(node, syms[j]) {
@@ -43,15 +50,15 @@ pub fn extract_mentions_into(trie: &CTrie, syms: &[Sym], max_len: usize, out: &m
                     node = next;
                     j += 1;
                     if trie.is_terminal(node) {
-                        last_terminal = Some(j);
+                        last_terminal = Some((j, node));
                     }
                 }
                 None => break,
             }
         }
         match last_terminal {
-            Some(end) => {
-                out.push(Span::new(i, end));
+            Some((end, terminal)) => {
+                each(Span::new(i, end), terminal);
                 i = end; // consume the matched subsequence
             }
             None => {
@@ -59,6 +66,13 @@ pub fn extract_mentions_into(trie: &CTrie, syms: &[Sym], max_len: usize, out: &m
             }
         }
     }
+}
+
+/// The spans [`walk_mentions`] finds, appended to `out` (which is cleared
+/// first). Performs no heap allocation beyond `out`'s amortized growth.
+pub fn extract_mentions_into(trie: &CTrie, syms: &[Sym], max_len: usize, out: &mut Vec<Span>) {
+    out.clear();
+    walk_mentions(trie, syms, max_len, |span, _| out.push(span));
 }
 
 /// [`extract_mentions_into`] over a raw sentence: folds and interns the
@@ -213,5 +227,9 @@ mod tests {
         let mut out = vec![Span::new(5, 9)]; // stale contents must be cleared
         extract_mentions_into(&t, &syms, 6, &mut out);
         assert_eq!(out, vec![Span::new(0, 1)]);
+        // The walker ends each mention on its terminal.
+        let mut pairs: Vec<(Span, NodeId)> = Vec::new();
+        walk_mentions(&t, &syms, 6, |sp, node| pairs.push((sp, node)));
+        assert_eq!(pairs, vec![(Span::new(0, 1), t.find(&syms[..1]).unwrap())]);
     }
 }

@@ -1,12 +1,26 @@
-//! Reading a format-v3 checkpoint into the current state schema.
+//! Reading a checkpoint from before format v6 into the current state.
+//!
+//! Up to v5 a candidate was named by its key, its lower-cased,
+//! space-joined surface: a record carried `key` and `tokens`, and the
+//! adjacency ledger paired keys (v5 `adjacency`; v4 `frozen_adjacency`,
+//! which counted only evicted records' pairs). v6 names a candidate by
+//! its id, the slot of its record, which its CTrie terminal holds.
+//! [`to_v6`] converts the names once:
+//!
+//! * record `i` (discovery order) becomes candidate `i`: its `syms` are
+//!   its tokens' interned symbols, and its terminal is named `i`;
+//! * a ledger pair is re-keyed on the ids of its two keys; a pair naming
+//!   a key with no record (a pruned candidate) is dropped, as v6 drops a
+//!   pruned candidate's pairs;
+//! * a v4 tree's live records' pairs, which v4 counted only at the close,
+//!   are counted through the CTrie.
 //!
 //! v3 stored every pooled mention twice: in its sentence record's
 //! `global_mentions`, and in its candidate's `mentions` list plus `seen`
 //! dedup set (with `evicted_mentions` / `evicted_locally_detected`
 //! folding in the mentions whose sentences had left the window). v4
 //! candidates keep counters only, and sentence records carry `retired`.
-//! [`migrate`] rewrites a decoded v3 JSON tree into the v4 shape, and the
-//! ordinary decoders run on the result:
+//! [`to_v4`] first rewrites a v3 tree into the v4 shape:
 //!
 //! * a candidate's mention count is `mentions.len() + evicted_mentions`;
 //!   it must equal its pooled `emb_count`, which v4 reports as the
@@ -16,9 +30,13 @@
 //! * a live record's `retired` is the spans some candidate's `seen` holds
 //!   for its sentence id, minus its `global_mentions`, ascending.
 //!
-//! The tree is recognised by shape: a v3 candidate carries `mentions`,
-//! and a v3 sentence record lacks `retired`.
+//! A tree is recognised by shape: only a v6 candidate store lists `free`
+//! ids, a v3 candidate carries `mentions`, and a v3 sentence record lacks
+//! `retired`.
 
+use crate::candidatebase::CandId;
+use crate::globalizer::GlobalizerState;
+use emd_text::intern::Interner;
 use emd_text::token::{SentenceId, Span};
 use serde::value::{Number, Value};
 use serde::{DeError, Deserialize};
@@ -26,14 +44,25 @@ use std::collections::HashMap;
 
 fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, DeError> {
     v.get_field(name)
-        .ok_or_else(|| DeError::msg(format!("v3 state: missing field `{name}`")))
+        .ok_or_else(|| DeError::msg(format!("old state: missing field `{name}`")))
 }
 
 fn array(v: &Value) -> Result<&[Value], DeError> {
     match v {
         Value::Arr(items) => Ok(items),
         other => Err(DeError::msg(format!(
-            "v3 state: expected array, got {}",
+            "old state: expected array, got {}",
+            other.kind()
+        ))),
+    }
+}
+
+/// The fields of the object `v`, mutably.
+fn obj_mut(v: &mut Value) -> Result<&mut Vec<(String, Value)>, DeError> {
+    match v {
+        Value::Obj(fields) => Ok(fields),
+        other => Err(DeError::msg(format!(
+            "old state: expected object, got {}",
             other.kind()
         ))),
     }
@@ -41,21 +70,17 @@ fn array(v: &Value) -> Result<&[Value], DeError> {
 
 /// The items of `state.<store>.<list>`, mutably.
 fn list_mut<'a>(state: &'a mut Value, store: &str, list: &str) -> Result<&'a mut [Value], DeError> {
-    let missing = || DeError::msg(format!("v3 state: missing array `{store}.{list}`"));
-    let Value::Obj(fields) = state else {
-        return Err(missing());
-    };
-    let store = fields
+    let store = obj_mut(state)?
         .iter_mut()
         .find(|(k, _)| k == store)
-        .map(|(_, v)| v)
-        .ok_or_else(missing)?;
-    let Value::Obj(fields) = store else {
-        return Err(missing());
-    };
-    match fields.iter_mut().find(|(k, _)| k == list) {
-        Some((_, Value::Arr(items))) => Ok(items),
-        _ => Err(missing()),
+        .map(|(_, v)| v);
+    let items = store
+        .map(obj_mut)
+        .transpose()?
+        .and_then(|fields| fields.iter_mut().find(|(k, _)| k == list).map(|(_, v)| v));
+    match items {
+        Some(Value::Arr(items)) => Ok(items),
+        _ => Err(DeError::msg(format!("old state: missing array `{list}`"))),
     }
 }
 
@@ -67,13 +92,12 @@ fn list<'a>(state: &'a Value, store: &str, list: &str) -> &'a [Value] {
     }
 }
 
-/// Remove and return an object field.
-fn take(fields: &mut Vec<(String, Value)>, name: &str) -> Result<Value, DeError> {
-    let i = fields
-        .iter()
-        .position(|(k, _)| k == name)
-        .ok_or_else(|| DeError::msg(format!("v3 state: missing field `{name}`")))?;
-    Ok(fields.remove(i).1)
+/// Remove and return an object field, or `Null` when there is none.
+fn take(fields: &mut Vec<(String, Value)>, name: &str) -> Value {
+    match fields.iter().position(|(k, _)| k == name) {
+        Some(i) => fields.remove(i).1,
+        None => Value::Null,
+    }
 }
 
 fn count(n: usize) -> Value {
@@ -87,8 +111,15 @@ fn span_value(sp: Span) -> Value {
     ])
 }
 
+/// Is `state` a tree from before v6?
+pub(crate) fn is_pre_v6(state: &Value) -> bool {
+    state
+        .get_field("candidates")
+        .is_some_and(|c| c.get_field("free").is_none())
+}
+
 /// Is `state` a v3 pipeline-state tree?
-pub(crate) fn is_v3(state: &Value) -> bool {
+fn is_v3(state: &Value) -> bool {
     list(state, "candidates", "records")
         .iter()
         .any(|c| c.get_field("mentions").is_some())
@@ -97,20 +128,87 @@ pub(crate) fn is_v3(state: &Value) -> bool {
             .any(|r| !matches!(r, Value::Null) && r.get_field("retired").is_none())
 }
 
+/// Decode a v3, v4 or v5 state tree into the v6 state (see the module
+/// docs).
+pub(crate) fn to_v6(old: &Value) -> Result<GlobalizerState, DeError> {
+    #[derive(Deserialize)]
+    struct FrozenPairV4 {
+        first: String,
+        second: String,
+        count: u64,
+    }
+    let mut tree = if is_v3(old) { to_v4(old)? } else { old.clone() };
+    let interner = Interner::from_value(field(field(&tree, "tweetbase")?, "interner")?)?;
+    let mut ids: HashMap<String, CandId> = HashMap::new();
+    for (id, rec) in list_mut(&mut tree, "candidates", "records")?
+        .iter_mut()
+        .enumerate()
+    {
+        let fields = obj_mut(rec)?;
+        let key = String::from_value(&take(fields, "key"))?;
+        let syms: Option<Vec<Value>> = Vec::<String>::from_value(&take(fields, "tokens"))?
+            .iter()
+            .map(|t| Some(count(interner.lookup_folded(t)? as usize)))
+            .collect();
+        let syms = syms.ok_or_else(|| {
+            DeError::msg(format!(
+                "old state: candidate `{key}` has an uninterned token"
+            ))
+        })?;
+        fields.push(("syms".to_string(), Value::Arr(syms)));
+        ids.insert(key, id as CandId);
+    }
+    for node in list_mut(&mut tree, "ctrie", "nodes")? {
+        obj_mut(node)?.push(("cand".to_string(), Value::Null));
+    }
+    let top = obj_mut(&mut tree)?;
+    let frozen = take(top, "frozen_adjacency");
+    let pairs: Vec<(String, String, u64)> = match frozen {
+        Value::Null => Vec::from_value(&take(top, "adjacency"))?,
+        _ => Vec::<FrozenPairV4>::from_value(&frozen)?
+            .into_iter()
+            .map(|p| (p.first, p.second, p.count))
+            .collect(),
+    };
+    top.push(("adjacency".to_string(), Value::Arr(Vec::new())));
+    if let Some((_, store)) = top.iter_mut().find(|(k, _)| k == "candidates") {
+        obj_mut(store)?.push(("free".to_string(), Value::Arr(Vec::new())));
+    }
+
+    let mut state = GlobalizerState::from_value(&tree)?;
+    for (id, rec) in state.candidates.entries() {
+        let node = state
+            .ctrie
+            .find(&rec.syms)
+            .filter(|&n| state.ctrie.is_terminal(n));
+        let node = node.ok_or_else(|| DeError::msg("old state: a candidate has no terminal"))?;
+        state.ctrie.set_cand(node, id);
+    }
+    for (a, b, n) in pairs {
+        if let (Some(&a), Some(&b)) = (ids.get(&a), ids.get(&b)) {
+            state.adjacency.add_count((a, b), n);
+        }
+    }
+    if frozen != Value::Null {
+        for rec in state.tweetbase.iter() {
+            state.adjacency.add_record(rec, &state.ctrie);
+        }
+    }
+    Ok(state)
+}
+
 /// Rewrite a v3 pipeline-state tree into the v4 shape (see the module
 /// docs). Fails if a candidate's mention count and pooled count differ.
-pub(crate) fn migrate(v3: &Value) -> Result<Value, DeError> {
+fn to_v4(v3: &Value) -> Result<Value, DeError> {
     let mut state = v3.clone();
     let mut pooled: HashMap<SentenceId, Vec<Span>> = HashMap::new();
     for rec in list_mut(&mut state, "candidates", "records")? {
         let key = String::from_value(field(rec, "key")?)?;
         let emb_count = usize::from_value(field(rec, "emb_count")?)?;
-        let Value::Obj(fields) = rec else {
-            return Err(DeError::msg("v3 state: candidate is not an object"));
-        };
-        let mentions = take(fields, "mentions")?;
+        let fields = obj_mut(rec)?;
+        let mentions = take(fields, "mentions");
         let mentions = array(&mentions)?;
-        let evicted = usize::from_value(&take(fields, "evicted_mentions")?)?;
+        let evicted = usize::from_value(&take(fields, "evicted_mentions"))?;
         let frequency = mentions.len() + evicted;
         if frequency != emb_count {
             return Err(DeError::msg(format!(
@@ -118,12 +216,12 @@ pub(crate) fn migrate(v3: &Value) -> Result<Value, DeError> {
                  but {emb_count} pooled embeddings"
             )));
         }
-        let mut n_local = usize::from_value(&take(fields, "evicted_locally_detected")?)?;
+        let mut n_local = usize::from_value(&take(fields, "evicted_locally_detected"))?;
         for m in mentions {
             n_local += usize::from(bool::from_value(field(m, "locally_detected")?)?);
         }
         fields.push(("n_local".to_string(), count(n_local)));
-        for pair in array(&take(fields, "seen")?)? {
+        for pair in array(&take(fields, "seen"))? {
             let (sid, span) = <(SentenceId, Span)>::from_value(pair)?;
             pooled.entry(sid).or_default().push(span);
         }
@@ -138,10 +236,7 @@ pub(crate) fn migrate(v3: &Value) -> Result<Value, DeError> {
         retired.retain(|sp| !held.contains(sp));
         retired.sort_unstable();
         retired.dedup();
-        let Value::Obj(fields) = rec else {
-            return Err(DeError::msg("v3 state: sentence record is not an object"));
-        };
-        fields.push((
+        obj_mut(rec)?.push((
             "retired".to_string(),
             Value::Arr(retired.into_iter().map(span_value).collect()),
         ));
@@ -185,7 +280,7 @@ mod tests {
     fn migrates_counters_and_retired_spans() {
         let v3 = v3_tree(4);
         assert!(is_v3(&v3));
-        let v4 = migrate(&v3).unwrap();
+        let v4 = to_v4(&v3).unwrap();
         assert!(!is_v3(&v4));
         let cand = &list(&v4, "candidates", "records")[0];
         assert_eq!(cand.get_field("n_local"), Some(&count(2)));
@@ -206,7 +301,7 @@ mod tests {
 
     #[test]
     fn mention_count_must_equal_pooled_count() {
-        let err = migrate(&v3_tree(5)).unwrap_err();
+        let err = to_v4(&v3_tree(5)).unwrap_err();
         assert!(err.0.contains("`x` has 4 mentions but 5 pooled"), "{err}");
     }
 }

@@ -36,9 +36,10 @@ pub fn harvest_training_data(
         .flat_map(|a| a.gold.iter().map(|sp| sp.surface_lower(&a.sentence)))
         .collect();
 
+    let interner = state.tweetbase.interner();
     let mut out: Vec<(Vec<f32>, bool)> = Vec::new();
     for rec in state.candidates.iter() {
-        let label = gold.contains(&rec.key);
+        let label = gold.contains(&interner.join(&rec.syms));
         out.push((
             EntityClassifier::features(&rec.pooled_embedding(config.pooling), rec.token_len()),
             label,

@@ -137,8 +137,14 @@ impl TweetRecord {
         }
     }
 
+    /// The folded symbols of the tokens `span` covers: the CTrie path of
+    /// the candidate a mention there names.
+    pub fn syms_of(&self, span: &Span) -> &[Sym] {
+        &self.tok_syms[span.start..span.end]
+    }
+
     /// Has this record already pooled a mention at `span`? A span fixes
-    /// its candidate (the key is its folded surface), so this is also
+    /// its candidate (the one its folded symbols spell), so this is also
     /// "has that candidate pooled this mention?".
     pub fn has_pooled(&self, span: &Span) -> bool {
         self.global_mentions.contains(span) || self.retired.contains(span)
@@ -412,18 +418,9 @@ impl TweetBase {
         }
     }
 
-    /// Ascending live-record indices of sentences containing the (already
-    /// lower-cased) token. Strictly ascending, deduplicated, and free of
-    /// replaced or evicted records.
-    pub fn indices_with_token(&self, token_lower: &str) -> &[usize] {
-        self.interner
-            .lookup_folded(token_lower)
-            .map(|sym| self.indices_with_sym(sym))
-            .unwrap_or(&[])
-    }
-
-    /// [`TweetBase::indices_with_token`] by interned symbol — the
-    /// allocation-free hot-path form.
+    /// Ascending live-record indices of sentences containing the token
+    /// `sym` folds. Strictly ascending, deduplicated, and free of replaced
+    /// or evicted records.
     #[inline]
     pub fn indices_with_sym(&self, sym: Sym) -> &[usize] {
         self.postings
@@ -630,6 +627,13 @@ impl TweetBase {
 mod tests {
     use super::*;
 
+    /// Live records holding the token (any casing).
+    fn with_token<'a>(tb: &'a TweetBase, token: &str) -> &'a [usize] {
+        tb.interner()
+            .lookup_folded(token)
+            .map_or(&[], |sym| tb.indices_with_sym(sym))
+    }
+
     fn rec(tweet: u64) -> TweetRecord {
         TweetRecord::new(
             Sentence::from_tokens(SentenceId::new(tweet, 0), ["a", "b"]),
@@ -769,9 +773,9 @@ mod tests {
         tb.insert(rec_with(1, &["Italy", "report"]));
         tb.insert(rec_with(2, &["italy", "italy", "again"]));
         // Case-folded, deduped per record, ascending order.
-        assert_eq!(tb.indices_with_token("italy"), &[0, 1]);
-        assert_eq!(tb.indices_with_token("report"), &[0]);
-        assert_eq!(tb.indices_with_token("missing"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "italy"), &[0, 1]);
+        assert_eq!(with_token(&tb, "report"), &[0]);
+        assert_eq!(with_token(&tb, "missing"), &[] as &[usize]);
         let sym = tb.interner().lookup_folded("ITALY").unwrap();
         assert_eq!(tb.indices_with_sym(sym), &[0, 1]);
         assert_postings_consistent(&tb);
@@ -784,9 +788,9 @@ mod tests {
         tb.insert(rec_with(1, &["new", "text"]));
         // The new tokens are indexed; the replaced sentence's postings are
         // removed outright — no stale entries remain.
-        assert_eq!(tb.indices_with_token("new"), &[0]);
-        assert_eq!(tb.indices_with_token("text"), &[0]);
-        assert_eq!(tb.indices_with_token("old"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "new"), &[0]);
+        assert_eq!(with_token(&tb, "text"), &[0]);
+        assert_eq!(with_token(&tb, "old"), &[] as &[usize]);
         assert_eq!(tb.len(), 1);
         assert_postings_consistent(&tb);
     }
@@ -804,17 +808,17 @@ mod tests {
         // Replace record 0 with a sentence still containing "shared".
         tb.insert(rec_with(1, &["shared", "gamma"]));
         assert_eq!(
-            tb.indices_with_token("shared"),
+            with_token(&tb, "shared"),
             &[0, 1],
             "replacement must not duplicate or unsort postings"
         );
-        assert_eq!(tb.indices_with_token("alpha"), &[] as &[usize]);
-        assert_eq!(tb.indices_with_token("gamma"), &[0]);
+        assert_eq!(with_token(&tb, "alpha"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "gamma"), &[0]);
         assert_postings_consistent(&tb);
         // Replace again with entirely fresh tokens: the shared posting for
         // record 0 must disappear.
         tb.insert(rec_with(1, &["delta"]));
-        assert_eq!(tb.indices_with_token("shared"), &[1]);
+        assert_eq!(with_token(&tb, "shared"), &[1]);
         assert_postings_consistent(&tb);
     }
 
@@ -918,8 +922,8 @@ mod tests {
         assert!(!tb.is_live(0));
         assert!(tb.record_at(0).is_none());
         assert!(tb.get(SentenceId::new(1, 0)).is_none());
-        assert_eq!(tb.indices_with_token("cold"), &[] as &[usize]);
-        assert_eq!(tb.indices_with_token("shared"), &[1]);
+        assert_eq!(with_token(&tb, "cold"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "shared"), &[1]);
         // Double eviction is a no-op.
         assert!(tb.evict(0).is_none());
         assert_eq!(tb.evicted_total(), 1);
@@ -939,7 +943,7 @@ mod tests {
             .map(|(i, r)| (i, r.sentence.id.tweet_id))
             .collect();
         assert_eq!(live, vec![(0, 0), (2, 2), (4, 4)]);
-        assert_eq!(tb.indices_with_token("tok"), &[0, 2, 4]);
+        assert_eq!(with_token(&tb, "tok"), &[0, 2, 4]);
         assert_eq!(tb.first_live_from(0), Some(0));
         assert_eq!(tb.first_live_from(1), Some(2));
         assert_eq!(tb.first_live_from(3), Some(4));
@@ -954,7 +958,7 @@ mod tests {
         tb.evict(0);
         let i = tb.insert(rec_with(1, &["one", "again"]));
         assert_eq!(i, 2, "an evicted id re-enters at the stream tail");
-        assert_eq!(tb.indices_with_token("one"), &[2]);
+        assert_eq!(with_token(&tb, "one"), &[2]);
         assert_postings_consistent(&tb);
     }
 
@@ -978,7 +982,7 @@ mod tests {
         );
         let ids: Vec<u64> = tb.iter().map(|r| r.sentence.id.tweet_id).collect();
         assert_eq!(ids, vec![1, 4, 5]);
-        assert_eq!(tb.indices_with_token("tok"), &[0, 1, 2]);
+        assert_eq!(with_token(&tb, "tok"), &[0, 1, 2]);
         assert_eq!(tb.index_of(SentenceId::new(4, 0)), Some(1));
         assert_postings_consistent(&tb);
         // Dense store: nothing to compact.

@@ -165,7 +165,8 @@ fn trust_local_fallback_changes_gamma_band_only() {
 fn pooling_modes_agree_for_single_mention() {
     use emd_core::candidatebase::CandidateBase;
     let mut cb = CandidateBase::new(3);
-    let r = cb.entry("solo");
+    let id = cb.discover(&[0]);
+    let r = cb.get_mut(id);
     r.add_mention(&[0.3, -0.2, 0.9], true);
     assert_eq!(
         r.pooled_embedding(Pooling::Mean),
@@ -203,7 +204,10 @@ fn mention_counts_distinguish_local_vs_recovered() {
     let clf = biased_classifier(7, 10.0);
     let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
     let (_, state) = g.run(&sents(&[&["Italy", "x"], &["italy", "y"]]), 8);
-    let rec = state.candidates.get("italy").unwrap();
+    let rec = state
+        .candidates
+        .get(state.candidate_id("italy").unwrap())
+        .unwrap();
     assert_eq!(rec.locally_detected_frequency(), 1);
     assert_eq!(rec.frequency(), 2);
 }

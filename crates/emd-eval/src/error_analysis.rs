@@ -9,10 +9,10 @@
 //!    the Entity Classifier rejected it — losing even the mentions Local
 //!    EMD had found (469 mentions, 4.1%).
 
-use emd_core::candidatebase::CandidateBase;
 use emd_core::classifier::CandidateLabel;
+use emd_core::globalizer::GlobalizerState;
 use emd_text::token::Dataset;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// §VI-C error decomposition.
 #[derive(Debug, Clone, Default)]
@@ -55,8 +55,8 @@ impl ErrorBreakdown {
 }
 
 /// Decompose the framework's errors on a dataset given the closing
-/// CandidateBase.
-pub fn analyze(dataset: &Dataset, candidates: &CandidateBase) -> ErrorBreakdown {
+/// pipeline state.
+pub fn analyze(dataset: &Dataset, state: &GlobalizerState) -> ErrorBreakdown {
     let mut gold_freq: HashMap<String, usize> = HashMap::new();
     for ann in &dataset.sentences {
         for sp in &ann.gold {
@@ -65,21 +65,25 @@ pub fn analyze(dataset: &Dataset, candidates: &CandidateBase) -> ErrorBreakdown 
                 .or_insert(0) += 1;
         }
     }
-    let candidate_keys: HashSet<&str> = candidates.iter().map(|c| c.key.as_str()).collect();
     let mut out = ErrorBreakdown {
         total_mentions: gold_freq.values().sum(),
         total_entities: gold_freq.len(),
         ..Default::default()
     };
     for (key, freq) in &gold_freq {
-        if !candidate_keys.contains(key.as_str()) {
-            out.entities_never_candidate += 1;
-            out.mentions_unrecoverable += freq;
-        } else if let Some(rec) = candidates.get(key) {
-            if rec.label == CandidateLabel::NonEntity {
+        match state
+            .candidate_id(key)
+            .and_then(|id| state.candidates.get(id))
+        {
+            None => {
+                out.entities_never_candidate += 1;
+                out.mentions_unrecoverable += freq;
+            }
+            Some(rec) if rec.label == CandidateLabel::NonEntity => {
                 out.entities_classifier_fn += 1;
                 out.mentions_classifier_fn += freq;
             }
+            Some(_) => {}
         }
     }
     out
@@ -88,8 +92,17 @@ pub fn analyze(dataset: &Dataset, candidates: &CandidateBase) -> ErrorBreakdown 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emd_core::candidatebase::CandidateBase;
+    use emd_core::globalizer::index_stream;
+    use emd_core::local::LexiconEmd;
+    use emd_core::GlobalizerConfig;
     use emd_text::token::{AnnotatedSentence, DatasetKind, Sentence, SentenceId, Span};
+
+    /// The pipeline state over `d` with `alpha` and `beta` as candidates.
+    fn state(d: &Dataset) -> GlobalizerState {
+        let sentences: Vec<Sentence> = d.sentences.iter().map(|a| a.sentence.clone()).collect();
+        let local = LexiconEmd::new(["alpha", "beta"]);
+        index_stream(&local, None, &GlobalizerConfig::default(), &sentences)
+    }
 
     fn ds() -> Dataset {
         let mk = |id: u64, w: &str| AnnotatedSentence {
@@ -112,11 +125,16 @@ mod tests {
     #[test]
     fn decomposition() {
         let d = ds();
-        let mut cb = CandidateBase::new(2);
+        let mut st = state(&d);
         // alpha: accepted entity; beta: classifier FN; gamma: never a candidate.
-        cb.entry("alpha").label = CandidateLabel::Entity;
-        cb.entry("beta").label = CandidateLabel::NonEntity;
-        let e = analyze(&d, &cb);
+        for (key, label) in [
+            ("alpha", CandidateLabel::Entity),
+            ("beta", CandidateLabel::NonEntity),
+        ] {
+            let id = st.candidate_id(key).unwrap();
+            st.candidates.get_mut(id).label = label;
+        }
+        let e = analyze(&d, &st);
         assert_eq!(e.total_mentions, 4);
         assert_eq!(e.total_entities, 3);
         assert_eq!(e.entities_never_candidate, 1);
@@ -135,8 +153,7 @@ mod tests {
             n_topics: 0,
             sentences: vec![],
         };
-        let cb = CandidateBase::new(2);
-        let e = analyze(&d, &cb);
+        let e = analyze(&d, &state(&d));
         assert_eq!(e.unrecoverable_rate(), 0.0);
     }
 }

@@ -314,7 +314,7 @@ pub fn error_analysis(suite: &Suite, bert: &Variant) -> String {
             continue;
         }
         let (_, _, state, _) = run_variant(bert, d, Ablation::Full);
-        let e = analyze(d, &state.candidates);
+        let e = analyze(d, &state);
         total.total_mentions += e.total_mentions;
         total.total_entities += e.total_entities;
         total.entities_never_candidate += e.entities_never_candidate;

@@ -3,34 +3,21 @@
 //! Format (one header line, then the payload):
 //!
 //! ```text
-//! EMDCKPT v5 seq=<n> crc=<16 hex digits>\n
+//! EMDCKPT v6 seq=<n> crc=<16 hex digits>\n
 //! <payload JSON>\n
 //! ```
 //!
-//! * `v5` — the [`FORMAT_VERSION`]. v5 keeps adjacent-pair promotion
-//!   evidence in one ledger, `adjacency`: `[first, second, count]`
-//!   triples in key order, counting the pairs of every live record's
-//!   stored mentions and of every evicted record as it stood at
-//!   eviction. Everything else is the v4 schema.
-//! * v4 files are still read. v4 counted only evicted records' pairs, in
-//!   `frozen_adjacency` (`{first, second, count}` objects); the payload's
-//!   decoder (for the pipeline state, `GlobalizerState`'s) adds the pairs
-//!   of the live records' stored mentions, which gives the ledger an
-//!   uninterrupted run holds. v4 keeps each pooled mention in one place:
-//!   a candidate record carries counters only (`emb_count`, which is also
-//!   its mention frequency, and `n_local`, its locally detected
-//!   mentions), and a sentence record carries `global_mentions` plus
-//!   `retired`, the spans it pooled that have since left its extraction.
-//!   Everything else is the v3 SoA-arena schema: records carry interned
-//!   token symbols and arena embedding slots, the `TweetBase` serializes
-//!   its token interner and flat embedding arena, posting lists are keyed
-//!   by symbol, and candidate per-mention embeddings are one flattened
-//!   row-major block.
-//! * v3 files are still read ([`OLDEST_READABLE_VERSION`]). Their
-//!   candidates listed every mention (`mentions`, a `seen` dedup set, and
-//!   `evicted_mentions` / `evicted_locally_detected` for mentions whose
-//!   sentences had left the window); the payload's decoder migrates that
-//!   shape into v4's, then v4's into v5's. A v3 candidate
+//! * `v6` — the [`FORMAT_VERSION`]. Candidates are named by integer ids:
+//!   a record's slot in `candidates.records` (`null` for a pruned id,
+//!   listed in `candidates.free`), spelled by its `syms`, held by its
+//!   CTrie terminal's `cand`, and paired in the `adjacency` ledger as
+//!   `[left, right, count]` triples in id order.
+//! * v5, v4 and v3 files are still read ([`OLDEST_READABLE_VERSION`]):
+//!   the payload's decoder (for the pipeline state, `GlobalizerState`'s)
+//!   converts their schema. v5 named candidates by key, their
+//!   lower-cased, space-joined surface; v4 also kept only evicted
+//!   records' pairs (`frozen_adjacency`), to which the decoder adds the
+//!   live records' pairs; v3 candidates listed every mention, and one
 //!   whose mention count differs from its pooled count is rejected as
 //!   corrupt. v2 (bounded-memory schema with per-record embedding
 //!   matrices) and v1 payloads are rejected rather than misread.
@@ -71,7 +58,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &str = "EMDCKPT";
 
 /// Current checkpoint format version (the one [`save`] writes).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Oldest format version [`load`] accepts. Versions in between are
 /// handed to the payload's decoder, which migrates their schema.
@@ -369,7 +356,7 @@ mod tests {
         save(&path, 7, &payload()).unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            "EMDCKPT v5 seq=7 crc=fed5dcb25e995d92\n\
+            "EMDCKPT v6 seq=7 crc=fed5dcb25e995d92\n\
              {\"items\":[\"italy\",\"andy beshear\"],\"weight\":0.125,\"n\":42}\n"
         );
         std::fs::remove_file(&path).unwrap();
@@ -425,7 +412,7 @@ mod tests {
         assert!(json.len() >= 4 << 20, "{} bytes", json.len());
         save(&path, 11, &payload).unwrap();
         let want = format!(
-            "EMDCKPT v5 seq=11 crc={:016x}\n{json}\n",
+            "EMDCKPT v6 seq=11 crc={:016x}\n{json}\n",
             fnv1a64(json.as_bytes())
         );
         assert!(
@@ -448,7 +435,7 @@ mod tests {
             partial.len() > serde::ser::CHUNK,
             "chunks reached the temp file before the failure"
         );
-        assert!(partial.starts_with(b"EMDCKPT v5 seq=12 crc=0000000000000000\n"));
+        assert!(partial.starts_with(b"EMDCKPT v6 seq=12 crc=0000000000000000\n"));
         std::fs::remove_file(&temps[0]).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
@@ -487,7 +474,7 @@ mod tests {
     #[test]
     fn stale_older_version_checkpoints_rejected() {
         // The v1 payload schema predates bounded-memory state, and v2
-        // predates the SoA-arena schema; reading either into a v5 build
+        // predates the SoA-arena schema; reading either into a v6 build
         // must fail loudly, not misinterpret fields.
         for stale in [1u32, 2] {
             let path = temp(&format!("stale{stale}"));

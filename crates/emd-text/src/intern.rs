@@ -107,6 +107,12 @@ impl Interner {
         &self.strings[sym as usize]
     }
 
+    /// The strings `syms` stand for, space-joined.
+    pub fn join(&self, syms: &[Sym]) -> String {
+        let words: Vec<&str> = syms.iter().map(|&s| self.resolve(s)).collect();
+        words.join(" ")
+    }
+
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -165,6 +171,7 @@ mod tests {
         assert_eq!(it.intern("apple"), a);
         assert_eq!((a, b), (0, 1));
         assert_eq!(it.resolve(a), "apple");
+        assert_eq!(it.join(&[b, a]), "banana apple");
         assert_eq!(it.len(), 2);
     }
 

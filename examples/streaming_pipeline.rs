@@ -121,7 +121,7 @@ fn main() {
         .candidates
         .iter()
         .filter(|c| c.label == emd_globalizer::core::CandidateLabel::Entity)
-        .map(|c| (c.frequency(), c.key.clone()))
+        .map(|c| (c.frequency(), state.tweetbase.interner().join(&c.syms)))
         .collect();
     top.sort_by_key(|b| std::cmp::Reverse(b.0));
     println!("\nmost frequent entities in the stream:");

@@ -204,13 +204,14 @@ proptest! {
         prop_assert_eq!(out_live.n_entities, out_restored.n_entities);
         prop_assert_eq!(out_live.n_promoted, out_restored.n_promoted);
         prop_assert_eq!(live.candidates.len(), restored.candidates.len());
-        for (a, b) in live.candidates.iter().zip(restored.candidates.iter()) {
-            prop_assert_eq!(&a.key, &b.key, "discovery order diverged");
+        for ((ia, a), (ib, b)) in live.candidates.entries().zip(restored.candidates.entries()) {
+            let key = live.candidate_key(ia);
+            prop_assert_eq!(&key, &restored.candidate_key(ib), "discovery order diverged");
             prop_assert_eq!(a.global_embedding(), b.global_embedding());
             prop_assert_eq!(a.frequency(), b.frequency());
             prop_assert_eq!(a.locally_detected_frequency(), b.locally_detected_frequency());
             prop_assert_eq!(a.n_pooled(), b.n_pooled());
-            prop_assert!(a.label == b.label, "label diverged for {}", a.key);
+            prop_assert!(a.label == b.label, "label diverged for {}", key);
         }
         prop_assert_eq!(live.tweetbase.len(), restored.tweetbase.len());
         for (a, b) in live.tweetbase.iter().zip(restored.tweetbase.iter()) {

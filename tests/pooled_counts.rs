@@ -87,7 +87,11 @@ fn span_that_leaves_and_comes_back_is_pooled_once() {
 
     let mut state = g.new_state();
     g.process_batch(&mut state, &stream[..4]);
-    let order: Vec<&str> = state.candidates.iter().map(|c| c.key.as_str()).collect();
+    let order: Vec<String> = state
+        .candidates
+        .entries()
+        .map(|(id, _)| state.candidate_key(id))
+        .collect();
     assert_eq!(order, ["a", "b c", "c d", "d e"], "registration order");
     assert_eq!(
         spans(&state),
@@ -128,13 +132,13 @@ fn span_that_leaves_and_comes_back_is_pooled_once() {
                 ]
             )
         );
-        let de = s.candidates.get("d e").unwrap();
+        let de = s.candidates.get(s.candidate_id("d e").unwrap()).unwrap();
         assert_eq!(de.frequency(), 1, "`d e` was pooled again");
         assert_eq!(de.n_pooled(), 1);
         assert_eq!(de.locally_detected_frequency(), 1);
     }
-    for (a, b) in state.candidates.iter().zip(full.candidates.iter()) {
-        assert_eq!(a.key, b.key);
+    for ((ia, a), (ib, b)) in state.candidates.entries().zip(full.candidates.entries()) {
+        assert_eq!(state.candidate_key(ia), full.candidate_key(ib));
         assert_eq!(a.frequency(), b.frequency());
         assert_eq!(a.global_embedding(), b.global_embedding());
     }
@@ -151,7 +155,10 @@ fn redelivered_sentence_is_not_pooled_twice() {
     let mut state = g.new_state();
     g.process_batch(&mut state, std::slice::from_ref(&s));
     g.process_batch(&mut state, std::slice::from_ref(&s));
-    let italy = state.candidates.get("italy").unwrap();
+    let italy = state
+        .candidates
+        .get(state.candidate_id("italy").unwrap())
+        .unwrap();
     assert_eq!(
         (italy.frequency(), italy.locally_detected_frequency()),
         (2, 1)
@@ -221,26 +228,27 @@ fn live_counts(state: &GlobalizerState) -> HashMap<String, (usize, usize)> {
 
 fn check_counts(state: &GlobalizerState, windowed: bool) -> Result<(), TestCaseError> {
     let counts = live_counts(state);
-    for c in state.candidates.iter() {
-        let (n, local) = counts.get(&c.key).copied().unwrap_or_default();
+    for (id, c) in state.candidates.entries() {
+        let key = state.candidate_key(id);
+        let (n, local) = counts.get(&key).copied().unwrap_or_default();
         let got = (c.frequency(), c.locally_detected_frequency());
         if windowed {
             prop_assert!(
                 got.0 >= n && got.1 >= local,
                 "{}: counters {:?} below the live records' ({}, {})",
-                c.key,
+                key,
                 got,
                 n,
                 local
             );
         } else {
-            prop_assert_eq!(got, (n, local), "counters of {}", c.key);
+            prop_assert_eq!(got, (n, local), "counters of {}", key);
         }
         prop_assert_eq!(c.n_pooled(), c.frequency());
     }
     if !windowed {
         for key in counts.keys() {
-            prop_assert!(state.candidates.get(key).is_some(), "no candidate {}", key);
+            prop_assert!(state.candidate_id(key).is_some(), "no candidate {}", key);
         }
     }
     Ok(())

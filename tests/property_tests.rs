@@ -8,6 +8,7 @@ use emd_globalizer::core::mention::extract_mentions;
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig};
 use emd_globalizer::nn::matrix::{cosine, log_sum_exp, Matrix};
 use emd_globalizer::text::bpe::Bpe;
+use emd_globalizer::text::intern::Interner;
 use emd_globalizer::text::token::{bio_to_spans, spans_to_bio, Bio, Sentence, SentenceId, Span};
 use emd_globalizer::text::tokenizer::{tokenize, tokenize_message};
 use emd_globalizer::text::vocab::Vocab;
@@ -34,6 +35,16 @@ fn obs_flag(on: bool) -> ObsGuard {
 }
 
 /// Strategy: a lowercase token of 1..8 chars.
+/// Is the token sequence (any casing) a registered candidate?
+fn registered<S: AsRef<str>>(trie: &CTrie, interner: &Interner, tokens: &[S]) -> bool {
+    let syms: Option<Vec<_>> = tokens
+        .iter()
+        .map(|t| interner.lookup_folded(t.as_ref()))
+        .collect();
+    syms.and_then(|s| trie.find(&s))
+        .is_some_and(|n| trie.is_terminal(n))
+}
+
 fn token_strat() -> impl Strategy<Value = String> {
     "[a-z]{1,8}"
 }
@@ -110,9 +121,9 @@ proptest! {
         }
         prop_assert_eq!(trie.len(), set.len());
         for c in &cands {
-            prop_assert!(trie.contains(&interner, c));
+            prop_assert!(registered(&trie, &interner, c));
             let upper: Vec<String> = c.iter().map(|t| t.to_uppercase()).collect();
-            prop_assert!(trie.contains(&interner, &upper));
+            prop_assert!(registered(&trie, &interner, &upper));
         }
     }
 
@@ -138,7 +149,7 @@ proptest! {
             let toks: Vec<&str> = (sp.start..sp.end)
                 .map(|i| sentence.tokens[i].text.as_str())
                 .collect();
-            prop_assert!(trie.contains(&interner, &toks), "non-candidate surface emitted");
+            prop_assert!(registered(&trie, &interner, &toks), "non-candidate surface emitted");
         }
     }
 
@@ -259,13 +270,14 @@ proptest! {
             prop_assert_eq!(inc.n_candidates, full.n_candidates);
             prop_assert_eq!(inc.n_entities, full.n_entities);
             prop_assert_eq!(inc.n_promoted, full.n_promoted);
-            for (a, b) in s_inc.candidates.iter().zip(s_full.candidates.iter()) {
-                prop_assert_eq!(&a.key, &b.key, "discovery order diverged");
+            for ((ia, a), (ib, b)) in s_inc.candidates.entries().zip(s_full.candidates.entries()) {
+                let key = s_inc.candidate_key(ia);
+                prop_assert_eq!(&key, &s_full.candidate_key(ib), "discovery order diverged");
                 prop_assert_eq!(a.global_embedding(), b.global_embedding());
                 prop_assert_eq!(a.frequency(), b.frequency());
                 prop_assert_eq!(a.locally_detected_frequency(), b.locally_detected_frequency());
                 prop_assert_eq!(a.n_pooled(), b.n_pooled());
-                prop_assert!(a.label == b.label, "label diverged for {}", a.key);
+                prop_assert!(a.label == b.label, "label diverged for {}", key);
             }
             prop_assert_eq!(s_inc.tweetbase.len(), s_full.tweetbase.len());
             for (a, b) in s_inc.tweetbase.iter().zip(s_full.tweetbase.iter()) {
@@ -326,13 +338,14 @@ proptest! {
         prop_assert_eq!(out_on.n_promoted, out_off.n_promoted);
         prop_assert_eq!(out_on.n_rescanned, out_off.n_rescanned);
         prop_assert_eq!(s_on.candidates.len(), s_off.candidates.len());
-        for (a, b) in s_on.candidates.iter().zip(s_off.candidates.iter()) {
-            prop_assert_eq!(&a.key, &b.key, "discovery order diverged");
+        for ((ia, a), (ib, b)) in s_on.candidates.entries().zip(s_off.candidates.entries()) {
+            let key = s_on.candidate_key(ia);
+            prop_assert_eq!(&key, &s_off.candidate_key(ib), "discovery order diverged");
             prop_assert_eq!(a.global_embedding(), b.global_embedding());
             prop_assert_eq!(a.frequency(), b.frequency());
             prop_assert_eq!(a.locally_detected_frequency(), b.locally_detected_frequency());
             prop_assert_eq!(a.n_pooled(), b.n_pooled());
-            prop_assert!(a.label == b.label, "label diverged for {}", a.key);
+            prop_assert!(a.label == b.label, "label diverged for {}", key);
         }
         prop_assert_eq!(s_on.tweetbase.len(), s_off.tweetbase.len());
         for (a, b) in s_on.tweetbase.iter().zip(s_off.tweetbase.iter()) {

@@ -9,7 +9,10 @@
 //! that with a counting global allocator: cloning a full 1k-sentence
 //! window of 12-token sentences must make fewer allocations than a
 //! quarter of the window's tokens. A deep copy makes one or more per
-//! token (each token's text is its own `String`).
+//! token (each token's text is its own `String`). The candidate store is
+//! a slot vector of shared records indexed by candidate id, with no
+//! string-keyed index, so its clone makes as many allocations at 5,000
+//! candidates as at 100.
 //!
 //! The batch after a clone copies each shared record it writes. A
 //! candidate present in every sentence is written by every batch, so its
@@ -17,6 +20,7 @@
 //! first batch after a clone allocates about as many fresh bytes at a 4k
 //! window as at a 1k window.
 
+use emd_globalizer::core::candidatebase::CandidateBase;
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::local::LexiconEmd;
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig};
@@ -139,6 +143,39 @@ fn state_clone_allocates_per_structure_not_per_token() {
     assert_eq!(copy.candidates.len(), state.candidates.len());
 }
 
+/// The candidate store after an unbounded run over `n` sentences that
+/// each mention a candidate of their own.
+fn store_of(n: usize) -> CandidateBase {
+    let local = LexiconEmd::new((0..n).map(|i| format!("e{i}")));
+    let clf = EntityClassifier::new(7, 0);
+    let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let sentences: Vec<Sentence> = (0..n)
+        .map(|i| {
+            Sentence::from_tokens(
+                SentenceId::new(i as u64, 0),
+                [format!("E{i}"), "speaks".into()],
+            )
+        })
+        .collect();
+    let mut state = g.new_state();
+    for chunk in sentences.chunks(500) {
+        g.process_batch(&mut state, chunk);
+    }
+    state.candidates
+}
+
+#[test]
+fn candidate_store_clone_allocates_the_same_at_any_size() {
+    let (small, large) = (store_of(100), store_of(5_000));
+    assert_eq!((small.len(), large.len()), (100, 5_000));
+    let (_, at_small) = count_allocs(|| small.clone());
+    let (_, at_large) = count_allocs(|| large.clone());
+    assert_eq!(
+        at_small, at_large,
+        "cloning 100 candidates made {at_small} allocations, 5,000 made {at_large}"
+    );
+}
+
 /// Fresh-block bytes the first batch after a clone allocates, at a full
 /// `window`, on a stream where one candidate ("hot") occurs in every
 /// sentence. The batch runs on the clone, as the supervisor's trial does.
@@ -170,7 +207,11 @@ fn first_batch_bytes_after_clone(window: usize) -> usize {
     }
     assert_eq!(state.tweetbase.len(), window, "the window is full");
     assert!(state.n_evicted() > 0, "the window has rolled");
-    let hot = state.candidates.get("hot").unwrap().frequency();
+    let hot = state
+        .candidates
+        .get(state.candidate_id("hot").unwrap())
+        .unwrap()
+        .frequency();
     assert_eq!(hot, window + BATCH, "the candidate is in every sentence");
     let mut trial = state.clone();
     let slots = trial.tweetbase.n_slots();

@@ -21,11 +21,11 @@ use emd_globalizer::core::supervisor::{StreamSupervisor, SupervisorConfig};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig, GlobalizerOutput};
 use emd_globalizer::nn::param::Net;
 use emd_globalizer::resilience::failpoint::{self, Schedule};
-use emd_globalizer::text::token::{Sentence, SentenceId};
+use emd_globalizer::text::token::{Sentence, SentenceId, Span};
 use emd_globalizer::trace::audit::{replay, ReplayedOutput};
 use emd_globalizer::trace::{flame, TraceEvent, TraceEventKind, TracePhase, TraceSink};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
 /// The tracing and metrics switches and the fail-point registry are
@@ -167,13 +167,14 @@ proptest! {
         // QuarantineEntry equality deliberately ignores the trace link.
         prop_assert_eq!(&out_on.quarantined, &out_off.quarantined);
         prop_assert_eq!(s_on.candidates.len(), s_off.candidates.len());
-        for (a, b) in s_on.candidates.iter().zip(s_off.candidates.iter()) {
-            prop_assert_eq!(&a.key, &b.key, "discovery order diverged");
+        for ((ia, a), (ib, b)) in s_on.candidates.entries().zip(s_off.candidates.entries()) {
+            let key = s_on.candidate_key(ia);
+            prop_assert_eq!(&key, &s_off.candidate_key(ib), "discovery order diverged");
             prop_assert_eq!(a.global_embedding(), b.global_embedding());
             prop_assert_eq!(a.frequency(), b.frequency());
             prop_assert_eq!(a.locally_detected_frequency(), b.locally_detected_frequency());
             prop_assert_eq!(a.n_pooled(), b.n_pooled());
-            prop_assert!(a.label == b.label, "label diverged for {}", a.key);
+            prop_assert!(a.label == b.label, "label diverged for {}", key);
         }
         prop_assert_eq!(s_on.tweetbase.len(), s_off.tweetbase.len());
         for (a, b) in s_on.tweetbase.iter().zip(s_off.tweetbase.iter()) {
@@ -258,6 +259,72 @@ fn replay_covers_adjacent_pair_promotion() {
     assert!(out.n_promoted >= 1, "promotion must trigger: {out:?}");
     assert!(out.n_rescanned >= 4, "promotion forces a rescan");
     assert_eq!(replay(&events), flatten(&out));
+}
+
+/// The trace names a candidate by the folded surface of its mentions
+/// (`Span::surface_lower`), also where folding is not ASCII: `ß` stays,
+/// a word-final `Σ` folds to `ς`, and `İ` to two chars. A rejecting
+/// classifier pins nothing, so the cold `Straße` is pruned once its one
+/// sentence leaves the window, while `ΟΔΟΣ İstanbul` is promoted.
+#[test]
+fn trace_names_candidates_by_their_folded_surface() {
+    let _t = trace_flag(true);
+    let local = LexiconEmd::new(["Straße", "ΟΔΟΣ", "İstanbul"]);
+    let clf = biased_classifier(-100.0);
+    let mut g = Globalizer::new(
+        &local,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(3),
+            ..Default::default()
+        },
+    );
+    let mut stream = vec![Sentence::from_tokens(
+        SentenceId::new(0, 0),
+        ["Straße", "opens"],
+    )];
+    for i in 1..5 {
+        stream.push(Sentence::from_tokens(
+            SentenceId::new(i, 0),
+            ["ΟΔΟΣ", "İstanbul", "news"],
+        ));
+    }
+    let (out, events) = run_traced(&mut g, &stream, 1, 1);
+    assert_eq!(out.n_promoted, 1);
+    let surface =
+        |i: usize, start: usize, end: usize| Span::new(start, end).surface_lower(&stream[i]);
+    for e in events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::ScanMention)
+    {
+        let ((tweet, _), (start, end)) = (e.sid.unwrap(), e.span.unwrap());
+        let want = surface(tweet as usize, start as usize, end as usize);
+        assert_eq!(e.candidate.as_deref(), Some(want.as_str()));
+    }
+    let named = |kind: TraceEventKind| -> BTreeSet<String> {
+        let of_kind = events.iter().filter(|e| e.kind == kind);
+        of_kind.map(|e| e.candidate.clone().unwrap()).collect()
+    };
+    let (street, road, city, pair) = (
+        surface(0, 0, 1),
+        surface(1, 0, 1),
+        surface(1, 1, 2),
+        surface(1, 0, 2),
+    );
+    assert_eq!((road.as_str(), city.as_str()), ("οδος", "i\u{307}stanbul"));
+    assert_eq!(
+        named(TraceEventKind::CandidatePruned),
+        BTreeSet::from([street.clone()])
+    );
+    assert_eq!(
+        named(TraceEventKind::Promotion),
+        BTreeSet::from([pair.clone()])
+    );
+    assert_eq!(
+        named(TraceEventKind::Verdict),
+        BTreeSet::from([street, road, city, pair])
+    );
 }
 
 /// Quarantine coverage (local phase): a persistently panicking local
@@ -604,7 +671,8 @@ type Mention = ((u32, u32), String);
 
 /// The adjacency ledger's definition, recounted from the trace: each
 /// record's mentions as its last scan left them, and the pairs every
-/// evicted record held when it left the window.
+/// evicted record held when it left the window, less the pairs of every
+/// candidate pruned since.
 #[derive(Default)]
 struct PairRecount {
     /// Per sentence: `(span, candidate)` for each mention, in span order.
@@ -615,6 +683,12 @@ struct PairRecount {
 impl PairRecount {
     fn fold(&mut self, events: &[TraceEvent]) {
         for e in events {
+            // No live record holds a pruned candidate, so only evicted
+            // pairs can name it.
+            if e.kind == TraceEventKind::CandidatePruned {
+                let c = e.candidate.as_ref().unwrap();
+                self.evicted.retain(|(a, b), _| a != c && b != c);
+            }
             let Some(sid) = e.sid else { continue };
             match e.kind {
                 // A scan restates the record's mentions; a (re-)admitted
@@ -665,9 +739,10 @@ proptest! {
     /// The adjacency ledger equals its definition after every batch and
     /// every close: the adjacent pairs of the live records' stored
     /// mentions, plus (windowed) those of every evicted record as it
-    /// stood at eviction; empty while promotion is disabled. Streams
-    /// re-deliver ids, close in between, and quarantine a batch's scans
-    /// or a close's rescans.
+    /// stood at eviction, less those of pruned candidates; empty while
+    /// promotion is disabled. Streams re-deliver ids, close in between,
+    /// and quarantine a batch's scans or a close's rescans; a rejecting
+    /// classifier lets cold candidates be pruned.
     #[test]
     fn adjacency_ledger_matches_its_definition(
         msgs in proptest::collection::vec(
@@ -677,12 +752,12 @@ proptest! {
         batch in 1usize..5,
         window in 0usize..6,
         support in 0usize..4,
-        plan in (0usize..6, 0usize..3, 0usize..6, 1usize..3),
+        plan in (0usize..6, 0usize..3, 0usize..6, 1usize..3, 0u8..2),
     ) {
-        let (close_every, fault, fault_at, threads) = plan;
+        let (close_every, fault, fault_at, threads, reject) = plan;
         let _t = trace_flag(true);
         let local = lexicon();
-        let clf = biased_classifier(100.0);
+        let clf = biased_classifier(if reject == 1 { -100.0 } else { 100.0 });
         let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig {
             promotion_support: support,
             window: WindowConfig::sliding(window),
@@ -703,7 +778,7 @@ proptest! {
                 .adjacency()
                 .at_least(1)
                 .into_iter()
-                .map(|(a, b, n)| ((a.to_string(), b.to_string()), n))
+                .map(|(a, b, n)| ((state.candidate_key(a), state.candidate_key(b)), n))
                 .collect();
             let want = if support == 0 { BTreeMap::new() } else { recount.expected(state) };
             prop_assert_eq!(ledger, want, "after {}", step);

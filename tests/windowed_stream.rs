@@ -564,8 +564,8 @@ fn supervised_trial_discarded_after_processing_rolls_back() {
     assert!(trial.n_evicted() > pre.n_evicted(), "the trial evicts");
     assert!(
         pre.candidates
-            .iter()
-            .any(|c| trial.candidates.get(&c.key).is_none()),
+            .entries()
+            .any(|(id, _)| trial.candidate_id(&pre.candidate_key(id)).is_none()),
         "the trial prunes"
     );
     // Replaying a batch is largely idempotent (known mentions are not
