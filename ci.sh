@@ -18,6 +18,14 @@ echo "== precise dirtying at production scale =="
 # the window may be dirty at close. `#[ignore]`d in tier-1 for its size.
 cargo test --release --test precise_dirtying -- --ignored
 
+echo "== snapshot at production scale =="
+# The same shape (20k window, 24,576 sentences): cloning the state makes
+# as many allocations as at a 1k window, the posting index is consistent
+# both ways, and a trial batch processed on a clone and then discarded
+# leaves the original's checkpoint text unchanged. `#[ignore]`d in
+# tier-1 for its size.
+cargo test --release --test state_clone_alloc -- --ignored
+
 echo "== benchmark tests =="
 # perfbench is a workspace of its own, so `--workspace` above never
 # builds it; a change to a library API it calls (the serde shim traits

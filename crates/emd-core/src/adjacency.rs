@@ -108,6 +108,12 @@ impl AdjacencyLedger {
         pairs
     }
 
+    /// Estimated heap bytes of the table, from its capacity in O(1): an
+    /// entry plus one control byte per slot.
+    pub fn resident_bytes(&self) -> usize {
+        self.counts.capacity() * (std::mem::size_of::<((CandId, CandId), u64)>() + 1)
+    }
+
     /// Add `n` to the pair's count (checkpoint decoding and migration).
     pub(crate) fn add_count(&mut self, pair: (CandId, CandId), n: u64) {
         if n > 0 {

@@ -19,31 +19,39 @@
 
 use crate::candidatebase::CandId;
 use emd_text::intern::{Interner, Sym};
-use serde::{Deserialize, Serialize};
+use serde::value::Value;
+use serde::{ser, DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Node id inside the trie arena. The root is [`CTrie::ROOT`].
 pub type NodeId = u32;
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Node {
-    children: HashMap<Sym, NodeId>,
     /// True when the path from the root to this node spells a registered
     /// candidate.
     terminal: bool,
     /// The candidate's id, once a scan has extracted it.
     cand: Option<CandId>,
+    /// Number of edges leaving this node.
+    n_children: u32,
 }
 
 /// Case-insensitive token-level prefix trie forest.
+///
+/// Flat storage: the nodes are one `Copy` vector and every edge lives in
+/// one `(parent, symbol) → child` table, so cloning the trie (the
+/// supervisor snapshots the state before every batch) is a few block
+/// copies, and dropping it a few frees.
 ///
 /// Supports removal: pruning a low-frequency cold candidate unmarks its
 /// terminal and frees any now-childless path nodes onto a free-list that
 /// later insertions reuse, so a long-running stream's trie arena tracks the
 /// *live* candidate set instead of growing monotonically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CTrie {
     nodes: Vec<Node>,
+    edges: HashMap<(NodeId, Sym), NodeId>,
     n_candidates: usize,
     /// Arena slots freed by [`CTrie::remove_syms`], reused by later inserts.
     free: Vec<NodeId>,
@@ -63,6 +71,7 @@ impl CTrie {
     pub fn new() -> CTrie {
         CTrie {
             nodes: vec![Node::default()],
+            edges: HashMap::new(),
             n_candidates: 0,
             free: Vec::new(),
         }
@@ -101,23 +110,18 @@ impl CTrie {
     /// Follow the edge `key` from `node`, creating it (reusing a freed
     /// arena slot when one exists) if absent.
     fn child_or_insert(&mut self, node: NodeId, key: Sym) -> NodeId {
-        match self.nodes[node as usize].children.get(&key) {
-            Some(&id) => id,
-            None => {
-                // Reuse a freed slot before growing the arena
-                // (freed nodes are reset to default on removal).
-                let id = match self.free.pop() {
-                    Some(id) => id,
-                    None => {
-                        let id = self.nodes.len() as NodeId;
-                        self.nodes.push(Node::default());
-                        id
-                    }
-                };
-                self.nodes[node as usize].children.insert(key, id);
-                id
-            }
+        if let Some(id) = self.child_sym(node, key) {
+            return id;
         }
+        // Reuse a freed slot before growing the arena (freed nodes are
+        // reset to default on removal).
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.nodes.push(Node::default());
+            (self.nodes.len() - 1) as NodeId
+        });
+        self.edges.insert((node, key), id);
+        self.nodes[node as usize].n_children += 1;
+        id
     }
 
     /// Remove a registered candidate by its folded symbols. Unmarks the
@@ -133,8 +137,8 @@ impl CTrie {
         let mut path: Vec<(NodeId, Sym, NodeId)> = Vec::with_capacity(syms.len());
         let mut node = Self::ROOT;
         for &key in syms {
-            match self.nodes[node as usize].children.get(&key) {
-                Some(&id) => {
+            match self.child_sym(node, key) {
+                Some(id) => {
                     path.push((node, key, id));
                     node = id;
                 }
@@ -152,10 +156,11 @@ impl CTrie {
         // node still needed (terminal, or carrying other candidates below).
         for (parent, key, child) in path.into_iter().rev() {
             let n = &self.nodes[child as usize];
-            if n.terminal || !n.children.is_empty() {
+            if n.terminal || n.n_children > 0 {
                 break;
             }
-            self.nodes[parent as usize].children.remove(&key);
+            self.edges.remove(&(parent, key));
+            self.nodes[parent as usize].n_children -= 1;
             self.nodes[child as usize] = Node::default();
             self.free.push(child);
         }
@@ -166,7 +171,7 @@ impl CTrie {
     /// the occurrence scan uses (sentence tokens are interned at ingest).
     #[inline]
     pub fn child_sym(&self, node: NodeId, sym: Sym) -> Option<NodeId> {
-        self.nodes[node as usize].children.get(&sym).copied()
+        self.edges.get(&(node, sym)).copied()
     }
 
     /// Follow the edge labelled with the lower-cased form of `token`.
@@ -223,6 +228,97 @@ impl CTrie {
     /// slots awaiting reuse are not counted).
     pub fn n_nodes(&self) -> usize {
         self.nodes.len() - self.free.len()
+    }
+
+    /// Estimated heap bytes, from capacities in O(1): the node vector,
+    /// the free list, and the edge table (an entry plus one control byte
+    /// per slot). An estimate for gauges, not allocator-exact.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<Node>()
+            + self.free.capacity() * size_of::<NodeId>()
+            + self.edges.capacity() * (size_of::<((NodeId, Sym), NodeId)>() + 1)
+    }
+}
+
+/// The checkpoint schema: one object per node with its `children` as
+/// `[symbol, child]` pairs (in symbol order), `terminal` and `cand`; then
+/// `n_candidates` and `free`.
+impl Serialize for CTrie {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
+        /// A node and its `(parent, symbol, child)` edges.
+        struct NodeJson<'a>(&'a Node, &'a [(NodeId, Sym, NodeId)]);
+        impl Serialize for NodeJson<'_> {
+            fn write_json(&self, out: &mut ser::Out<'_>) {
+                out.push_str("{\"children\":");
+                ser::write_seq(self.1.iter().map(|&(_, sym, child)| (sym, child)), out);
+                out.push_str(",\"terminal\":");
+                self.0.terminal.write_json(out);
+                out.push_str(",\"cand\":");
+                self.0.cand.write_json(out);
+                out.push('}');
+            }
+        }
+        let mut edges: Vec<_> = self.edges.iter().map(|(&(p, s), &c)| (p, s, c)).collect();
+        edges.sort_unstable();
+        let mut rest = &edges[..];
+        let nodes = self.nodes.iter().map(|node| {
+            let (children, tail) = rest.split_at(node.n_children as usize);
+            rest = tail;
+            NodeJson(node, children)
+        });
+        out.push_str("{\"nodes\":");
+        ser::write_seq(nodes, out);
+        out.push_str(",\"n_candidates\":");
+        self.n_candidates.write_json(out);
+        out.push_str(",\"free\":");
+        self.free.write_json(out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for CTrie {
+    fn from_value(v: &Value) -> Result<CTrie, DeError> {
+        /// The schema's shape, named as the types it encodes.
+        mod schema {
+            use super::*;
+            #[derive(Deserialize)]
+            pub struct Node {
+                pub children: Vec<(Sym, NodeId)>,
+                pub terminal: bool,
+                pub cand: Option<CandId>,
+            }
+            #[derive(Deserialize)]
+            pub struct CTrie {
+                pub nodes: Vec<Node>,
+                pub n_candidates: usize,
+                pub free: Vec<NodeId>,
+            }
+        }
+        let t = schema::CTrie::from_value(v)?;
+        let too_many = |_| DeError::msg("CTrie too large for u32 node ids");
+        let n_nodes = NodeId::try_from(t.nodes.len()).map_err(too_many)?;
+        let mut edges = HashMap::new();
+        let mut nodes = Vec::with_capacity(t.nodes.len());
+        for (parent, n) in (0..n_nodes).zip(t.nodes) {
+            for &(sym, child) in &n.children {
+                let bad = child == CTrie::ROOT || child >= n_nodes;
+                if bad || edges.insert((parent, sym), child).is_some() {
+                    return Err(DeError::msg(format!("CTrie node {parent}: bad edge {sym}")));
+                }
+            }
+            nodes.push(Node {
+                terminal: n.terminal,
+                cand: n.cand,
+                n_children: u32::try_from(n.children.len()).map_err(too_many)?,
+            });
+        }
+        Ok(CTrie {
+            nodes,
+            edges,
+            n_candidates: t.n_candidates,
+            free: t.free,
+        })
     }
 }
 
@@ -393,6 +489,35 @@ mod tests {
         assert!(!t.insert(&mut it, &["NEW", "YORK"]), "same candidate");
         assert!(t.remove_syms(&syms));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn serializes_per_node_children_and_round_trips() {
+        let mut it = Interner::new();
+        let mut t = CTrie::new();
+        t.insert(&mut it, &["andy", "murray"]);
+        t.insert(&mut it, &["andy", "beshear"]);
+        t.insert(&mut it, &["covid"]);
+        t.remove_syms(&syms(&mut it, &["covid"]));
+        let andy = t.find(&syms(&mut it, &["andy", "beshear"])).unwrap();
+        t.set_cand(andy, 4);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(
+            json,
+            "{\"nodes\":[{\"children\":[[0,1]],\"terminal\":false,\"cand\":null},\
+             {\"children\":[[1,2],[2,3]],\"terminal\":false,\"cand\":null},\
+             {\"children\":[],\"terminal\":true,\"cand\":null},\
+             {\"children\":[],\"terminal\":true,\"cand\":4},\
+             {\"children\":[],\"terminal\":false,\"cand\":null}],\
+             \"n_candidates\":2,\"free\":[4]}"
+        );
+        let back: CTrie = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(back.n_nodes(), 4);
+        assert_eq!(back.cand_of(&syms(&mut it, &["andy", "beshear"])), Some(4));
+        // A node that repeats a symbol has no single child for it.
+        let twice = json.replace("[[1,2],[2,3]]", "[[1,2],[1,3]]");
+        assert!(serde_json::from_str::<CTrie>(&twice).is_err());
     }
 
     #[test]

@@ -68,7 +68,7 @@ use std::sync::Mutex;
 /// an answer `d` entries in. Walking one ascending list while galloping
 /// through another costs far less than a binary search over the whole
 /// remainder per step when the hits are dense.
-fn gallop(list: &[usize], target: usize) -> usize {
+fn gallop(list: &[u32], target: u32) -> usize {
     let mut hi = 1;
     while hi < list.len() && list[hi - 1] < target {
         hi *= 2;
@@ -283,11 +283,17 @@ impl GlobalizerState {
         self.tweetbase.evicted_total()
     }
 
-    /// Estimated resident bytes of the two big stores (sentence records +
-    /// candidate pools). The quantity the `emd_window_resident_bytes`
-    /// gauge reports.
+    /// Estimated resident bytes of the state's stores and indexes: the
+    /// sentence store (records, embedding arena, posting arena, interner),
+    /// the candidate store, the CTrie and the adjacency ledger. The trie,
+    /// the ledger and the posting arena are counted from capacities in
+    /// O(1); the two stores still walk their records. The quantity the
+    /// `emd_window_resident_bytes` gauge reports.
     pub fn resident_bytes(&self) -> usize {
-        self.tweetbase.resident_bytes() + self.candidates.resident_bytes()
+        self.tweetbase.resident_bytes()
+            + self.candidates.resident_bytes()
+            + self.ctrie.resident_bytes()
+            + self.adjacency.resident_bytes()
     }
 
     /// Squeeze tombstone slots out of the sentence store, rebasing every
@@ -1270,7 +1276,7 @@ impl<'a> Globalizer<'a> {
         let mut distinct = syms.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
-        let mut lists: Vec<&[usize]> = distinct
+        let mut lists: Vec<&[u32]> = distinct
             .iter()
             .map(|&s| tweetbase.indices_with_sym(s))
             .collect();
@@ -1278,15 +1284,16 @@ impl<'a> Globalizer<'a> {
         let Some((rarest, others)) = lists.split_first_mut() else {
             return;
         };
-        for &i in *rarest {
+        for &slot in *rarest {
+            let i = slot as usize;
             if state.dirty.contains(i) || state.quarantined_idx.contains(&i) {
                 continue;
             }
             if syms.len() > 1 {
                 // Every list ascends, so each search window only shrinks.
                 let in_all = others.iter_mut().all(|l| {
-                    *l = &l[gallop(l, i)..];
-                    l.first() == Some(&i)
+                    *l = &l[gallop(l, slot)..];
+                    l.first() == Some(&slot)
                 });
                 if !in_all {
                     continue;
@@ -2287,10 +2294,10 @@ mod tests {
 
     #[test]
     fn gallop_agrees_with_partition_point() {
-        let list: Vec<usize> = (0..300).map(|i| 3 * i + 1).collect();
+        let list: Vec<u32> = (0..300).map(|i| 3 * i + 1).collect();
         for len in [0, 1, 2, 3, 7, 64, 300] {
             let l = &list[..len];
-            for target in 0..=3 * len + 2 {
+            for target in 0..=3 * len as u32 + 2 {
                 assert_eq!(
                     gallop(l, target),
                     l.partition_point(|&x| x < target),

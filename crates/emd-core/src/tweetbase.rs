@@ -19,10 +19,10 @@
 //! [`TweetRecord::tok_syms`]; the occurrence scan, the inverted index, and
 //! the CTrie walk all operate on those `u32` symbols — the per-scan
 //! `to_lowercase()` string churn of the original layout is gone. The
-//! inverted index itself is a symbol-indexed `Vec<Vec<usize>>` instead of
-//! a `HashMap<String, _>`, and token-embedding matrices live in one flat
-//! `f32` arena (`emb_arena`) with per-record row offsets instead of a heap
-//! allocation per sentence.
+//! inverted index keeps every symbol's posting list as a region of one
+//! `u32` arena (see [`Postings`]), and token-embedding matrices live in
+//! one flat `f32` arena (`emb_arena`) with per-record row offsets instead
+//! of a heap allocation per sentence.
 //!
 //! `insert` drains an incoming record's `token_embeddings` matrix into the
 //! arena. Stored records answer through [`TweetBase::embedding_view`];
@@ -38,7 +38,10 @@
 //! pointer per record instead of the record. Every write goes through
 //! `Arc::make_mut`: a record is deep-copied only when it is written while
 //! an older snapshot still holds it, and a batch's own new records are
-//! never shared, so they are never copied.
+//! never shared, so they are never copied. The indexes beside the records
+//! are flat: the posting arena and its region table are `Copy` vectors
+//! and the id index a table of `Copy` pairs, so each clones as one block
+//! copy, whatever the window or its vocabulary.
 //!
 //! ## Bounded-memory storage
 //!
@@ -192,9 +195,8 @@ pub struct TweetBase {
     index: HashMap<SentenceId, usize>,
     /// The pipeline-wide token interner (symbols shared with the CTrie).
     interner: Interner,
-    /// Symbol → strictly ascending live slot indices. Indexed by `Sym`;
-    /// symbols never seen in a sentence simply have an empty list.
-    postings: Vec<PostingList>,
+    /// Symbol → strictly ascending live slot indices.
+    postings: Postings,
     /// Flat row-major token-embedding storage for all live records.
     emb_arena: Vec<f32>,
     /// Arena floats belonging to evicted/replaced records (reclaimed by
@@ -212,90 +214,225 @@ pub struct TweetBase {
     scratch_syms: Vec<Sym>,
 }
 
-/// One symbol's posting list: strictly ascending live slot indices
-/// behind an amortised head offset. Window eviction runs oldest-first,
-/// so removals overwhelmingly hit the logical front — and popping the
-/// front of a plain `Vec` memmoves the whole tail, which at window
-/// scale was the dominant eviction cost. Here a front removal just
-/// advances `head` in O(1); the dead prefix is physically reclaimed
-/// once it outgrows the live part, keeping memory O(live). Serializes
-/// as the logical (head-trimmed) list, so the checkpoint schema is
-/// identical to the plain-`Vec` representation it replaced.
-#[derive(Debug, Clone, Default)]
-struct PostingList {
-    items: Vec<usize>,
-    head: usize,
+/// Where one symbol's posting list lives in the posting arena: its block
+/// is `arena[start..start + cap]`, and its live entries are the `len`
+/// entries from `start + head`. `Copy`, so the table of regions clones
+/// as one block.
+#[derive(Debug, Clone, Copy, Default)]
+struct Region {
+    start: u32,
+    head: u32,
+    len: u32,
+    cap: u32,
 }
 
-impl PostingList {
-    /// The live entries, strictly ascending.
+impl Region {
+    /// Arena range of the live entries.
     #[inline]
-    fn as_slice(&self) -> &[usize] {
-        &self.items[self.head..]
-    }
-
-    /// Insert `i`, keeping the list strictly ascending and deduplicated.
-    fn insert(&mut self, i: usize) {
-        match self.as_slice().binary_search(&i) {
-            Ok(_) => {}
-            Err(pos) => self.items.insert(self.head + pos, i),
-        }
-    }
-
-    /// Remove `i` if present. Front removals advance the head; the dead
-    /// prefix is drained once it exceeds the live half.
-    fn remove(&mut self, i: usize) {
-        if let Ok(pos) = self.as_slice().binary_search(&i) {
-            if pos == 0 {
-                self.head += 1;
-                if self.head * 2 > self.items.len() {
-                    self.items.drain(..self.head);
-                    self.head = 0;
-                }
-            } else {
-                self.items.remove(self.head + pos);
-            }
-        }
-    }
-
-    /// No live entries left?
-    fn is_empty(&self) -> bool {
-        self.head == self.items.len()
-    }
-
-    /// Drop all entries, keeping the allocation for reuse.
-    fn clear(&mut self) {
-        self.items.clear();
-        self.head = 0;
-    }
-
-    /// Drop all entries and release the heap block (a token whose last
-    /// sentence left the window should not pin memory).
-    fn release(&mut self) {
-        *self = PostingList::default();
-    }
-
-    /// Physical capacity in entries, for memory accounting.
-    fn capacity(&self) -> usize {
-        self.items.capacity()
+    fn live(&self) -> std::ops::Range<usize> {
+        let from = (self.start + self.head) as usize;
+        from..from + self.len as usize
     }
 }
 
-// Checkpoints carry the logical list only — byte-identical to the
-// plain-`Vec` schema; `head` is a transient layout detail.
-impl Serialize for PostingList {
-    fn write_json(&self, out: &mut serde::ser::Out<'_>) {
-        self.as_slice().write_json(out);
-    }
+/// Every symbol's posting list in one arena of slot indices, each list a
+/// contiguous region of it (see [`Region`]). Both the arena and the
+/// region table are flat `Copy` vectors, so cloning the index (the
+/// supervisor snapshots the state before every batch) is two block
+/// copies, and dropping it two frees.
+///
+/// - An append writes into the region's free tail. A list whose region is
+///   full slides its entries to the block's start if its dead front is at
+///   least half as long as the list, and otherwise moves to the arena's
+///   end with double the capacity, leaving its old block dead: amortised
+///   O(1).
+/// - Window eviction runs oldest-first, so removals overwhelmingly hit a
+///   list's front, and a front removal just advances `head`. A removal
+///   from the middle (a replaced record) shifts the tail down by one.
+/// - A list that empties gives its block up. Blocks given up or left
+///   behind by moves are dead space, and the arena compacts itself once
+///   dead space exceeds live space (the lists' entries).
+///
+/// Serializes as the logical lists, one per symbol, so the checkpoint
+/// schema is the one a `Vec` per symbol had.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    arena: Vec<u32>,
+    /// Indexed by `Sym`; symbols never seen in a sentence own no block.
+    lists: Vec<Region>,
+    /// Arena entries no region owns.
+    dead: usize,
+    /// Live entries over all lists.
+    live: usize,
 }
 
-impl Deserialize for PostingList {
-    fn from_value(v: &serde::value::Value) -> Result<PostingList, serde::DeError> {
-        Ok(PostingList {
-            items: Vec::<usize>::from_value(v)?,
+impl Postings {
+    /// Capacity of a list's first block.
+    const FIRST_CAP: u32 = 4;
+
+    /// The live entries of `sym`'s list, strictly ascending.
+    #[inline]
+    fn get(&self, sym: Sym) -> &[u32] {
+        self.lists
+            .get(sym as usize)
+            .map_or(&[], |r| &self.arena[r.live()])
+    }
+
+    /// Insert `i` into `sym`'s list, keeping it strictly ascending and
+    /// deduplicated.
+    fn insert(&mut self, sym: Sym, i: u32) {
+        let s = sym as usize;
+        if self.lists.len() <= s {
+            self.lists.resize(s + 1, Region::default());
+        }
+        let pos = match self.arena[self.lists[s].live()].binary_search(&i) {
+            Ok(_) => return,
+            Err(pos) => pos,
+        };
+        let r = self.lists[s];
+        if r.head + r.len == r.cap {
+            self.make_room(s);
+        }
+        let r = &mut self.lists[s];
+        let at = (r.start + r.head) as usize + pos;
+        let end = r.live().end;
+        r.len += 1;
+        self.arena.copy_within(at..end, at + 1);
+        self.arena[at] = i;
+        self.live += 1;
+        self.maybe_compact();
+    }
+
+    /// Give the full region of list `s` a free tail entry.
+    fn make_room(&mut self, s: usize) {
+        let r = self.lists[s];
+        let live = r.live();
+        if r.head > 0 && r.head * 2 >= r.len {
+            self.arena.copy_within(live, r.start as usize);
+            self.lists[s].head = 0;
+            return;
+        }
+        let start = self.arena.len();
+        let cap = (r.cap * 2).max(Self::FIRST_CAP);
+        self.arena.extend_from_within(live);
+        self.arena.resize(start + cap as usize, 0);
+        self.dead += r.cap as usize;
+        self.lists[s] = Region {
+            start: to_u32(start),
             head: 0,
-        })
+            len: r.len,
+            cap,
+        };
     }
+
+    /// Remove `i` from `sym`'s list if present.
+    fn remove(&mut self, sym: Sym, i: u32) {
+        let Some(&r) = self.lists.get(sym as usize) else {
+            return;
+        };
+        let Ok(pos) = self.arena[r.live()].binary_search(&i) else {
+            return;
+        };
+        self.live -= 1;
+        let r = &mut self.lists[sym as usize];
+        if r.len == 1 {
+            // The last entry: the list gives its block up.
+            self.dead += r.cap as usize;
+            *r = Region::default();
+            self.maybe_compact();
+            return;
+        }
+        if pos == 0 {
+            r.head += 1;
+        } else {
+            let live = r.live();
+            self.arena
+                .copy_within(live.start + pos + 1..live.end, live.start + pos);
+        }
+        r.len -= 1;
+    }
+
+    /// Compact once dead space exceeds live space.
+    fn maybe_compact(&mut self) {
+        if self.dead > self.live {
+            self.rebuild(|i| i);
+        }
+    }
+
+    /// The block a list of `len` entries gets when the arena is laid out
+    /// afresh: half as long again, so the list takes appends before it
+    /// has to move.
+    fn block(len: u32) -> u32 {
+        len + len.div_ceil(2)
+    }
+
+    /// Rewrite the arena with every list's live entries, mapped through
+    /// `map` (which must keep them strictly ascending), each in a fresh
+    /// [`Postings::block`]: no dead space, and room to grow.
+    fn rebuild(&mut self, map: impl Fn(u32) -> u32) {
+        let owned: usize = self.lists.iter().map(|r| Self::block(r.len) as usize).sum();
+        let mut arena = Vec::with_capacity(owned);
+        for r in &mut self.lists {
+            let start = arena.len();
+            arena.extend(self.arena[r.live()].iter().map(|&i| map(i)));
+            let cap = Self::block(r.len);
+            arena.resize(start + cap as usize, 0);
+            *r = Region {
+                start: to_u32(start),
+                head: 0,
+                len: r.len,
+                cap,
+            };
+        }
+        self.arena = arena;
+        self.dead = 0;
+    }
+
+    /// Heap bytes of the arena and the region table, from capacities.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.arena.capacity() * size_of::<u32>() + self.lists.capacity() * size_of::<Region>()
+    }
+}
+
+// Checkpoints carry the logical lists only, one per symbol: the schema a
+// `Vec` per symbol had. The arena layout is rebuilt on load.
+impl Serialize for Postings {
+    fn write_json(&self, out: &mut serde::ser::Out<'_>) {
+        serde::ser::write_seq(self.lists.iter().map(|r| &self.arena[r.live()]), out);
+    }
+}
+
+impl Deserialize for Postings {
+    fn from_value(v: &serde::value::Value) -> Result<Postings, serde::DeError> {
+        let offset =
+            |n: usize| u32::try_from(n).map_err(|_| serde::DeError::msg("posting arena too large"));
+        let lists = Vec::<Vec<u32>>::from_value(v)?;
+        let mut postings = Postings::default();
+        for list in lists {
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return Err(serde::DeError::msg("posting list not strictly ascending"));
+            }
+            let (start, len) = (offset(postings.arena.len())?, offset(list.len())?);
+            postings.arena.extend_from_slice(&list);
+            postings.live += list.len();
+            postings.lists.push(Region {
+                start,
+                head: 0,
+                len,
+                cap: len,
+            });
+        }
+        // Room for the blocks `rebuild` lays out.
+        offset(2 * postings.live)?;
+        postings.rebuild(|i| i);
+        Ok(postings)
+    }
+}
+
+/// A slot index or arena offset as the posting arena stores it.
+fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("slot indices and posting arena offsets fit u32")
 }
 
 impl TweetBase {
@@ -384,33 +521,26 @@ impl TweetBase {
         );
         keys.sort_unstable();
         keys.dedup();
+        let i = to_u32(i);
         for &sym in &keys {
-            let s = sym as usize;
-            if self.postings.len() <= s {
-                self.postings.resize_with(s + 1, PostingList::default);
-            }
-            self.postings[s].insert(i);
+            self.postings.insert(sym, i);
         }
         self.scratch_syms = keys;
     }
 
     /// Remove slot `i`'s entries from the posting lists of `record`'s
-    /// symbols, releasing the heap block of lists that become empty (a
-    /// token whose last sentence left the window should not pin memory),
-    /// and marking the record's arena rows dead.
+    /// symbols (a list that empties gives its block up: a token whose
+    /// last sentence left the window should not pin memory), and mark the
+    /// record's embedding rows dead.
     fn remove_record_postings(&mut self, i: usize, record: &TweetRecord) {
         let mut keys = std::mem::take(&mut self.scratch_syms);
         keys.clear();
         keys.extend_from_slice(&record.tok_syms);
         keys.sort_unstable();
         keys.dedup();
+        let i = to_u32(i);
         for &sym in &keys {
-            if let Some(postings) = self.postings.get_mut(sym as usize) {
-                postings.remove(i);
-                if postings.is_empty() {
-                    postings.release();
-                }
-            }
+            self.postings.remove(sym, i);
         }
         self.scratch_syms = keys;
         if let Some(slot) = record.emb {
@@ -422,11 +552,8 @@ impl TweetBase {
     /// `sym` folds. Strictly ascending, deduplicated, and free of replaced
     /// or evicted records.
     #[inline]
-    pub fn indices_with_sym(&self, sym: Sym) -> &[usize] {
-        self.postings
-            .get(sym as usize)
-            .map(PostingList::as_slice)
-            .unwrap_or(&[])
+    pub fn indices_with_sym(&self, sym: Sym) -> &[u32] {
+        self.postings.get(sym)
     }
 
     /// Token-embedding rows of the record in slot `i`, if it is live and
@@ -578,18 +705,82 @@ impl TweetBase {
         self.emb_arena = arena;
         self.emb_dead = 0;
         self.index.clear();
-        for p in &mut self.postings {
-            p.clear();
+        for (i, r) in self.slots.iter().enumerate() {
+            let id = r.as_ref().map(|r| r.sentence.id);
+            self.index.insert(id.expect("compacted slots are live"), i);
         }
-        for i in 0..self.slots.len() {
-            let id = self.slots[i]
-                .as_ref()
-                .map(|r| r.sentence.id)
-                .expect("compacted slots are live");
-            self.index.insert(id, i);
-            self.add_postings(i);
-        }
+        // Postings hold live slots only, and the remap keeps their order.
+        self.postings
+            .rebuild(|i| to_u32(remap[i as usize].expect("postings hold live slots")));
         Some(remap)
+    }
+
+    /// Check the posting index both ways, and its arena layout. Sound:
+    /// every list is strictly ascending and names only live records whose
+    /// sentence holds its token. Complete: every symbol of every live
+    /// record lists that record. Laid out: every region lies inside the
+    /// arena, no two overlap, the regions and the dead count account for
+    /// every arena entry, and the live count is the lists' total.
+    /// O(arena + window tokens); for tests and audits.
+    pub fn check_postings(&self) -> Result<(), String> {
+        let p = &self.postings;
+        let mut blocks = Vec::new();
+        for (sym, r) in p.lists.iter().enumerate() {
+            let token = self.interner.resolve(sym as Sym);
+            if r.head + r.len > r.cap || (r.start + r.cap) as usize > p.arena.len() {
+                return Err(format!("region of {token:?} out of bounds: {r:?}"));
+            }
+            if r.cap > 0 {
+                blocks.push((r.start, r.cap));
+            }
+            let list = &p.arena[r.live()];
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "postings for {token:?} not strictly ascending: {list:?}"
+                ));
+            }
+            for &i in list {
+                let Some(rec) = self.record_at(i as usize) else {
+                    return Err(format!("posting for {token:?} points at tombstone {i}"));
+                };
+                if !rec.sentence.texts().any(|t| t.to_lowercase() == *token) {
+                    return Err(format!(
+                        "stale posting: record {i} does not contain {token:?}"
+                    ));
+                }
+            }
+        }
+        blocks.sort_unstable();
+        if let Some(w) = blocks.windows(2).find(|w| w[0].0 + w[0].1 > w[1].0) {
+            return Err(format!(
+                "posting regions overlap: {:?} and {:?}",
+                w[0], w[1]
+            ));
+        }
+        let owned: usize = blocks.iter().map(|&(_, cap)| cap as usize).sum();
+        let live: usize = p.lists.iter().map(|r| r.len as usize).sum();
+        if owned + p.dead != p.arena.len() || live != p.live {
+            return Err(format!(
+                "regions own {owned} and {} are dead, of {} arena entries; \
+                 {live} entries are live, {} counted",
+                p.dead,
+                p.arena.len(),
+                p.live
+            ));
+        }
+        for (i, rec) in self.iter_indexed() {
+            for &sym in &rec.tok_syms {
+                if self
+                    .indices_with_sym(sym)
+                    .binary_search(&to_u32(i))
+                    .is_err()
+                {
+                    let token = self.interner.resolve(sym);
+                    return Err(format!("record {i} holds {token:?} but is not in its list"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Estimated resident heap bytes of the store: record blocks and
@@ -613,10 +804,7 @@ impl TweetBase {
                 * size_of::<Span>();
         }
         total += self.emb_arena.capacity() * size_of::<f32>();
-        total += self.postings.capacity() * size_of::<PostingList>();
-        for postings in &self.postings {
-            total += postings.capacity() * size_of::<usize>();
-        }
+        total += self.postings.resident_bytes();
         total += self.interner.resident_bytes();
         total += self.index.len() * (size_of::<SentenceId>() + size_of::<usize>());
         total
@@ -628,7 +816,7 @@ mod tests {
     use super::*;
 
     /// Live records holding the token (any casing).
-    fn with_token<'a>(tb: &'a TweetBase, token: &str) -> &'a [usize] {
+    fn with_token<'a>(tb: &'a TweetBase, token: &str) -> &'a [u32] {
         tb.interner()
             .lookup_folded(token)
             .map_or(&[], |sym| tb.indices_with_sym(sym))
@@ -666,25 +854,9 @@ mod tests {
         )
     }
 
-    /// Every posting list must be strictly ascending, deduplicated, and
-    /// point at a live record actually containing the token.
     fn assert_postings_consistent(tb: &TweetBase) {
-        for (sym, postings) in tb.postings.iter().enumerate() {
-            let token = tb.interner.resolve(sym as Sym);
-            let postings = postings.as_slice();
-            assert!(
-                postings.windows(2).all(|w| w[0] < w[1]),
-                "postings for {token:?} not strictly ascending: {postings:?}"
-            );
-            for &i in postings {
-                let r = tb
-                    .record_at(i)
-                    .unwrap_or_else(|| panic!("posting for {token:?} points at tombstone {i}"));
-                assert!(
-                    r.sentence.texts().any(|t| t.to_lowercase() == *token),
-                    "stale posting: record {i} does not contain {token:?}"
-                );
-            }
+        if let Err(e) = tb.check_postings() {
+            panic!("{e}");
         }
     }
 
@@ -775,7 +947,7 @@ mod tests {
         // Case-folded, deduped per record, ascending order.
         assert_eq!(with_token(&tb, "italy"), &[0, 1]);
         assert_eq!(with_token(&tb, "report"), &[0]);
-        assert_eq!(with_token(&tb, "missing"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "missing"), &[] as &[u32]);
         let sym = tb.interner().lookup_folded("ITALY").unwrap();
         assert_eq!(tb.indices_with_sym(sym), &[0, 1]);
         assert_postings_consistent(&tb);
@@ -790,7 +962,7 @@ mod tests {
         // removed outright — no stale entries remain.
         assert_eq!(with_token(&tb, "new"), &[0]);
         assert_eq!(with_token(&tb, "text"), &[0]);
-        assert_eq!(with_token(&tb, "old"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "old"), &[] as &[u32]);
         assert_eq!(tb.len(), 1);
         assert_postings_consistent(&tb);
     }
@@ -812,7 +984,7 @@ mod tests {
             &[0, 1],
             "replacement must not duplicate or unsort postings"
         );
-        assert_eq!(with_token(&tb, "alpha"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "alpha"), &[] as &[u32]);
         assert_eq!(with_token(&tb, "gamma"), &[0]);
         assert_postings_consistent(&tb);
         // Replace again with entirely fresh tokens: the shared posting for
@@ -922,7 +1094,7 @@ mod tests {
         assert!(!tb.is_live(0));
         assert!(tb.record_at(0).is_none());
         assert!(tb.get(SentenceId::new(1, 0)).is_none());
-        assert_eq!(with_token(&tb, "cold"), &[] as &[usize]);
+        assert_eq!(with_token(&tb, "cold"), &[] as &[u32]);
         assert_eq!(with_token(&tb, "shared"), &[1]);
         // Double eviction is a no-op.
         assert!(tb.evict(0).is_none());
@@ -1010,16 +1182,120 @@ mod tests {
     }
 
     #[test]
-    fn posting_list_serializes_its_logical_list() {
-        let mut p = PostingList::default();
+    fn postings_serialize_their_logical_lists() {
+        let mut p = Postings::default();
         for i in [3, 5, 8, 13] {
-            p.insert(i);
+            p.insert(0, i);
         }
-        p.remove(3);
-        assert_eq!(p.head, 1, "a front removal advances the head");
+        p.insert(2, 7);
+        p.remove(0, 3);
+        assert_eq!(p.lists[0].head, 1, "a front removal advances the head");
         let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(json, "[5,8,13]");
-        let back: PostingList = serde_json::from_str(&json).unwrap();
-        assert_eq!((back.as_slice(), back.head), (p.as_slice(), 0));
+        assert_eq!(json, "[[5,8,13],[],[7]]");
+        let back: Postings = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            (back.get(0), back.get(1), back.get(2)),
+            (p.get(0), &[][..], p.get(2))
+        );
+        assert!(serde_json::from_str::<Postings>("[[5,3]]").is_err());
+    }
+
+    #[test]
+    fn full_regions_slide_or_move_and_the_arena_compacts() {
+        let mut p = Postings::default();
+        for i in 0..4 {
+            p.insert(0, i);
+        }
+        p.insert(1, 0);
+        p.insert(2, 0);
+        assert_eq!(p.lists[0].cap, 4);
+        // List 0 is full and its block no longer ends the arena: it moves
+        // to the end with double the capacity, leaving its block dead.
+        p.insert(0, 4);
+        assert_eq!((p.lists[0].start, p.lists[0].cap, p.dead), (12, 8, 4));
+        // A dead front half as long as the list: a full list slides in
+        // place.
+        for i in 0..4 {
+            p.remove(0, i);
+        }
+        for i in 5..8 {
+            p.insert(0, i);
+        }
+        assert_eq!((p.lists[0].head, p.lists[0].len), (4, 4));
+        p.insert(0, 8);
+        assert_eq!((p.lists[0].start, p.lists[0].head), (12, 0));
+        assert_eq!(p.get(0), &[4, 5, 6, 7, 8]);
+        // An emptied list gives its block up. With 8 entries dead against
+        // 6 live, the arena compacts, each list into a block half as long
+        // again as the list.
+        p.remove(1, 0);
+        assert_eq!(p.dead, 0, "compacted");
+        assert_eq!(p.arena.len(), 8 + 2);
+        assert_eq!(
+            (p.get(0), p.get(1), p.get(2)),
+            (&[4, 5, 6, 7, 8][..], &[][..], &[0][..])
+        );
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Insert tweet `id` with tokens drawn from a small vocabulary
+            /// (a re-delivered id replaces its record).
+            Insert(u64, Vec<usize>),
+            /// Evict the `n`-th live slot.
+            Evict(usize),
+            Compact,
+        }
+
+        /// Six inserts to three evictions to one compaction.
+        fn op() -> impl Strategy<Value = Op> {
+            (
+                0u8..10,
+                0u64..60,
+                proptest::collection::vec(0usize..24, 1..7),
+                0usize..64,
+            )
+                .prop_map(|(kind, id, toks, n)| match kind {
+                    0..=5 => Op::Insert(id, toks),
+                    6..=8 => Op::Evict(n),
+                    _ => Op::Compact,
+                })
+        }
+
+        proptest! {
+            /// Long random insert / re-delivered id / evict / compact
+            /// sequences move regions, slide them and compact the arena,
+            /// and the index stays sound, complete and laid out.
+            #[test]
+            fn postings_stay_two_sided_consistent(
+                ops in proptest::collection::vec(op(), 200..600),
+            ) {
+                let mut tb = TweetBase::new();
+                for op in ops {
+                    match op {
+                        Op::Insert(id, toks) => {
+                            let toks: Vec<String> =
+                                toks.iter().map(|t| format!("t{t}")).collect();
+                            let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
+                            tb.insert(rec_with(id, &toks));
+                        }
+                        Op::Evict(n) => {
+                            let live: Vec<usize> = tb.iter_indexed().map(|(i, _)| i).collect();
+                            if !live.is_empty() {
+                                tb.evict(live[n % live.len()]);
+                            }
+                        }
+                        Op::Compact => {
+                            tb.compact();
+                        }
+                    }
+                    prop_assert!(tb.check_postings().is_ok(), "{:?}", tb.check_postings());
+                }
+            }
+        }
     }
 }

@@ -6,8 +6,9 @@
 //! subset the tests rely on (`[a-z]{1,8}`-style classes and `\PC`).
 //!
 //! Differences from the real crate: no shrinking (the failing inputs are
-//! printed verbatim), and a fixed deterministic seed per test derived from
-//! the test name (override the case count with `PROPTEST_CASES`).
+//! printed verbatim, for a failed `prop_assert` and for a panicking body
+//! alike), and a fixed deterministic seed per test derived from the test
+//! name (override the case count with `PROPTEST_CASES`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,11 +187,22 @@ macro_rules! proptest {
                 // Render inputs up front: the body may consume them, and on
                 // failure we still want them in the panic message.
                 let inputs = format!("{:#?}", ($(&$arg,)*));
-                let result: ::std::result::Result<(), $crate::TestCaseError> = (|| {
-                    $body
-                    #[allow(unreachable_code)]
-                    Ok(())
-                })();
+                let result = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> ::std::result::Result<(), $crate::TestCaseError> {
+                        $body
+                        #[allow(unreachable_code)]
+                        Ok(())
+                    },
+                ))
+                .unwrap_or_else(|payload| {
+                    $crate::resume_panicked_case(
+                        payload,
+                        stringify!($name),
+                        case + 1,
+                        runner.cases,
+                        &inputs,
+                    )
+                });
                 if let Err(e) = result {
                     panic!(
                         "proptest `{}` failed at case {}/{}:\n  {}\n  inputs: {}",
@@ -204,6 +216,31 @@ macro_rules! proptest {
             }
         }
     )*};
+}
+
+/// Re-raise a panic from case `case` of `cases` of property `name`,
+/// naming the case and its inputs as a `prop_assert` failure does: the
+/// report is printed and becomes the new panic payload.
+#[doc(hidden)]
+pub fn resume_panicked_case(
+    payload: Box<dyn std::any::Any + Send>,
+    name: &str,
+    case: usize,
+    cases: usize,
+    inputs: &str,
+) -> ! {
+    let msg = match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s.as_str(),
+        _ => "(non-string panic payload)",
+    };
+    let report =
+        format!("proptest `{name}` panicked at case {case}/{cases}:\n  {msg}\n  inputs: {inputs}");
+    eprintln!("{report}");
+    std::panic::resume_unwind(Box::new(report))
 }
 
 /// Fail the enclosing property unless `cond` holds.
@@ -262,6 +299,24 @@ mod tests {
             prop_assert!(v.len() < 6);
             for x in &v {
                 prop_assert!(*x < 10);
+            }
+        }
+
+        /// A panicking body names its case, as a failed assertion does.
+        #[test]
+        #[should_panic(expected = "proptest `body_panic_names_its_case` panicked at case 1/")]
+        fn body_panic_names_its_case(x in 5usize..6) {
+            if x == 5 {
+                panic!("boom at {x}");
+            }
+        }
+
+        /// ... and carries the original message and the inputs.
+        #[test]
+        #[should_panic(expected = "boom at 5\n  inputs: (\n    5,\n)")]
+        fn body_panic_shows_its_message_and_inputs(x in 5usize..6) {
+            if x == 5 {
+                panic!("boom at {x}");
             }
         }
 

@@ -1,18 +1,27 @@
-//! Allocation regression test for the supervisor's per-batch snapshot.
+//! Allocation regression tests for the supervisor's per-batch snapshot.
 //!
 //! `StreamSupervisor` clones the whole `GlobalizerState` before every
 //! batch so a batch-level fault can roll back. The sentence records, the
 //! candidate records and the interned token strings are shared between
-//! the state and its clone (`Arc`, copied on write), so a clone allocates
-//! per *structure* — the slot and record vectors, the index tables, one
-//! posting list per symbol — and not per stored token. This test pins
-//! that with a counting global allocator: cloning a full 1k-sentence
-//! window of 12-token sentences must make fewer allocations than a
-//! quarter of the window's tokens. A deep copy makes one or more per
-//! token (each token's text is its own `String`). The candidate store is
-//! a slot vector of shared records indexed by candidate id, with no
-//! string-keyed index, so its clone makes as many allocations at 5,000
-//! candidates as at 100.
+//! the state and its clone (`Arc`, copied on write), and every index is
+//! flat storage: the posting lists are regions of one arena, the CTrie's
+//! edges one table, the adjacency ledger one table. So a clone makes one
+//! allocation per *structure*, however large the window, its vocabulary
+//! or its candidate set. The tests pin that with a counting global
+//! allocator:
+//!
+//! - cloning a full 1k-sentence window of 12-token sentences makes fewer
+//!   allocations than a quarter of the window's tokens (a deep copy makes
+//!   one or more per token: each token's text is its own `String`);
+//! - the candidate store's clone makes as many allocations at 5,000
+//!   candidates as at 100;
+//! - the whole state's clone makes as many allocations at a 4k window as
+//!   at a 1k window, with four times the vocabulary and candidates;
+//! - at production scale (`#[ignore]`, run by `ci.sh` with `--ignored`),
+//!   the churn-window shape's 20k-window clone makes as many allocations
+//!   as a 1k-window one, its posting index is consistent both ways, and a
+//!   trial batch processed on a clone and discarded leaves the original's
+//!   checkpoint text unchanged.
 //!
 //! The batch after a clone copies each shared record it writes. A
 //! candidate present in every sentence is written by every batch, so its
@@ -22,9 +31,13 @@
 
 use emd_globalizer::core::candidatebase::CandidateBase;
 use emd_globalizer::core::config::WindowConfig;
-use emd_globalizer::core::local::LexiconEmd;
+use emd_globalizer::core::globalizer::GlobalizerState;
+use emd_globalizer::core::local::{LexiconEmd, LocalEmd};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig};
+use emd_globalizer::local::np_chunker::NpChunker;
 use emd_globalizer::nn::param::Net;
+use emd_globalizer::synth::{gen_churn_stream, NoiseConfig, World, WorldConfig};
+use emd_globalizer::text::casing::SyntacticClass;
 use emd_globalizer::text::token::{Sentence, SentenceId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,6 +105,11 @@ const WINDOW: usize = 1_000;
 /// `n` sentences of `TOKENS` tokens drawn from a `VOCAB`-word vocabulary
 /// by a fixed LCG, every third token capitalised.
 fn stream(n: usize) -> Vec<Sentence> {
+    stream_over(n, VOCAB)
+}
+
+/// [`stream`] over a `vocab`-word vocabulary.
+fn stream_over(n: usize, vocab: usize) -> Vec<Sentence> {
     let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
     (0..n)
         .map(|i| {
@@ -99,7 +117,7 @@ fn stream(n: usize) -> Vec<Sentence> {
                 x = x
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
-                let mut t = format!("w{}", (x >> 33) as usize % VOCAB);
+                let mut t = format!("w{}", (x >> 33) as usize % vocab);
                 if (i + j) % 3 == 0 {
                     t.make_ascii_uppercase();
                 }
@@ -236,5 +254,140 @@ fn first_batch_after_clone_allocates_independently_of_window() {
         "first batch after a clone allocated {small} bytes at a {WINDOW}-sentence window \
          but {large} at {}",
         4 * WINDOW
+    );
+}
+
+/// A classifier over `in_dim` features biased hard enough to accept
+/// every candidate.
+fn accept_all(in_dim: usize) -> EntityClassifier {
+    let mut clf = EntityClassifier::new(in_dim, 0);
+    clf.params_mut().into_iter().last().unwrap().value.data[0] = 100.0;
+    clf
+}
+
+/// The state after `stream` ran through a `window`-sentence sliding
+/// window in batches of `batch`, with every candidate accepted.
+fn windowed_state(
+    local: &dyn LocalEmd,
+    clf_dim: usize,
+    window: usize,
+    stream: &[Sentence],
+    batch: usize,
+) -> GlobalizerState {
+    let clf = accept_all(clf_dim);
+    let g = Globalizer::new(
+        local,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(window),
+            ..Default::default()
+        },
+    );
+    let mut state = g.new_state();
+    for chunk in stream.chunks(batch) {
+        g.process_batch(&mut state, chunk);
+    }
+    assert_eq!(state.tweetbase.len(), window, "the window is full");
+    assert!(state.n_evicted() > 0, "the window has rolled");
+    state
+}
+
+/// A full `window` over a stream whose vocabulary (half a word per
+/// sentence of window) and candidate set grow with the window.
+fn state_at_window(window: usize) -> GlobalizerState {
+    let vocab = window / 2;
+    let local = LexiconEmd::new((0..vocab).step_by(10).map(|w| format!("w{w}")));
+    windowed_state(&local, 7, window, &stream_over(3 * window, vocab), 128)
+}
+
+/// Every index is flat storage, so cloning the whole state allocates per
+/// structure: the count does not grow with the window, its vocabulary
+/// or its candidates.
+#[test]
+fn whole_state_clone_allocates_the_same_at_any_window() {
+    let (small, large) = (state_at_window(WINDOW), state_at_window(4 * WINDOW));
+    let vocab = |s: &GlobalizerState| s.tweetbase.interner().len();
+    assert!(vocab(&large) > 3 * vocab(&small), "the vocabulary grows");
+    assert!(
+        large.candidates.len() > 3 * small.candidates.len(),
+        "the candidates grow"
+    );
+    assert!(large.ctrie.n_nodes() > 3 * small.ctrie.n_nodes());
+    let (_, at_small) = count_allocs(|| small.clone());
+    let (_, at_large) = count_allocs(|| large.clone());
+    assert_eq!(
+        at_small,
+        at_large,
+        "cloning the state at a {WINDOW}-sentence window made {at_small} allocations, \
+         at {} {at_large}",
+        4 * WINDOW
+    );
+}
+
+/// The churn-window shape: the churn stream (world seed 99), NP chunker,
+/// accept-all classifier, batches of 512 through a `window`-sentence
+/// sliding window, over `n` sentences.
+fn churn_stream(n: usize) -> Vec<Sentence> {
+    let world = World::generate(&WorldConfig {
+        seed: 99,
+        ..Default::default()
+    });
+    gen_churn_stream(&world, n, 5_000, "churn", &NoiseConfig::default(), 3)
+        .sentences
+        .into_iter()
+        .map(|a| a.sentence)
+        .collect()
+}
+
+/// The supervisor's snapshot at production scale: a full 20k window of
+/// the churn-window shape, 24,576 sentences in. Its clone allocates as
+/// much as a 1k-window clone of the same shape; its posting index is
+/// consistent both ways; and a trial batch processed on a clone and then
+/// discarded, as a rolled-back batch is, leaves the original's
+/// checkpoint text unchanged.
+#[test]
+#[ignore = "production scale: run with --release -- --ignored"]
+fn churn_window_scale_snapshot_is_flat_and_isolated() {
+    const BIG: usize = 20_000;
+    const BATCH: usize = 512;
+    let chunker = NpChunker::new();
+    let dim = SyntacticClass::COUNT + 1;
+    let stream = churn_stream(48 * BATCH);
+    let (warm, trial_batch) = stream.split_at(stream.len() - BATCH);
+    let small = windowed_state(&chunker, dim, WINDOW, &stream[..8 * BATCH], BATCH);
+    let state = windowed_state(&chunker, dim, BIG, warm, BATCH);
+    if let Err(e) = state.tweetbase.check_postings() {
+        panic!("posting index at a {BIG}-sentence window: {e}");
+    }
+
+    let (_, at_small) = count_allocs(|| small.clone());
+    let (mut trial, at_big) = count_allocs(|| state.clone());
+    assert_eq!(
+        at_small, at_big,
+        "cloning the state at a {WINDOW}-sentence window made {at_small} allocations, \
+         at {BIG} {at_big}"
+    );
+
+    let before = serde_json::to_string(&state).unwrap();
+    let clf = accept_all(dim);
+    let g = Globalizer::new(
+        &chunker,
+        None,
+        &clf,
+        GlobalizerConfig {
+            window: WindowConfig::sliding(BIG),
+            ..Default::default()
+        },
+    );
+    g.process_batch(&mut trial, trial_batch);
+    assert!(trial.n_evicted() > state.n_evicted(), "the trial evicts");
+    if let Err(e) = trial.tweetbase.check_postings() {
+        panic!("posting index after the trial batch: {e}");
+    }
+    drop(trial);
+    assert!(
+        serde_json::to_string(&state).unwrap() == before,
+        "a discarded trial batch must leave the original's checkpoint text unchanged"
     );
 }
