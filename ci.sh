@@ -66,6 +66,10 @@ echo "== overload + self-healing smoke =="
 # if any phase's guarantee (including bit-identity of admitted batches)
 # is violated.
 cargo test --release --features emd-resilience/failpoints --test guard_runtime
+# The chaos suite again, optimised: `process_batch` shards Local EMD
+# across threads, so fault injection must also cover the release build of
+# that parallel path (shard fail points, caller-run shard recovery).
+cargo test --release --features emd-resilience/failpoints --test chaos_resilience
 cargo run --release --features emd-resilience/failpoints --example fault_storm > /dev/null
 
 echo "== trace smoke =="

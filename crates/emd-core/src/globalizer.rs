@@ -1053,14 +1053,17 @@ impl<'a> Globalizer<'a> {
         self.ingest_local_outputs(state, batch, outputs);
     }
 
-    /// Map `f` over `items` in up to `n_threads` contiguous shards on
-    /// scoped threads, concatenating the shard outputs in order; inline
-    /// at one thread (no spawn and no `shard_fp` fail point). `f` is
-    /// pure, so the result equals the inline run's. Shards are joined
-    /// unconditionally before any failure is acted on — a panicked shard
-    /// must not leak the surviving worker threads — and a panicked
-    /// shard's items are re-run on the caller thread, so one poisoned
-    /// shard degrades to sequential work instead of aborting the batch.
+    /// Map `f` over `items` in up to `n_threads` contiguous shards,
+    /// concatenating the shard outputs in order; inline at one thread (no
+    /// spawn and no `shard_fp` fail point). The first shard runs on the
+    /// caller thread, the rest on scoped workers, so `n` threads means
+    /// `n − 1` spawns and no idle waiter. `f` is pure, so the result
+    /// equals the inline run's. Every shard, the caller's included, runs
+    /// under a panic catch; all workers are joined before any failure is
+    /// acted on — a panicked shard must not leak the surviving worker
+    /// threads — and a panicked shard's items are re-run on the caller
+    /// thread, so one poisoned shard degrades to sequential work instead
+    /// of aborting the batch.
     fn sharded<T: Sync, R: Send>(
         &self,
         items: &[T],
@@ -1075,17 +1078,19 @@ impl<'a> Globalizer<'a> {
         }
         let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(n_threads)).collect();
         let f = &f;
+        let shard = move |part: &[T]| {
+            failpoint::fire(shard_fp);
+            f(part)
+        };
         let shard_results: Vec<Option<Vec<R>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
+            let handles: Vec<_> = chunks[1..]
                 .iter()
-                .map(|part| {
-                    scope.spawn(move || {
-                        failpoint::fire(shard_fp);
-                        f(part)
-                    })
-                })
+                .map(|&part| scope.spawn(move || shard(part)))
                 .collect();
-            handles.into_iter().map(|h| h.join().ok()).collect()
+            let first = isolate::catch(|| shard(chunks[0])).ok();
+            std::iter::once(first)
+                .chain(handles.into_iter().map(|h| h.join().ok()))
+                .collect()
         });
         let mut out = Vec::with_capacity(items.len());
         for (part, slot) in chunks.iter().zip(shard_results) {
@@ -1726,8 +1731,13 @@ impl<'a> Globalizer<'a> {
     /// Consume one batch of the stream: Local EMD, candidate registration,
     /// mention extraction over the batch, pooling, and an interim
     /// classification pass (γ candidates stay pending).
+    ///
+    /// Local EMD shards across all available cores (the caller thread
+    /// runs the first shard); everything after it runs on the caller in
+    /// stream order, so outputs are bit-identical to
+    /// [`Globalizer::process_batch_parallel`] at one thread.
     pub fn process_batch(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
-        self.process_batch_parallel(state, batch, 1);
+        self.process_batch_parallel(state, batch, machine_threads());
     }
 
     /// Advance the batch counter (always — traced and untraced runs must
@@ -1756,9 +1766,9 @@ impl<'a> Globalizer<'a> {
         });
     }
 
-    /// Like [`Globalizer::process_batch`] but runs Local EMD inference on
-    /// `n_threads` scoped threads (inline at one). Outputs are identical
-    /// to the sequential path (ingestion stays in stream order).
+    /// [`Globalizer::process_batch`] with an explicit thread count for
+    /// Local EMD inference (inline at one). Outputs are identical at
+    /// every count (ingestion stays in stream order).
     pub fn process_batch_parallel(
         &self,
         state: &mut GlobalizerState,
@@ -2098,10 +2108,7 @@ impl<'a> Globalizer<'a> {
     /// are bit-identical to [`Globalizer::finalize_full_rescan`] regardless
     /// of thread count or batch schedule.
     pub fn finalize(&self, state: &mut GlobalizerState) -> GlobalizerOutput {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.finalize_with_threads(state, threads)
+        self.finalize_with_threads(state, machine_threads())
     }
 
     /// [`Globalizer::finalize`] with an explicit worker-thread count.
@@ -2206,6 +2213,12 @@ impl<'a> Globalizer<'a> {
     }
 }
 
+/// Worker-thread count of the default entry points: the machine's
+/// available parallelism, or one when it cannot be read.
+fn machine_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Build pipeline state *without* classification — used to harvest
 /// classifier training data (the classifier does not exist yet at that
 /// point). Runs the local phase and the global rescan/pooling only.
@@ -2232,9 +2245,7 @@ pub fn index_stream(
         },
     );
     let mut state = g.new_state();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = machine_threads();
     g.process_batch_parallel(&mut state, sentences, threads);
     // Closing rescan (candidates discovered late may have mentions in
     // earlier sentences) + promotion, shared with `finalize`, minus the
@@ -2452,7 +2463,7 @@ mod tests {
             })
             .collect();
         let mut s1 = g.new_state();
-        g.process_batch(&mut s1, &stream);
+        g.process_batch_parallel(&mut s1, &stream, 1);
         let out1 = g.finalize(&mut s1);
         let mut s2 = g.new_state();
         g.process_batch_parallel(&mut s2, &stream, 4);
@@ -2967,7 +2978,13 @@ mod tests {
     #[test]
     fn parallel_local_phase_quarantines_identically() {
         // The same poison sentence, processed on the sequential and the
-        // sharded local phase: outputs and quarantine logs must match.
+        // sharded local phase: outputs, quarantine logs and retry counts
+        // must match. Tweet 0 lies in the first shard, which the caller
+        // thread runs, tweet 2 in a later one. A panic inside
+        // `LocalEmd::process` is caught per sentence, so it never reaches
+        // the shard boundary: a transient one is retried and a persistent
+        // one quarantines the sentence.
+        let _obs = crate::obs::tests::obs_switch(true);
         let clf = accept_all(7);
         let stream = sents(&[
             &["Italy", "a"],
@@ -2975,21 +2992,81 @@ mod tests {
             &["ITALY", "c"],
             &["italy", "d"],
         ]);
-        let run = |threads: Option<usize>| {
-            let local = PanickyEmd::new(2, usize::MAX);
-            let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+        let run = |fail_tweet: u64, fail_until_attempt: usize, threads: usize| {
+            let local = PanickyEmd::new(fail_tweet, fail_until_attempt);
+            let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+            let reg = emd_obs::Registry::new();
+            g.set_metrics(PipelineMetrics::from_registry(&reg));
             let mut state = g.new_state();
-            match threads {
-                None => g.process_batch(&mut state, &stream),
-                Some(t) => g.process_batch_parallel(&mut state, &stream, t),
-            }
-            g.finalize(&mut state)
+            g.process_batch_parallel(&mut state, &stream, threads);
+            let out = g.finalize(&mut state);
+            let snap = g.metrics().snapshot();
+            let retries = (
+                snap.counter("emd_resilience_item_retries_total"),
+                snap.counter("emd_resilience_shard_retries_total"),
+            );
+            (out, retries)
         };
-        let seq = run(None);
-        let par = run(Some(3));
-        assert_eq!(seq.per_sentence, par.per_sentence);
-        assert_eq!(seq.quarantined, par.quarantined);
-        assert_eq!(seq.quarantined.len(), 1);
+        for fail_tweet in [0, 2] {
+            for (fail_until_attempt, n_quarantined, item_retries) in [(1, 0, 1), (usize::MAX, 1, 2)]
+            {
+                let (seq, seq_retries) = run(fail_tweet, fail_until_attempt, 1);
+                assert_eq!(seq.quarantined.len(), n_quarantined);
+                assert_eq!(seq_retries, (Some(item_retries), Some(0)));
+                for threads in [2, 3] {
+                    let (par, par_retries) = run(fail_tweet, fail_until_attempt, threads);
+                    let at = format!("tweet {fail_tweet}, threads {threads}");
+                    assert_eq!(seq.per_sentence, par.per_sentence, "{at}");
+                    assert_eq!(seq.quarantined, par.quarantined, "{at}");
+                    assert_eq!(seq_retries, par_retries, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panic_in_the_callers_own_shard_reruns_there() {
+        // The caller thread runs the first shard itself. A panic there is
+        // caught like a worker's, counted once, and the shard re-run on
+        // the caller, so the result equals the inline run's.
+        let _obs = crate::obs::tests::obs_switch(true);
+        let clf = accept_all(7);
+        let stream: Vec<Sentence> = (0..7)
+            .map(|i| Sentence::from_tokens(SentenceId::new(i, 0), ["Italy", "again"]))
+            .collect();
+        let healthy = PanickyEmd::new(0, 0);
+        let inline: Vec<Vec<Span>> = stream.iter().map(|s| healthy.process(s).spans).collect();
+        for threads in [2, 3] {
+            let local = PanickyEmd::new(0, 1);
+            let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+            let reg = emd_obs::Registry::new();
+            g.set_metrics(PipelineMetrics::from_registry(&reg));
+            let first_shard_runs = Mutex::new(Vec::new());
+            let out = g.sharded(
+                &stream,
+                threads,
+                "test_shard",
+                TracePhase::LocalInfer,
+                |part| {
+                    if part[0].id.tweet_id == 0 {
+                        first_shard_runs
+                            .lock()
+                            .unwrap()
+                            .push(std::thread::current().id());
+                    }
+                    part.iter().map(|s| local.process(s).spans).collect()
+                },
+            );
+            assert_eq!(out, inline, "threads={threads}");
+            let caller = std::thread::current().id();
+            assert_eq!(
+                first_shard_runs.into_inner().unwrap(),
+                vec![caller, caller],
+                "the first shard panics and re-runs on the caller"
+            );
+            let snap = g.metrics().snapshot();
+            assert_eq!(snap.counter("emd_resilience_shard_retries_total"), Some(1));
+        }
     }
 
     #[test]

@@ -20,9 +20,13 @@ pub struct LocalEmdOutput {
 
 /// A pluggable Local EMD system.
 ///
-/// `Send + Sync` is required so the framework can fan sentence processing
-/// out across threads ([`crate::globalizer::Globalizer::process_batch_parallel`]);
-/// inference is `&self` and every provided implementation is plain data.
+/// `Send + Sync` is required because the framework fans sentence
+/// processing out across threads: [`crate::globalizer::Globalizer::process_batch`]
+/// calls [`LocalEmd::process`] concurrently from the caller thread and
+/// its scoped workers, in no fixed order across shards. Inference is
+/// `&self` and every provided implementation is plain data; an
+/// implementation with interior state must not make its output depend
+/// on call order.
 ///
 /// ## Boundary contract
 ///

@@ -44,13 +44,15 @@ const BATCH: usize = 50;
 /// batch cost (healthy release batches sit around a millisecond even
 /// with three streams contending), so only the injected fault crosses it.
 const LAT_MAX_NS: u64 = 50_000_000; // 50 ms
-/// Per-sentence stall injected after the regression onset: one batch of
-/// 50 stalled sentences takes ≥ 100 ms, double the objective.
-const STALL: Duration = Duration::from_millis(2);
+/// Stall injected once per batch after the regression onset: the batch
+/// takes ≥ 100 ms, double the objective, however many threads share its
+/// local phase.
+const STALL: Duration = Duration::from_millis(100);
 
 /// Wraps a Local EMD system with a latency fault: after `slow_from`
-/// sentences have been processed, every call stalls. Output is
-/// unchanged — only the clock is poisoned — so monitored and
+/// sentences have been processed, every `BATCH`-th call stalls — at
+/// least once a batch, each stall whole in one local shard. Output
+/// is unchanged — only the clock is poisoned — so monitored and
 /// unmonitored runs stay bit-identical.
 struct SlowAfter<'a> {
     inner: &'a LexiconEmd,
@@ -66,7 +68,8 @@ impl LocalEmd for SlowAfter<'_> {
         None
     }
     fn process(&self, sentence: &Sentence) -> LocalEmdOutput {
-        if self.seen.fetch_add(1, Ordering::Relaxed) >= self.slow_from {
+        let seen = self.seen.fetch_add(1, Ordering::Relaxed);
+        if seen >= self.slow_from && seen.is_multiple_of(BATCH) {
             std::thread::sleep(STALL);
         }
         self.inner.process(sentence)

@@ -89,8 +89,9 @@ fn lexicon() -> LexiconEmd {
     LexiconEmd::new(["italy", "covid", "beshear", "moross", "lumsa", "zutav"])
 }
 
-/// Run the full pipeline (optionally with parallel local inference) and
-/// return the output.
+/// Run the full pipeline with every phase on `threads` threads and return
+/// the output. At one thread the run is strictly sequential, so a
+/// count-based fail point lands on a fixed sentence.
 fn run_pipeline(
     g: &Globalizer<'_>,
     stream: &[Sentence],
@@ -99,11 +100,7 @@ fn run_pipeline(
 ) -> GlobalizerOutput {
     let mut state = g.new_state();
     for chunk in stream.chunks(batch.max(1)) {
-        if threads > 1 {
-            g.process_batch_parallel(&mut state, chunk, threads);
-        } else {
-            g.process_batch(&mut state, chunk);
-        }
+        g.process_batch_parallel(&mut state, chunk, threads);
     }
     g.finalize_with_threads(&mut state, threads)
 }
