@@ -21,9 +21,10 @@ cargo test --release --test precise_dirtying -- --ignored
 echo "== snapshot at production scale =="
 # The same shape (20k window, 24,576 sentences): cloning the state makes
 # as many allocations as at a 1k window, the posting index is consistent
-# both ways, and a trial batch processed on a clone and then discarded
-# leaves the original's checkpoint text unchanged. `#[ignore]`d in
-# tier-1 for its size.
+# both ways, the uncompacted state saved and loaded back has the same
+# slots, rebuilt indexes and checkpoint text, and a trial batch processed
+# on a clone and then discarded leaves the original's checkpoint text and
+# indexes unchanged. `#[ignore]`d in tier-1 for its size.
 cargo test --release --test state_clone_alloc -- --ignored
 
 echo "== benchmark tests =="

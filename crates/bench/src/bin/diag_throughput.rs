@@ -8,7 +8,6 @@
 //!
 //! - `DIAG_BATCH=<n>`     batch size (default 512)
 //! - `DIAG_CLEAN=1`       noise-free stream (`NoiseConfig::none()`)
-//! - `DIAG_NO_SETTLE=1`   skip the settle-before-evict rescan
 //! - `DIAG_NO_PRUNE=1`    disable frequency-decay candidate pruning
 //! - `DIAG_NO_PROMO=1`    disable adjacent-pair promotion
 //! - `DIAG_OBS=1`         enable `emd_obs` and print phase histograms
@@ -45,9 +44,6 @@ fn main() {
         window: WindowConfig::sliding(20_000),
         ..Default::default()
     };
-    if std::env::var_os("DIAG_NO_SETTLE").is_some() {
-        cfg.window.settle_before_evict = false;
-    }
     if std::env::var_os("DIAG_NO_PRUNE").is_some() {
         cfg.window.prune_max_frequency = 0;
     }

@@ -43,12 +43,6 @@ pub struct WindowConfig {
     /// holds no Entity verdict, and its mention frequency is at most this
     /// value. `0` disables pruning. Ignored unless `max_sentences > 0`.
     pub prune_max_frequency: usize,
-    /// Dirty-eviction settling: when true (default), a record still in the
-    /// dirty set is rescanned one last time before eviction so mentions of
-    /// candidates registered after the record's batch still reach the
-    /// pool. Turning this off trades a little recall on evicted sentences
-    /// for less finalize-style work per batch.
-    pub settle_before_evict: bool,
 }
 
 impl Default for WindowConfig {
@@ -56,7 +50,6 @@ impl Default for WindowConfig {
         WindowConfig {
             max_sentences: 0,
             prune_max_frequency: 2,
-            settle_before_evict: true,
         }
     }
 }
@@ -154,7 +147,6 @@ mod tests {
         assert!(w.enabled());
         assert_eq!(w.max_sentences, 1000);
         assert_eq!(w.prune_max_frequency, 2);
-        assert!(w.settle_before_evict);
         assert!(!WindowConfig::default().enabled());
     }
 }

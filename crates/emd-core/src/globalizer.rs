@@ -16,6 +16,16 @@
 //! [`Globalizer::finalize_full_rescan`] rescans everything and exists as
 //! the reference the incremental path is tested bit-identical against.
 //!
+//! ## Bounded memory
+//!
+//! With a sliding window ([`crate::config::WindowConfig`]), every batch
+//! ends by evicting the oldest records beyond the window, after one last
+//! rescan of those still dirty. The sentence store is a FIFO of live
+//! records, so the victims are always the slot range starting at
+//! [`TweetBase::first_slot`]; the dirty set and the post-ingest
+//! quarantine set drop them as they go, and every slot-keyed structure
+//! shifts down by the evicted count at [`GlobalizerState::compact`].
+//!
 //! ## Failure model
 //!
 //! Every per-item unit of work (one sentence's local inference or ingest
@@ -143,8 +153,9 @@ fn tspan(sp: &Span) -> (u32, u32) {
 /// Accumulated pipeline state across batches. Serializable: the
 /// `StreamSupervisor` checkpoints it between batches so an interrupted
 /// run can resume from the last completed batch. Decoding also reads the
-/// v3 to v5 schemas, which named candidates by their text (see
-/// `crate::migrate`).
+/// v6 schema, whose sentence store kept evicted slots and both of its
+/// indexes (see [`TweetBase`]), and the v3 to v5 schemas, which named
+/// candidates by their text (see `crate::migrate`).
 #[derive(Debug, Clone, Serialize)]
 pub struct GlobalizerState {
     /// Per-sentence records.
@@ -171,8 +182,8 @@ pub struct GlobalizerState {
     /// deterministic stream/discovery order.
     pub quarantined: Vec<QuarantineEntry>,
     /// Stream-order indices of records quarantined *after* ingestion (a
-    /// persistently failing rescan). They stay in the TweetBase so indices
-    /// remain stable, but are excluded from dirtying, scans, promotion
+    /// persistently failing rescan). They stay in the TweetBase until
+    /// evicted, but are excluded from dirtying, scans, promotion
     /// evidence, and emission.
     quarantined_idx: BTreeSet<usize>,
     /// Every sentence ID ever quarantined. Eviction frees a quarantined
@@ -185,11 +196,6 @@ pub struct GlobalizerState {
     /// stood at eviction (see [`AdjacencyLedger`]). Empty while
     /// promotion is disabled.
     pub(crate) adjacency: AdjacencyLedger,
-    /// Slot index the next eviction sweep starts from. Evictions walk the
-    /// slot vector oldest-first and never revisit freed slots, so this
-    /// cursor makes each sweep O(batch), not O(history). Rebased by
-    /// [`GlobalizerState::compact`].
-    evict_cursor: usize,
     /// 1-based batch counter, advanced on every `process_batch` call
     /// (unconditionally, so traced and untraced runs stay aligned) and
     /// stamped into `BatchStart` trace events.
@@ -216,17 +222,21 @@ impl Deserialize for GlobalizerState {
         if v.as_obj().is_none() {
             return Err(DeError::msg("expected object for `GlobalizerState`"));
         }
+        let tweetbase: TweetBase = field(v, "tweetbase")?;
+        // A v6 state kept an evicted record's quarantined slot until
+        // compaction; eviction now drops it.
+        let quarantined_idx =
+            field::<BTreeSet<usize>>(v, "quarantined_idx")?.split_off(&tweetbase.first_slot());
         Ok(GlobalizerState {
-            tweetbase: field(v, "tweetbase")?,
+            tweetbase,
             ctrie: field(v, "ctrie")?,
             candidates: field(v, "candidates")?,
             dirty: field(v, "dirty")?,
             timings: field(v, "timings")?,
             quarantined: field(v, "quarantined")?,
-            quarantined_idx: field(v, "quarantined_idx")?,
+            quarantined_idx,
             quarantined_ids: field(v, "quarantined_ids")?,
             adjacency: field(v, "adjacency")?,
-            evict_cursor: field(v, "evict_cursor")?,
             batch_seq: field(v, "batch_seq")?,
             trace_seq: field(v, "trace_seq")?,
         })
@@ -296,39 +306,22 @@ impl GlobalizerState {
             + self.adjacency.resident_bytes()
     }
 
-    /// Squeeze tombstone slots out of the sentence store, rebasing every
-    /// index-keyed side structure (dirty set, post-ingest quarantine set,
-    /// eviction cursor) onto the new dense indexing. Evicted slots in the
-    /// quarantine set are dropped (their IDs remain in the permanent
-    /// ID-level set). Returns the number of slots reclaimed.
+    /// Compact the sentence store (see [`TweetBase::compact`]): its slot
+    /// indices shift down by the number of records evicted since the last
+    /// compaction, and so do the other slot-keyed sets, the dirty set and
+    /// the post-ingest quarantine set (eviction already took its victims
+    /// out of both). Returns the number of slots reclaimed.
     ///
-    /// Called automatically by window enforcement once tombstones outnumber
-    /// live records, and by the `StreamSupervisor` before checkpoint writes
-    /// so checkpoint size — and restart cost — stays O(window).
+    /// Called automatically by window enforcement once evicted slots
+    /// outnumber live records, and by the `StreamSupervisor` before
+    /// checkpoint writes so slot indices stay O(window).
     pub fn compact(&mut self) -> usize {
-        let Some(remap) = self.tweetbase.compact() else {
-            return 0;
-        };
-        let dropped = remap.iter().filter(|m| m.is_none()).count();
-        self.dirty = self
-            .dirty
-            .iter()
-            .filter_map(|i| remap.get(i).copied().flatten())
-            .collect();
-        self.quarantined_idx = self
-            .quarantined_idx
-            .iter()
-            .filter_map(|&i| remap.get(i).copied().flatten())
-            .collect();
-        // The cursor moves to "number of live slots before the old cursor":
-        // everything before it was either retained (now at a smaller index)
-        // or reclaimed.
-        self.evict_cursor = remap
-            .iter()
-            .take(self.evict_cursor.min(remap.len()))
-            .filter(|m| m.is_some())
-            .count();
-        dropped
+        let shift = self.tweetbase.compact();
+        if shift > 0 {
+            self.dirty = self.dirty.iter().map(|i| i - shift).collect();
+            self.quarantined_idx = self.quarantined_idx.iter().map(|&i| i - shift).collect();
+        }
+        shift
     }
 }
 
@@ -928,7 +921,6 @@ impl<'a> Globalizer<'a> {
             quarantined_idx: BTreeSet::new(),
             quarantined_ids: HashSet::new(),
             adjacency: AdjacencyLedger::default(),
-            evict_cursor: 0,
             batch_seq: 0,
             trace_seq: 0,
         }
@@ -1204,11 +1196,10 @@ impl<'a> Globalizer<'a> {
                     if let Some(old) = state.tweetbase.index_of(sentence.id) {
                         self.uncount_pairs(state, old);
                     }
-                    let idx = state.tweetbase.insert(TweetRecord::new(
-                        sentence.clone(),
-                        out.token_embeddings,
-                        out.spans.clone(),
-                    ));
+                    let idx = state.tweetbase.insert(
+                        TweetRecord::new(sentence.clone(), out.spans.clone()),
+                        out.token_embeddings.as_ref(),
+                    );
                     state.dirty.insert(idx);
                     if tracing {
                         self.temit(|| TraceEvent {
@@ -1806,7 +1797,7 @@ impl<'a> Globalizer<'a> {
     /// rescan first; their adjacent pairs stay counted for the promotion
     /// search — then prune cold candidates whose every mention
     /// has been evicted (removing their CTrie paths), and compact the slot
-    /// vector once tombstones outnumber live records. Candidate pools are
+    /// indices once evicted slots outnumber live records. Candidate pools are
     /// never rolled back: an evicted mention's contribution to pooled
     /// global embeddings, frequencies, and frozen verdicts is exactly the
     /// "global context" the paper accumulates — only the *text* is freed.
@@ -1819,27 +1810,16 @@ impl<'a> Globalizer<'a> {
         if state.tweetbase.len() > w.max_sentences {
             let excess = state.tweetbase.len() - w.max_sentences;
             // Victims: the oldest live slots, ascending (= stream order).
-            let mut victims = Vec::with_capacity(excess);
-            let mut cursor = state.evict_cursor;
-            while victims.len() < excess {
-                match state.tweetbase.first_live_from(cursor) {
-                    Some(i) => {
-                        victims.push(i);
-                        cursor = i + 1;
-                    }
-                    None => break,
-                }
-            }
-            state.evict_cursor = cursor;
+            let first = state.tweetbase.first_slot();
+            let victims = first..first + excess;
             // Settle: a victim still in the dirty set may be missing
             // mentions of candidates registered after its last scan; give
             // it the rescan finalize would have, while its text is still
             // here. (Pointless for LocalOnly — no global structures.)
-            if w.settle_before_evict && self.config.ablation != Ablation::LocalOnly {
+            if self.config.ablation != Ablation::LocalOnly {
                 let settle: Vec<usize> = victims
-                    .iter()
-                    .copied()
-                    .filter(|i| state.dirty.contains(*i))
+                    .clone()
+                    .filter(|&i| state.dirty.contains(i))
                     .collect();
                 self.scan_records(
                     state,
@@ -1849,30 +1829,26 @@ impl<'a> Globalizer<'a> {
                     Some(TracePhase::Evict),
                 );
             }
-            let mut n_evicted = 0u64;
-            for &i in &victims {
+            for i in victims {
                 state.dirty.remove(i);
-                // `quarantined_idx` keeps the index: the slot is never
-                // reused for a live record, and compaction drops it.
+                state.quarantined_idx.remove(&i);
                 // The record's adjacent pairs stay in the ledger.
-                if let Some(rec) = state.tweetbase.evict(i) {
-                    n_evicted += 1;
-                    self.temit(|| TraceEvent {
-                        sid: Some(tsid(rec.sentence.id)),
-                        count: Some(rec.global_mentions.len() as u64),
-                        phase: Some(TracePhase::Evict),
-                        ..TraceEvent::of(TraceEventKind::SentenceEvicted)
-                    });
-                }
+                let rec = state.tweetbase.evict_oldest().expect("victims are live");
+                self.temit(|| TraceEvent {
+                    sid: Some(tsid(rec.sentence.id)),
+                    count: Some(rec.global_mentions.len() as u64),
+                    phase: Some(TracePhase::Evict),
+                    ..TraceEvent::of(TraceEventKind::SentenceEvicted)
+                });
             }
             self.count(BatchObservation {
-                evicted: n_evicted,
+                evicted: excess as u64,
                 ..BatchObservation::default()
             });
             self.prune_candidates(state, w.prune_max_frequency);
-            // Amortized O(1): compacting costs O(live + tombstones) and
-            // only runs once tombstones outnumber live records.
-            if state.tweetbase.n_slots() - state.tweetbase.len() > state.tweetbase.len() {
+            // Amortized O(1): compacting costs O(live) and only runs once
+            // evicted slots outnumber live records.
+            if state.tweetbase.first_slot() > state.tweetbase.len() {
                 let dropped = state.compact();
                 if dropped > 0 {
                     self.metrics.compactions_total.inc();
@@ -3350,7 +3326,7 @@ mod tests {
         assert!(cand(&state, "italy").is_some(), "hot candidate kept");
         assert!(!registered(&state, "oddity"), "CTrie path removed");
         assert!(registered(&state, "italy"));
-        // Tombstones never exceed the live count by more than one batch.
+        // Evicted slots never exceed the live count by more than one batch.
         assert!(
             state.tweetbase.n_slots() <= 2 * state.tweetbase.len() + 2,
             "compaction keeps the slot vector dense (slots={}, live={})",

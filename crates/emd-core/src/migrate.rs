@@ -5,7 +5,10 @@
 //! adjacency ledger paired keys (v5 `adjacency`; v4 `frozen_adjacency`,
 //! which counted only evicted records' pairs). v6 names a candidate by
 //! its id, the slot of its record, which its CTrie terminal holds.
-//! [`to_v6`] converts the names once:
+//! [`to_v6`] converts the names once, into a v6 tree, which the state's
+//! decoder reads as it reads a v6 file (the sentence store's `null`
+//! slots become its `first` slot index, and its stored indexes are not
+//! read but rebuilt from the records):
 //!
 //! * record `i` (discovery order) becomes candidate `i`: its `syms` are
 //!   its tokens' interned symbols, and its terminal is named `i`;
@@ -128,8 +131,8 @@ fn is_v3(state: &Value) -> bool {
             .any(|r| !matches!(r, Value::Null) && r.get_field("retired").is_none())
 }
 
-/// Decode a v3, v4 or v5 state tree into the v6 state (see the module
-/// docs).
+/// Decode a v3, v4 or v5 state tree through the v6 tree shape (see the
+/// module docs).
 pub(crate) fn to_v6(old: &Value) -> Result<GlobalizerState, DeError> {
     #[derive(Deserialize)]
     struct FrozenPairV4 {

@@ -572,10 +572,10 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             return;
         }
         let m = self.globalizer.metrics();
-        // Checkpoint compaction: squeeze evicted (tombstone) slots out of
-        // the state first, so checkpoint size — and restart cost — stays
-        // O(window) instead of O(stream history). A no-op for unbounded
-        // runs.
+        // Checkpoint compaction: shift slot indices past the evicted
+        // records and reclaim their dead embedding rows first, so the file
+        // holds live rows only and slot indices restart from 0. A no-op
+        // for unbounded runs.
         let dropped = state.compact();
         if dropped > 0 {
             m.compactions_total.inc();
@@ -1061,7 +1061,7 @@ mod tests {
         assert_eq!(
             ckpt.tweetbase.n_slots(),
             ckpt.tweetbase.len(),
-            "checkpoints are compacted: no tombstone slots persisted"
+            "checkpoints are compacted: no evicted slots persisted"
         );
         // Restart over the full stream: bit-identical to uninterrupted.
         let report = sup.run(&s);

@@ -1,9 +1,10 @@
 //! TweetBase: per-sentence records maintained across the pipeline.
 //!
 //! Indexed by `(tweet id, sentence id)` pairs, a record stores the sentence
-//! itself, the token embeddings produced at Local EMD (deep systems only),
-//! the spans the local system detected, and the mention list that Global
-//! EMD updates as the sentences pass through the second phase.
+//! itself, the spans the local system detected, and the mention list that
+//! Global EMD updates as the sentences pass through the second phase; the
+//! token embeddings produced at Local EMD (deep systems only) live beside
+//! it in the store's arena.
 //!
 //! A record is also where mention dedup lives. Every span in its
 //! `global_mentions` has been pooled into its candidate, and `retired`
@@ -24,12 +25,10 @@
 //! one flat `f32` arena (`emb_arena`) with per-record row offsets instead
 //! of a heap allocation per sentence.
 //!
-//! `insert` drains an incoming record's `token_embeddings` matrix into the
-//! arena. Stored records answer through [`TweetBase::embedding_view`];
-//! `evict` hands the record back *without* its rows (its caller reads
-//! only the id and mention count), so an evicted record's
-//! `token_embeddings` is `None` and its arena placement is meaningless
-//! once a later [`TweetBase::compact`] has run.
+//! [`TweetBase::insert`] copies the embedding matrix handed in beside a
+//! record into the arena, and stored records answer through
+//! [`TweetBase::embedding_view`]. An evicted record's rows stay in the
+//! arena as dead floats until [`TweetBase::compact`].
 //!
 //! ## Shared records
 //!
@@ -45,22 +44,33 @@
 //!
 //! ## Bounded-memory storage
 //!
-//! For 24/7 streams the store supports *eviction*: a record can be removed
-//! from its slot (the slot becomes a tombstone) while stream-order indices
-//! of the remaining records stay stable — the globalizer's dirty set,
+//! For 24/7 streams the store is a sliding window: records enter at the
+//! back and are evicted from the front, oldest first, and nowhere else.
+//! So the live records are a FIFO, and a slot index is a stream position:
+//! slot `i` is `slots[i - first]`, where `first` counts the records
+//! evicted since the last compaction. Eviction pops the front and leaves
+//! every other record's index as it was — the globalizer's dirty set,
 //! quarantine set, and the token posting lists all hold slot indices, and
-//! none of them need rewriting when a cold record is dropped. Eviction
-//! removes the record's posting-list entries and frees the sentence and
-//! span storage; its arena rows become dead bytes that
-//! [`TweetBase::compact`] reclaims when it squeezes out the tombstones
-//! (returning an old→new index remap for the caller's index-keyed sets) so
-//! checkpoints and restarts stay O(live window), not O(stream).
+//! none of them need rewriting when a cold record is dropped. It removes
+//! the record's posting-list entries and frees the sentence and span
+//! storage; its arena rows become dead floats. [`TweetBase::compact`]
+//! shifts every slot index down by `first` (returning the shift for the
+//! caller's slot-keyed sets) and rewrites the arena with live rows only.
+//!
+//! ## Checkpoints
+//!
+//! A checkpoint holds the live records, `first`, the interner, the arena
+//! and the two counters; the id index and the posting lists are rebuilt
+//! from the records at load. The decoder also reads the v3–v6 layout,
+//! which kept a `null` slot per evicted record (all of them leading: they
+//! become `first`) and stored both indexes, which it ignores.
 
 use emd_nn::matrix::Matrix;
 use emd_text::intern::{Interner, Sym};
 use emd_text::token::{Sentence, SentenceId, Span};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Where a record's token-embedding rows live inside the store's arena.
@@ -98,11 +108,6 @@ impl<'a> EmbView<'a> {
 pub struct TweetRecord {
     /// The sentence.
     pub sentence: Sentence,
-    /// Entity-aware token embeddings `[T, d]` from Local EMD (deep only).
-    /// Carried by records on their way *into* the store; drained into the
-    /// arena at insert (stored records answer through
-    /// [`TweetBase::embedding_view`]) and not restored by eviction.
-    pub token_embeddings: Option<Matrix>,
     /// Spans the Local EMD system itself proposed.
     pub local_spans: Vec<Span>,
     /// All candidate mentions found by the global rescan (superset of the
@@ -124,14 +129,9 @@ pub struct TweetRecord {
 impl TweetRecord {
     /// A fresh (not-yet-inserted) record. `tok_syms` is populated by
     /// [`TweetBase::insert`].
-    pub fn new(
-        sentence: Sentence,
-        token_embeddings: Option<Matrix>,
-        local_spans: Vec<Span>,
-    ) -> TweetRecord {
+    pub fn new(sentence: Sentence, local_spans: Vec<Span>) -> TweetRecord {
         TweetRecord {
             sentence,
-            token_embeddings,
             local_spans,
             global_mentions: Vec::new(),
             retired: Vec::new(),
@@ -186,24 +186,28 @@ impl TweetRecord {
 /// **live** records whose sentence contains the token. Replacement and
 /// eviction both maintain this by removing the outgoing record's postings;
 /// there are no stale or duplicated entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TweetBase {
-    /// Stream-ordered record slots; `None` marks an evicted record.
-    /// Records are shared with clones of the store until written.
-    slots: Vec<Option<Arc<TweetRecord>>>,
-    /// Sentence id → slot index, live records only.
+    /// Live records in stream order, oldest first; slot `i` is
+    /// `slots[i - first]`. Records are shared with clones of the store
+    /// until written.
+    slots: VecDeque<Arc<TweetRecord>>,
+    /// Slot index of `slots[0]`: the records evicted since the last
+    /// [`TweetBase::compact`].
+    first: usize,
+    /// Sentence id → slot index, live records only. Rebuilt at load.
+    #[serde(skip)]
     index: HashMap<SentenceId, usize>,
     /// The pipeline-wide token interner (symbols shared with the CTrie).
     interner: Interner,
-    /// Symbol → strictly ascending live slot indices.
+    /// Symbol → strictly ascending live slot indices. Rebuilt at load.
+    #[serde(skip)]
     postings: Postings,
     /// Flat row-major token-embedding storage for all live records.
     emb_arena: Vec<f32>,
     /// Arena floats belonging to evicted/replaced records (reclaimed by
     /// [`TweetBase::compact`]).
     emb_dead: usize,
-    /// Number of live (non-tombstone) slots.
-    live: usize,
     /// Cumulative count of evictions over the lifetime of the store
     /// (survives compaction; drives the evicted-records gauge).
     evicted_total: u64,
@@ -218,7 +222,7 @@ pub struct TweetBase {
 /// is `arena[start..start + cap]`, and its live entries are the `len`
 /// entries from `start + head`. `Copy`, so the table of regions clones
 /// as one block.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Region {
     start: u32,
     head: u32,
@@ -253,8 +257,7 @@ impl Region {
 ///   behind by moves are dead space, and the arena compacts itself once
 ///   dead space exceeds live space (the lists' entries).
 ///
-/// Serializes as the logical lists, one per symbol, so the checkpoint
-/// schema is the one a `Vec` per symbol had.
+/// Not part of a checkpoint: load re-indexes the records.
 #[derive(Debug, Clone, Default)]
 struct Postings {
     arena: Vec<u32>,
@@ -395,41 +398,6 @@ impl Postings {
     }
 }
 
-// Checkpoints carry the logical lists only, one per symbol: the schema a
-// `Vec` per symbol had. The arena layout is rebuilt on load.
-impl Serialize for Postings {
-    fn write_json(&self, out: &mut serde::ser::Out<'_>) {
-        serde::ser::write_seq(self.lists.iter().map(|r| &self.arena[r.live()]), out);
-    }
-}
-
-impl Deserialize for Postings {
-    fn from_value(v: &serde::value::Value) -> Result<Postings, serde::DeError> {
-        let offset =
-            |n: usize| u32::try_from(n).map_err(|_| serde::DeError::msg("posting arena too large"));
-        let lists = Vec::<Vec<u32>>::from_value(v)?;
-        let mut postings = Postings::default();
-        for list in lists {
-            if !list.windows(2).all(|w| w[0] < w[1]) {
-                return Err(serde::DeError::msg("posting list not strictly ascending"));
-            }
-            let (start, len) = (offset(postings.arena.len())?, offset(list.len())?);
-            postings.arena.extend_from_slice(&list);
-            postings.live += list.len();
-            postings.lists.push(Region {
-                start,
-                head: 0,
-                len,
-                cap: len,
-            });
-        }
-        // Room for the blocks `rebuild` lays out.
-        offset(2 * postings.live)?;
-        postings.rebuild(|i| i);
-        Ok(postings)
-    }
-}
-
 /// A slot index or arena offset as the posting arena stores it.
 fn to_u32(i: usize) -> u32 {
     u32::try_from(i).expect("slot indices and posting arena offsets fit u32")
@@ -453,19 +421,20 @@ impl TweetBase {
     }
 
     /// Insert a record at the end of the stream order, interning its
-    /// tokens and moving its embedding matrix into the arena. Replaces any
-    /// previous record with the same id (streams should not repeat ids);
-    /// the replaced record's posting-list entries are removed before the
-    /// new sentence is indexed, so postings never go stale or unsorted.
+    /// tokens and copying `embeddings` (the Local EMD token embeddings of
+    /// deep systems) into the arena. Replaces any previous record with
+    /// the same id in its slot (streams should not repeat ids); the
+    /// replaced record's posting-list entries are removed before the new
+    /// sentence is indexed, so postings never go stale or unsorted.
     /// A replacement inherits, as `retired`, the pooled spans of the old
     /// record whose folded surface it repeats, so a re-delivered sentence
     /// does not pool its mentions a second time.
-    pub fn insert(&mut self, mut record: TweetRecord) -> usize {
+    pub fn insert(&mut self, mut record: TweetRecord, embeddings: Option<&Matrix>) -> usize {
         record.tok_syms.clear();
         for t in &record.sentence.tokens {
             record.tok_syms.push(self.interner.intern_folded(&t.text));
         }
-        record.emb = record.token_embeddings.take().map(|m| {
+        record.emb = embeddings.map(|m| {
             let off = self.emb_arena.len();
             self.emb_arena.extend_from_slice(&m.data);
             EmbSlot {
@@ -480,27 +449,25 @@ impl TweetBase {
             // the new tokens directly would re-append index `i` *after*
             // any later records' indices (the old tail-only dedup produced
             // unsorted, duplicated lists like `[0, 1, 0]`).
-            if let Some(old) = self.slots[i].take() {
-                self.remove_record_postings(i, &old);
-                let same_surface = |sp: &&Span| {
-                    sp.end <= record.tok_syms.len()
-                        && old.tok_syms[sp.start..sp.end] == record.tok_syms[sp.start..sp.end]
-                };
-                record.retired = old
-                    .global_mentions
-                    .iter()
-                    .chain(&old.retired)
-                    .filter(same_surface)
-                    .copied()
-                    .collect();
-            }
-            self.slots[i] = Some(Arc::new(record));
+            let old = Arc::clone(&self.slots[i - self.first]);
+            self.remove_record_postings(i, &old);
+            let same_surface = |sp: &&Span| {
+                sp.end <= record.tok_syms.len()
+                    && old.tok_syms[sp.start..sp.end] == record.tok_syms[sp.start..sp.end]
+            };
+            record.retired = old
+                .global_mentions
+                .iter()
+                .chain(&old.retired)
+                .filter(same_surface)
+                .copied()
+                .collect();
+            self.slots[i - self.first] = Arc::new(record);
             i
         } else {
-            let i = self.slots.len();
+            let i = self.n_slots();
             self.index.insert(id, i);
-            self.slots.push(Some(Arc::new(record)));
-            self.live += 1;
+            self.slots.push_back(Arc::new(record));
             i
         };
         self.add_postings(i);
@@ -513,12 +480,7 @@ impl TweetBase {
     fn add_postings(&mut self, i: usize) {
         let mut keys = std::mem::take(&mut self.scratch_syms);
         keys.clear();
-        keys.extend_from_slice(
-            &self.slots[i]
-                .as_ref()
-                .expect("add_postings on tombstone")
-                .tok_syms,
-        );
+        keys.extend_from_slice(&self.get_by_index(i).tok_syms);
         keys.sort_unstable();
         keys.dedup();
         let i = to_u32(i);
@@ -559,7 +521,7 @@ impl TweetBase {
     /// Token-embedding rows of the record in slot `i`, if it is live and
     /// its local system produced embeddings.
     pub fn embedding_view(&self, i: usize) -> Option<EmbView<'_>> {
-        let slot = self.slots.get(i)?.as_ref()?.emb?;
+        let slot = self.slots.get(i.checked_sub(self.first)?)?.emb?;
         Some(EmbView {
             data: &self.emb_arena[slot.off..slot.off + slot.rows * slot.cols],
             rows: slot.rows,
@@ -571,24 +533,14 @@ impl TweetBase {
     /// internal callers only reach live indices (via postings, the dirty
     /// set, or [`TweetBase::iter_indexed`]).
     pub fn get_by_index(&self, i: usize) -> &TweetRecord {
-        self.slots[i].as_ref().expect("record was evicted")
+        &self.slots[i - self.first]
     }
 
     /// Mutable record by stream-order index (same liveness contract as
     /// [`TweetBase::get_by_index`]). Copies the record first if a clone
     /// of the store still shares it.
     pub fn get_mut_by_index(&mut self, i: usize) -> &mut TweetRecord {
-        Arc::make_mut(self.slots[i].as_mut().expect("record was evicted"))
-    }
-
-    /// Record by stream-order index, `None` for tombstones.
-    pub fn record_at(&self, i: usize) -> Option<&TweetRecord> {
-        self.slots.get(i)?.as_deref()
-    }
-
-    /// True when slot `i` holds a live record.
-    pub fn is_live(&self, i: usize) -> bool {
-        self.slots.get(i).map(Option::is_some).unwrap_or(false)
+        Arc::make_mut(&mut self.slots[i - self.first])
     }
 
     /// Stream-order index for a sentence id (live records only).
@@ -598,46 +550,49 @@ impl TweetBase {
 
     /// Lookup by sentence id.
     pub fn get(&self, id: SentenceId) -> Option<&TweetRecord> {
-        self.record_at(*self.index.get(&id)?)
+        Some(self.get_by_index(self.index_of(id)?))
     }
 
     /// Mutable lookup by sentence id (copy-on-write, like
     /// [`TweetBase::get_mut_by_index`]).
     pub fn get_mut(&mut self, id: SentenceId) -> Option<&mut TweetRecord> {
-        let i = *self.index.get(&id)?;
-        self.slots[i].as_mut().map(Arc::make_mut)
+        let i = self.index_of(id)?;
+        Some(self.get_mut_by_index(i))
     }
 
     /// Live records in stream order.
     pub fn iter(&self) -> impl Iterator<Item = &TweetRecord> {
-        self.slots.iter().flatten().map(|r| &**r)
+        self.slots.iter().map(|r| &**r)
     }
 
     /// Live `(slot index, record)` pairs in stream order. Use this instead
     /// of `iter().enumerate()` when positions must align with the dirty /
-    /// quarantine sets (enumeration over live records skips tombstones, so
-    /// its ordinals are *not* slot indices).
+    /// quarantine sets (slot indices start at [`TweetBase::first_slot`],
+    /// not at 0).
     pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, &TweetRecord)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_deref().map(|r| (i, r)))
+        (self.first..).zip(self.iter())
     }
 
     /// Number of live sentences stored.
     pub fn len(&self) -> usize {
-        self.live
+        self.slots.len()
     }
 
     /// True when no live sentences are stored.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.slots.is_empty()
     }
 
-    /// Total slot count, including tombstones (the stream-order index
-    /// space; `len() <= n_slots()`).
+    /// Slot index of the oldest live record: the records evicted since
+    /// the last [`TweetBase::compact`].
+    pub fn first_slot(&self) -> usize {
+        self.first
+    }
+
+    /// The stream-order index space: the evicted slots before
+    /// [`TweetBase::first_slot`] plus the live ones (`len() <= n_slots()`).
     pub fn n_slots(&self) -> usize {
-        self.slots.len()
+        self.first + self.slots.len()
     }
 
     /// Cumulative evictions over the lifetime of the store.
@@ -645,74 +600,53 @@ impl TweetBase {
         self.evicted_total
     }
 
-    /// First live slot index at or after `from`, scanning in stream order.
-    pub fn first_live_from(&self, from: usize) -> Option<usize> {
-        (from..self.slots.len()).find(|&i| self.slots[i].is_some())
-    }
-
-    /// Evict the record in slot `i`: remove its posting-list entries and
-    /// its id mapping, and leave a tombstone so other slots keep their
-    /// indices. The record is handed back as stored — still shared with
-    /// any clone of the store, and without its embedding rows, which stay
-    /// in the arena as dead floats until [`TweetBase::compact`]. Returns
-    /// `None` if the slot was already a tombstone.
-    pub fn evict(&mut self, i: usize) -> Option<Arc<TweetRecord>> {
-        let record = self.slots.get_mut(i)?.take()?;
-        self.remove_record_postings(i, &record);
+    /// Evict the oldest live record: remove its posting-list entries and
+    /// its id mapping. Every other record keeps its slot index. The record
+    /// is handed back as stored — still shared with any clone of the
+    /// store — and its embedding rows stay in the arena as dead floats
+    /// until [`TweetBase::compact`]. `None` when the store is empty.
+    pub fn evict_oldest(&mut self) -> Option<Arc<TweetRecord>> {
+        let record = self.slots.pop_front()?;
+        self.remove_record_postings(self.first, &record);
+        self.first += 1;
         self.index.remove(&record.sentence.id);
-        self.live -= 1;
         self.evicted_total += 1;
         Some(record)
     }
 
-    /// Squeeze out tombstone slots so the stored vector is dense again,
-    /// rebuilding the embedding arena with only live rows (reclaiming the
-    /// dead floats of evicted and replaced records). Returns the old→new
-    /// slot-index remap (`None` for evicted slots) so callers can rebase
-    /// any index-keyed side structures; returns `None` when there was
-    /// nothing to compact.
-    pub fn compact(&mut self) -> Option<Vec<Option<usize>>> {
-        if self.live == self.slots.len() && self.emb_dead == 0 {
-            return None;
-        }
-        let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.slots.len());
-        let mut next = 0usize;
-        for slot in &self.slots {
-            if slot.is_some() {
-                remap.push(Some(next));
-                next += 1;
-            } else {
-                remap.push(None);
+    /// Shift every slot index down by [`TweetBase::first_slot`], so the
+    /// oldest live record is slot 0 again, and rewrite the embedding arena
+    /// with live rows only (reclaiming the dead floats of evicted and
+    /// replaced records). Returns the shift, which callers subtract from
+    /// their own slot-keyed sets: 0 when nothing was evicted since the
+    /// last compaction.
+    pub fn compact(&mut self) -> usize {
+        let shift = std::mem::take(&mut self.first);
+        if shift > 0 {
+            for i in self.index.values_mut() {
+                *i -= shift;
             }
+            let by = to_u32(shift);
+            self.postings.rebuild(|i| i - by);
         }
-        let old = std::mem::take(&mut self.slots);
-        self.slots = old.into_iter().flatten().map(Some).collect();
-        // Rewrite the arena with live rows only, in slot order. Bit-for-bit
-        // copies: compaction must not perturb any downstream f32 result.
-        // Only records whose rows actually move are written (and so
-        // unshared).
-        let live_floats = self.emb_arena.len().saturating_sub(self.emb_dead);
-        let mut arena = Vec::with_capacity(live_floats);
-        for record in self.slots.iter_mut().flatten() {
-            if let Some(e) = record.emb {
-                let off = arena.len();
-                arena.extend_from_slice(&self.emb_arena[e.off..e.off + e.rows * e.cols]);
-                if e.off != off {
-                    Arc::make_mut(record).emb = Some(EmbSlot { off, ..e });
+        if self.emb_dead > 0 {
+            // Bit-for-bit copies: compaction must not perturb any
+            // downstream f32 result. Only records whose rows actually move
+            // are written (and so unshared).
+            let mut arena = Vec::with_capacity(self.emb_arena.len() - self.emb_dead);
+            for record in &mut self.slots {
+                if let Some(e) = record.emb {
+                    let off = arena.len();
+                    arena.extend_from_slice(&self.emb_arena[e.off..e.off + e.rows * e.cols]);
+                    if e.off != off {
+                        Arc::make_mut(record).emb = Some(EmbSlot { off, ..e });
+                    }
                 }
             }
+            self.emb_arena = arena;
+            self.emb_dead = 0;
         }
-        self.emb_arena = arena;
-        self.emb_dead = 0;
-        self.index.clear();
-        for (i, r) in self.slots.iter().enumerate() {
-            let id = r.as_ref().map(|r| r.sentence.id);
-            self.index.insert(id.expect("compacted slots are live"), i);
-        }
-        // Postings hold live slots only, and the remap keeps their order.
-        self.postings
-            .rebuild(|i| to_u32(remap[i as usize].expect("postings hold live slots")));
-        Some(remap)
+        shift
     }
 
     /// Check the posting index both ways, and its arena layout. Sound:
@@ -740,9 +674,15 @@ impl TweetBase {
                 ));
             }
             for &i in list {
-                let Some(rec) = self.record_at(i as usize) else {
-                    return Err(format!("posting for {token:?} points at tombstone {i}"));
-                };
+                let i = i as usize;
+                if !(self.first..self.n_slots()).contains(&i) {
+                    return Err(format!(
+                        "posting for {token:?} names slot {i}, not live ({}..{})",
+                        self.first,
+                        self.n_slots()
+                    ));
+                }
+                let rec = self.get_by_index(i);
                 if !rec.sentence.texts().any(|t| t.to_lowercase() == *token) {
                     return Err(format!(
                         "stale posting: record {i} does not contain {token:?}"
@@ -792,8 +732,8 @@ impl TweetBase {
     /// measurement.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = self.slots.capacity() * size_of::<Option<Arc<TweetRecord>>>();
-        for r in self.slots.iter().flatten() {
+        let mut total = self.slots.capacity() * size_of::<Arc<TweetRecord>>();
+        for r in &self.slots {
             // The shared block: the record plus its two reference counts.
             total += size_of::<TweetRecord>() + 2 * size_of::<usize>();
             for t in &r.sentence.tokens {
@@ -811,6 +751,66 @@ impl TweetBase {
     }
 }
 
+/// Decodes the checkpoint layout (see the module docs): the live records
+/// after `first`, or, from a v3–v6 tree, after one leading `null` per
+/// evicted slot. A `null` after a live record, or a sentence id stored
+/// twice, is rejected. The id index and the posting lists are rebuilt
+/// from the records; a stored `index`, `postings` or `live` is not read.
+impl Deserialize for TweetBase {
+    fn from_value(v: &Value) -> Result<TweetBase, DeError> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
+            match v.get_field(name) {
+                Some(fv) => T::from_value(fv),
+                None => Err(DeError::msg(format!(
+                    "missing field `{name}` in `TweetBase`"
+                ))),
+            }
+        }
+        let stored: Vec<Option<Arc<TweetRecord>>> = field(v, "slots")?;
+        let lead = stored.iter().take_while(|s| s.is_none()).count();
+        let first = match v.get_field("first") {
+            Some(f) => usize::from_value(f)?,
+            None => 0,
+        };
+        // The posting lists hold slot indices as `u32`.
+        first
+            .checked_add(stored.len())
+            .and_then(|end| u32::try_from(end).ok())
+            .ok_or_else(|| DeError::msg("slot indices past u32"))?;
+        let mut tb = TweetBase {
+            first: first + lead,
+            interner: field(v, "interner")?,
+            emb_arena: field(v, "emb_arena")?,
+            emb_dead: field(v, "emb_dead")?,
+            evicted_total: field(v, "evicted_total")?,
+            ..TweetBase::default()
+        };
+        tb.slots.reserve(stored.len() - lead);
+        for record in stored.into_iter().skip(lead) {
+            let record =
+                record.ok_or_else(|| DeError::msg("an evicted slot after a live record"))?;
+            let id = record.sentence.id;
+            if tb.index.insert(id, tb.n_slots()).is_some() {
+                return Err(DeError::msg(format!("sentence {id:?} stored twice")));
+            }
+            if record
+                .tok_syms
+                .iter()
+                .any(|&s| s as usize >= tb.interner.len())
+            {
+                return Err(DeError::msg(format!(
+                    "sentence {id:?} holds a symbol the interner lacks"
+                )));
+            }
+            tb.slots.push_back(record);
+            tb.add_postings(tb.n_slots() - 1);
+        }
+        // Lay every list out afresh, as a compaction does.
+        tb.postings.rebuild(|i| i);
+        Ok(tb)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,7 +825,6 @@ mod tests {
     fn rec(tweet: u64) -> TweetRecord {
         TweetRecord::new(
             Sentence::from_tokens(SentenceId::new(tweet, 0), ["a", "b"]),
-            None,
             vec![],
         )
     }
@@ -833,25 +832,31 @@ mod tests {
     fn rec_with(tweet: u64, tokens: &[&str]) -> TweetRecord {
         TweetRecord::new(
             Sentence::from_tokens(SentenceId::new(tweet, 0), tokens.iter().copied()),
-            None,
             vec![],
         )
     }
 
-    fn rec_with_emb(tweet: u64, tokens: &[&str], dim: usize) -> TweetRecord {
+    /// Insert a record whose `dim`-wide token embeddings encode its id.
+    fn insert_with_emb(tb: &mut TweetBase, tweet: u64, tokens: &[&str], dim: usize) -> usize {
         let rows = tokens.len();
         let data: Vec<f32> = (0..rows * dim)
             .map(|i| tweet as f32 * 100.0 + i as f32)
             .collect();
-        TweetRecord::new(
-            Sentence::from_tokens(SentenceId::new(tweet, 0), tokens.iter().copied()),
-            Some(Matrix {
-                rows,
-                cols: dim,
-                data,
-            }),
-            vec![],
-        )
+        let emb = Matrix {
+            rows,
+            cols: dim,
+            data,
+        };
+        tb.insert(rec_with(tweet, tokens), Some(&emb))
+    }
+
+    /// Every live record's id maps to its slot, and nothing else is
+    /// indexed.
+    fn assert_ids_indexed(tb: &TweetBase) {
+        assert_eq!(tb.index.len(), tb.len());
+        for (i, r) in tb.iter_indexed() {
+            assert_eq!(tb.index_of(r.sentence.id), Some(i));
+        }
     }
 
     fn assert_postings_consistent(tb: &TweetBase) {
@@ -863,8 +868,8 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(1));
-        tb.insert(rec(2));
+        tb.insert(rec(1), None);
+        tb.insert(rec(2), None);
         assert_eq!(tb.len(), 2);
         assert!(tb.get(SentenceId::new(1, 0)).is_some());
         assert!(tb.get(SentenceId::new(3, 0)).is_none());
@@ -873,7 +878,7 @@ mod tests {
     #[test]
     fn insert_interns_folded_token_symbols() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(rec_with(1, &["Italy", "reports", "ITALY"]));
+        let i = tb.insert(rec_with(1, &["Italy", "reports", "ITALY"]), None);
         let r = tb.get_by_index(i);
         assert_eq!(r.tok_syms.len(), 3);
         assert_eq!(r.tok_syms[0], r.tok_syms[2], "case variants share a sym");
@@ -883,10 +888,10 @@ mod tests {
     #[test]
     fn duplicate_id_replaces() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(1));
+        tb.insert(rec(1), None);
         let mut r = rec(1);
         r.local_spans.push(Span::new(0, 1));
-        tb.insert(r);
+        tb.insert(r, None);
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.get(SentenceId::new(1, 0)).unwrap().local_spans.len(), 1);
     }
@@ -913,19 +918,19 @@ mod tests {
     #[test]
     fn replacement_inherits_pooled_spans_with_the_same_surface() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(rec_with(1, &["Italy", "and", "covid"]));
+        let i = tb.insert(rec_with(1, &["Italy", "and", "covid"]), None);
         tb.get_mut_by_index(i)
             .set_global_mentions(vec![Span::new(0, 1), Span::new(2, 3)]);
         // Re-delivered with one token changed: only the span whose folded
         // surface is unchanged counts as pooled already.
-        tb.insert(rec_with(1, &["ITALY", "and", "flu"]));
+        tb.insert(rec_with(1, &["ITALY", "and", "flu"]), None);
         let r = tb.get_by_index(i);
         assert!(r.global_mentions.is_empty());
         assert_eq!(r.retired, vec![Span::new(0, 1)]);
         // A shorter replacement drops spans past its end.
         tb.get_mut_by_index(i)
             .set_global_mentions(vec![Span::new(2, 3)]);
-        tb.insert(rec_with(1, &["italy"]));
+        tb.insert(rec_with(1, &["italy"]), None);
         assert_eq!(tb.get_by_index(i).retired, vec![Span::new(0, 1)]);
     }
 
@@ -933,7 +938,7 @@ mod tests {
     fn stream_order_preserved() {
         let mut tb = TweetBase::new();
         for t in [5u64, 2, 9] {
-            tb.insert(rec(t));
+            tb.insert(rec(t), None);
         }
         let ids: Vec<u64> = tb.iter().map(|r| r.sentence.id.tweet_id).collect();
         assert_eq!(ids, vec![5, 2, 9]);
@@ -942,8 +947,8 @@ mod tests {
     #[test]
     fn token_index_finds_sentences() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["Italy", "report"]));
-        tb.insert(rec_with(2, &["italy", "italy", "again"]));
+        tb.insert(rec_with(1, &["Italy", "report"]), None);
+        tb.insert(rec_with(2, &["italy", "italy", "again"]), None);
         // Case-folded, deduped per record, ascending order.
         assert_eq!(with_token(&tb, "italy"), &[0, 1]);
         assert_eq!(with_token(&tb, "report"), &[0]);
@@ -956,8 +961,8 @@ mod tests {
     #[test]
     fn token_index_survives_replacement() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["old", "text"]));
-        tb.insert(rec_with(1, &["new", "text"]));
+        tb.insert(rec_with(1, &["old", "text"]), None);
+        tb.insert(rec_with(1, &["new", "text"]), None);
         // The new tokens are indexed; the replaced sentence's postings are
         // removed outright — no stale entries remain.
         assert_eq!(with_token(&tb, "new"), &[0]);
@@ -975,10 +980,10 @@ mod tests {
     #[test]
     fn replacing_non_final_record_keeps_postings_sorted() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["shared", "alpha"]));
-        tb.insert(rec_with(2, &["shared", "beta"]));
+        tb.insert(rec_with(1, &["shared", "alpha"]), None);
+        tb.insert(rec_with(2, &["shared", "beta"]), None);
         // Replace record 0 with a sentence still containing "shared".
-        tb.insert(rec_with(1, &["shared", "gamma"]));
+        tb.insert(rec_with(1, &["shared", "gamma"]), None);
         assert_eq!(
             with_token(&tb, "shared"),
             &[0, 1],
@@ -989,7 +994,7 @@ mod tests {
         assert_postings_consistent(&tb);
         // Replace again with entirely fresh tokens: the shared posting for
         // record 0 must disappear.
-        tb.insert(rec_with(1, &["delta"]));
+        tb.insert(rec_with(1, &["delta"]), None);
         assert_eq!(with_token(&tb, "shared"), &[1]);
         assert_postings_consistent(&tb);
     }
@@ -997,7 +1002,7 @@ mod tests {
     #[test]
     fn by_index_accessors() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(7));
+        tb.insert(rec(7), None);
         assert_eq!(tb.index_of(SentenceId::new(7, 0)), Some(0));
         assert_eq!(tb.get_by_index(0).sentence.id.tweet_id, 7);
         tb.get_mut_by_index(0).global_mentions.push(Span::new(0, 1));
@@ -1007,7 +1012,7 @@ mod tests {
     #[test]
     fn mutable_update() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(1));
+        tb.insert(rec(1), None);
         tb.get_mut(SentenceId::new(1, 0))
             .unwrap()
             .global_mentions
@@ -1021,21 +1026,20 @@ mod tests {
     #[test]
     fn embeddings_live_in_arena_and_round_trip_through_evict() {
         let mut tb = TweetBase::new();
-        let i1 = tb.insert(rec_with_emb(1, &["a", "b"], 3));
-        let i2 = tb.insert(rec_with_emb(2, &["c"], 3));
-        // Stored records hold no inline matrix; the view serves the rows.
-        assert!(tb.get_by_index(i1).token_embeddings.is_none());
+        let i1 = insert_with_emb(&mut tb, 1, &["a", "b"], 3);
+        let i2 = insert_with_emb(&mut tb, 2, &["c"], 3);
+        // The view serves the rows out of the arena.
         let v = tb.embedding_view(i1).expect("record has embeddings");
         assert_eq!((v.rows, v.cols), (2, 3));
         assert_eq!(v.row(1), &[103.0, 104.0, 105.0]);
         let v2 = tb.embedding_view(i2).unwrap();
         assert_eq!(v2.row(0), &[200.0, 201.0, 202.0]);
         // No-embedding records answer None.
-        let i3 = tb.insert(rec_with(3, &["d"]));
+        let i3 = tb.insert(rec_with(3, &["d"]), None);
         assert!(tb.embedding_view(i3).is_none());
         // Evict hands the stored record back; its rows stay in the arena.
-        let out = tb.evict(i1).unwrap();
-        assert!(out.token_embeddings.is_none());
+        let out = tb.evict_oldest().unwrap();
+        assert_eq!(out.sentence.id, SentenceId::new(1, 0));
         assert!(tb.embedding_view(i1).is_none());
         // Survivor's view is untouched by the eviction...
         assert_eq!(
@@ -1044,7 +1048,7 @@ mod tests {
         );
         // ...and by compaction, which reclaims the dead rows.
         let before = tb.emb_arena.len();
-        tb.compact().expect("had tombstones");
+        assert_eq!(tb.compact(), 1);
         assert!(tb.emb_arena.len() < before, "dead rows reclaimed");
         assert_eq!(tb.emb_dead, 0);
         let i2_new = tb.index_of(SentenceId::new(2, 0)).unwrap();
@@ -1058,15 +1062,11 @@ mod tests {
     fn clones_share_records_until_written() {
         let mut tb = TweetBase::new();
         for t in 0..3u64 {
-            tb.insert(rec_with(t, &["a", "b"]));
+            tb.insert(rec_with(t, &["a", "b"]), None);
         }
         let snap = tb.clone();
-        let shared = |tb: &TweetBase, snap: &TweetBase, i: usize| {
-            Arc::ptr_eq(
-                tb.slots[i].as_ref().unwrap(),
-                snap.slots[i].as_ref().unwrap(),
-            )
-        };
+        let shared =
+            |tb: &TweetBase, snap: &TweetBase, i: usize| Arc::ptr_eq(&tb.slots[i], &snap.slots[i]);
         assert!((0..3).all(|i| shared(&tb, &snap, i)));
         // A write copies exactly the written record; the snapshot keeps
         // the old contents.
@@ -1075,77 +1075,76 @@ mod tests {
         assert_eq!(tb.get_by_index(1).global_mentions.len(), 1);
         assert!(!shared(&tb, &snap, 1));
         assert!(shared(&tb, &snap, 0) && shared(&tb, &snap, 2));
-        // Eviction hands back the shared record itself, uncopied.
-        let out = tb.evict(2).unwrap();
-        assert!(Arc::ptr_eq(&out, snap.slots[2].as_ref().unwrap()));
-        assert!(snap.is_live(2));
+        // Eviction hands back the shared record itself, uncopied, and the
+        // snapshot keeps it.
+        let out = tb.evict_oldest().unwrap();
+        assert!(Arc::ptr_eq(&out, &snap.slots[0]));
+        assert_eq!((snap.len(), snap.first_slot()), (3, 0));
     }
 
     #[test]
     fn evict_frees_record_and_postings() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["cold", "shared"]));
-        tb.insert(rec_with(2, &["hot", "shared"]));
-        let evicted = tb.evict(0).expect("slot 0 live");
+        tb.insert(rec_with(1, &["cold", "shared"]), None);
+        tb.insert(rec_with(2, &["hot", "shared"]), None);
+        let evicted = tb.evict_oldest().expect("slot 0 live");
         assert_eq!(evicted.sentence.id, SentenceId::new(1, 0));
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.n_slots(), 2, "indices stay stable after eviction");
+        assert_eq!(tb.first_slot(), 1);
         assert_eq!(tb.evicted_total(), 1);
-        assert!(!tb.is_live(0));
-        assert!(tb.record_at(0).is_none());
         assert!(tb.get(SentenceId::new(1, 0)).is_none());
+        assert_eq!(tb.get_by_index(1).sentence.id, SentenceId::new(2, 0));
         assert_eq!(with_token(&tb, "cold"), &[] as &[u32]);
         assert_eq!(with_token(&tb, "shared"), &[1]);
-        // Double eviction is a no-op.
-        assert!(tb.evict(0).is_none());
-        assert_eq!(tb.evicted_total(), 1);
         assert_postings_consistent(&tb);
+        assert_ids_indexed(&tb);
+        // Evicting from an empty store is a no-op.
+        tb.evict_oldest().expect("slot 1 live");
+        assert!(tb.evict_oldest().is_none());
+        assert_eq!((tb.evicted_total(), tb.n_slots()), (2, 2));
     }
 
     #[test]
     fn eviction_preserves_live_iteration_and_indices() {
         let mut tb = TweetBase::new();
         for t in 0..5u64 {
-            tb.insert(rec_with(t, &["tok"]));
+            tb.insert(rec_with(t, &["tok"]), None);
         }
-        tb.evict(1);
-        tb.evict(3);
+        tb.evict_oldest();
+        tb.evict_oldest();
         let live: Vec<(usize, u64)> = tb
             .iter_indexed()
             .map(|(i, r)| (i, r.sentence.id.tweet_id))
             .collect();
-        assert_eq!(live, vec![(0, 0), (2, 2), (4, 4)]);
-        assert_eq!(with_token(&tb, "tok"), &[0, 2, 4]);
-        assert_eq!(tb.first_live_from(0), Some(0));
-        assert_eq!(tb.first_live_from(1), Some(2));
-        assert_eq!(tb.first_live_from(3), Some(4));
-        assert_eq!(tb.first_live_from(5), None);
+        assert_eq!(live, vec![(2, 2), (3, 3), (4, 4)]);
+        assert_eq!(with_token(&tb, "tok"), &[2, 3, 4]);
+        assert_ids_indexed(&tb);
     }
 
     #[test]
     fn reinserting_an_evicted_id_appends_fresh() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["one"]));
-        tb.insert(rec_with(2, &["two"]));
-        tb.evict(0);
-        let i = tb.insert(rec_with(1, &["one", "again"]));
+        tb.insert(rec_with(1, &["one"]), None);
+        tb.insert(rec_with(2, &["two"]), None);
+        tb.evict_oldest();
+        let i = tb.insert(rec_with(1, &["one", "again"]), None);
         assert_eq!(i, 2, "an evicted id re-enters at the stream tail");
         assert_eq!(with_token(&tb, "one"), &[2]);
         assert_postings_consistent(&tb);
     }
 
     #[test]
-    fn compact_squeezes_tombstones_with_remap() {
+    fn compact_shifts_slots_down_by_the_evicted_count() {
         let mut tb = TweetBase::new();
         for t in 0..6u64 {
-            tb.insert(rec_with(t, &["tok", &format!("w{t}")]));
+            tb.insert(rec_with(t, &["tok", &format!("w{t}")]), None);
         }
-        tb.evict(0);
-        tb.evict(2);
-        tb.evict(3);
-        let remap = tb.compact().expect("had tombstones");
-        assert_eq!(remap, vec![None, Some(0), None, None, Some(1), Some(2)]);
-        assert_eq!(tb.n_slots(), 3);
+        for _ in 0..3 {
+            tb.evict_oldest();
+        }
+        assert_eq!(tb.compact(), 3);
+        assert_eq!((tb.first_slot(), tb.n_slots()), (0, 3));
         assert_eq!(tb.len(), 3);
         assert_eq!(
             tb.evicted_total(),
@@ -1153,26 +1152,28 @@ mod tests {
             "cumulative count survives compaction"
         );
         let ids: Vec<u64> = tb.iter().map(|r| r.sentence.id.tweet_id).collect();
-        assert_eq!(ids, vec![1, 4, 5]);
+        assert_eq!(ids, vec![3, 4, 5]);
         assert_eq!(with_token(&tb, "tok"), &[0, 1, 2]);
+        assert_eq!(with_token(&tb, "w4"), &[1]);
         assert_eq!(tb.index_of(SentenceId::new(4, 0)), Some(1));
         assert_postings_consistent(&tb);
-        // Dense store: nothing to compact.
-        assert!(tb.compact().is_none());
+        assert_ids_indexed(&tb);
+        // Nothing evicted since: nothing to shift.
+        assert_eq!(tb.compact(), 0);
     }
 
     #[test]
     fn resident_bytes_shrinks_on_eviction() {
         let mut tb = TweetBase::new();
         for t in 0..8u64 {
-            tb.insert(rec_with(
-                t,
-                &["some", "reasonably", "long", "sentence", "tokens"],
-            ));
+            tb.insert(
+                rec_with(t, &["some", "reasonably", "long", "sentence", "tokens"]),
+                None,
+            );
         }
         let before = tb.resident_bytes();
-        for i in 0..6 {
-            tb.evict(i);
+        for _ in 0..6 {
+            tb.evict_oldest();
         }
         let after = tb.resident_bytes();
         assert!(
@@ -1181,23 +1182,77 @@ mod tests {
         );
     }
 
+    /// Decode `tb`'s checkpoint text.
+    fn reload(tb: &TweetBase) -> TweetBase {
+        serde_json::from_str(&serde_json::to_string(tb).unwrap()).unwrap()
+    }
+
     #[test]
-    fn postings_serialize_their_logical_lists() {
-        let mut p = Postings::default();
-        for i in [3, 5, 8, 13] {
-            p.insert(0, i);
+    fn checkpoints_hold_records_and_load_rebuilds_the_indexes() {
+        let mut tb = TweetBase::new();
+        for t in 0..7u64 {
+            tb.insert(rec_with(t, &["tok", &format!("w{}", t % 3), "tok"]), None);
         }
-        p.insert(2, 7);
-        p.remove(0, 3);
-        assert_eq!(p.lists[0].head, 1, "a front removal advances the head");
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(json, "[[5,8,13],[],[7]]");
-        let back: Postings = serde_json::from_str(&json).unwrap();
-        assert_eq!(
-            (back.get(0), back.get(1), back.get(2)),
-            (p.get(0), &[][..], p.get(2))
+        tb.insert(rec_with(2, &["again"]), None);
+        tb.evict_oldest();
+        tb.evict_oldest();
+        let json = serde_json::to_string(&tb).unwrap();
+        for gone in ["\"index\"", "\"postings\"", "\"live\"", "token_embeddings"] {
+            assert!(!json.contains(gone), "{gone} in {json}");
+        }
+        assert!(json.contains("\"first\":2,"));
+        let back = reload(&tb);
+        assert_eq!((back.first_slot(), back.n_slots()), (2, 7));
+        assert_postings_consistent(&back);
+        assert_ids_indexed(&back);
+        assert_eq!(with_token(&back, "tok"), &[3, 4, 5, 6]);
+        assert_eq!(with_token(&back, "again"), &[2]);
+        // Laid out as a rebuild lays out the live index.
+        let mut laid = tb.postings.clone();
+        laid.rebuild(|i| i);
+        assert_eq!(back.postings.lists, laid.lists);
+        assert_eq!(back.postings.arena, laid.arena);
+        assert_eq!(back.postings.live, laid.live);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn decoding_reads_leading_nulls_and_rejects_malformed_stores() {
+        let tb: TweetBase = serde_json::from_str(
+            r#"{"slots":[null,null,{"sentence":{"id":{"tweet_id":5,"sent_id":0},"tokens":[]},
+                "local_spans":[],"global_mentions":[],"retired":[],"tok_syms":[],"emb":null}],
+                "interner":[],"emb_arena":[],"emb_dead":0,"evicted_total":2,
+                "postings":"not read","index":"not read","live":99}"#,
+        )
+        .unwrap();
+        assert_eq!((tb.first_slot(), tb.n_slots()), (2, 3));
+        assert_eq!(tb.index_of(SentenceId::new(5, 0)), Some(2));
+        let record = r#"{"sentence":{"id":{"tweet_id":5,"sent_id":0},"tokens":[]},
+            "local_spans":[],"global_mentions":[],"retired":[],"tok_syms":[],"emb":null}"#;
+        let decode = |slots: String| {
+            serde_json::from_str::<TweetBase>(&format!(
+                r#"{{"slots":{slots},"interner":[],"emb_arena":[],"emb_dead":0,"evicted_total":0}}"#
+            ))
+        };
+        assert!(decode(format!("[{record}]")).is_ok());
+        let late_null = decode(format!("[{record},null]")).unwrap_err();
+        assert!(
+            late_null.to_string().contains("evicted slot after"),
+            "{late_null}"
         );
-        assert!(serde_json::from_str::<Postings>("[[5,3]]").is_err());
+        let twice = decode(format!("[{record},{record}]")).unwrap_err();
+        assert!(twice.to_string().contains("stored twice"), "{twice}");
+        let unknown = decode(format!(
+            "[{}]",
+            record.replace("\"tok_syms\":[]", "\"tok_syms\":[0]")
+        ))
+        .unwrap_err();
+        assert!(unknown.to_string().contains("interner lacks"), "{unknown}");
+        let far = serde_json::from_str::<TweetBase>(&format!(
+            r#"{{"slots":[{record}],"first":4294967295,"interner":[],"emb_arena":[],"emb_dead":0,"evicted_total":0}}"#
+        ))
+        .unwrap_err();
+        assert!(far.to_string().contains("past u32"), "{far}");
     }
 
     #[test]
@@ -1246,30 +1301,33 @@ mod tests {
             /// Insert tweet `id` with tokens drawn from a small vocabulary
             /// (a re-delivered id replaces its record).
             Insert(u64, Vec<usize>),
-            /// Evict the `n`-th live slot.
-            Evict(usize),
+            /// Evict the oldest live record.
+            Evict,
             Compact,
+            /// Save and load the store.
+            Reload,
         }
 
-        /// Six inserts to three evictions to one compaction.
+        /// Six inserts to three evictions to one compaction to one
+        /// reload.
         fn op() -> impl Strategy<Value = Op> {
             (
-                0u8..10,
+                0u8..11,
                 0u64..60,
                 proptest::collection::vec(0usize..24, 1..7),
-                0usize..64,
             )
-                .prop_map(|(kind, id, toks, n)| match kind {
+                .prop_map(|(kind, id, toks)| match kind {
                     0..=5 => Op::Insert(id, toks),
-                    6..=8 => Op::Evict(n),
-                    _ => Op::Compact,
+                    6..=8 => Op::Evict,
+                    9 => Op::Compact,
+                    _ => Op::Reload,
                 })
         }
 
         proptest! {
-            /// Long random insert / re-delivered id / evict / compact
-            /// sequences move regions, slide them and compact the arena,
-            /// and the index stays sound, complete and laid out.
+            /// Long random insert / re-delivered id / evict / compact /
+            /// reload sequences move regions, slide them and compact the
+            /// arena, and both indexes stay sound, complete and laid out.
             #[test]
             fn postings_stay_two_sided_consistent(
                 ops in proptest::collection::vec(op(), 200..600),
@@ -1281,19 +1339,18 @@ mod tests {
                             let toks: Vec<String> =
                                 toks.iter().map(|t| format!("t{t}")).collect();
                             let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
-                            tb.insert(rec_with(id, &toks));
+                            tb.insert(rec_with(id, &toks), None);
                         }
-                        Op::Evict(n) => {
-                            let live: Vec<usize> = tb.iter_indexed().map(|(i, _)| i).collect();
-                            if !live.is_empty() {
-                                tb.evict(live[n % live.len()]);
-                            }
+                        Op::Evict => {
+                            tb.evict_oldest();
                         }
                         Op::Compact => {
                             tb.compact();
                         }
+                        Op::Reload => tb = reload(&tb),
                     }
                     prop_assert!(tb.check_postings().is_ok(), "{:?}", tb.check_postings());
+                    assert_ids_indexed(&tb);
                 }
             }
         }

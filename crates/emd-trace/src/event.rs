@@ -90,10 +90,10 @@ pub enum TraceEventKind {
     /// CTrie path. Fields: `candidate`, `phase` (evict), `count`
     /// (mention frequency at pruning).
     CandidatePruned,
-    /// Tombstone slots were squeezed out of the stored state so the next
-    /// checkpoint is O(window). Bookkeeping only — indices are internal,
-    /// so replay semantics are unchanged. Fields: `count` (slots
-    /// dropped), `phase` (evict or supervisor).
+    /// Slot indices were shifted down past the evicted records, and their
+    /// dead embedding rows reclaimed. Bookkeeping only — indices are
+    /// internal, so replay semantics are unchanged. Fields: `count` (slots
+    /// reclaimed), `phase` (evict or supervisor).
     StateCompacted,
     /// A sentinel change detector fired on a windowed quality series.
     /// Fields: `batch` (causal batch seq), `series` (offending series

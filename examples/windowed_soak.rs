@@ -1,7 +1,7 @@
 //! Bounded-memory soak: stream a long-horizon drifting topic stream
 //! (50k messages by default) through a windowed pipeline and verify that
 //! resident state stays bounded — the window evicts, cold candidates are
-//! pruned, tombstones are compacted, and the resident-bytes gauge
+//! pruned, evicted slots are compacted, and the resident-bytes gauge
 //! plateaus instead of growing with stream length.
 //!
 //! Exits non-zero (assertion failure) if any bound is violated, so CI can
@@ -127,7 +127,7 @@ fn main() {
     );
     assert!(
         state.tweetbase.n_slots() <= 2 * state.tweetbase.len() + 2,
-        "tombstones must stay amortised: slots={} live={}",
+        "evicted slots must stay amortised: slots={} live={}",
         state.tweetbase.n_slots(),
         state.tweetbase.len()
     );

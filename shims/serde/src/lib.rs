@@ -241,6 +241,12 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
+        ser::write_seq(self, out);
+    }
+}
+
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn write_json(&self, out: &mut ser::Out<'_>) {
         ser::write_seq(self, out);
@@ -421,6 +427,10 @@ mod tests {
         assert_eq!(json(&vec![1u32, 2, 3]), "[1,2,3]");
         assert_eq!(json(&Vec::<u32>::new()), "[]");
         assert_eq!(json(&[9u8, 8, 7]), "[9,8,7]");
+        let mut q: std::collections::VecDeque<u8> = [1, 2, 3].into();
+        q.pop_front();
+        q.push_back(4);
+        assert_eq!(json(&q), "[2,3,4]");
         assert_eq!(json(&(1u8, "a", Some(false))), "[1,\"a\",false]");
         let mut m: HashMap<(String, String), u32> = HashMap::new();
         m.insert(("a".into(), "b".into()), 7);

@@ -4,10 +4,21 @@
 //! stream, with no adjacent mentions, or the adjacent stream, whose
 //! `Moross Lumsa` and `Straße Italy` fragments fill the adjacency ledger.
 //!
-//! * `tests/fixtures/windowed_adjacent_v6.ckpt` is in the current format,
-//!   v6, where candidates are named by ids. The build must restore it,
+//! * `tests/fixtures/windowed_adjacent_v7.ckpt` is in the current format,
+//!   v7, whose sentence store holds its live records but neither of its
+//!   indexes. The build must restore it, rebuilding both indexes,
 //!   re-encode the restored state to the same bytes, and continue the
 //!   run from it with output bit-identical to an uninterrupted run.
+//! * `tests/fixtures/windowed_adjacent_v6.ckpt` was written in format
+//!   v6, which also stored the sentence-id index and the posting lists.
+//!   The build must restore it without reading them, and continue from it
+//!   bit-identically.
+//! * `tests/fixtures/windowed_late_v6.ckpt` is not a supervisor's file:
+//!   a v6 build saved it with `checkpoint::save` (seq 3) straight after
+//!   the first 3 batches of the late-candidate stream below, uncompacted,
+//!   so its sentence store starts with 6 `null` slots and 2 records are
+//!   dirty. The build must restore the same slot indices and dirty set,
+//!   and continue from it bit-identically.
 //! * `tests/fixtures/windowed_lexicon_v5.ckpt` and
 //!   `tests/fixtures/windowed_adjacent_v5.ckpt` were written in format
 //!   v5, which named candidates by their text. The build must convert
@@ -24,13 +35,13 @@
 
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::globalizer::GlobalizerState;
-use emd_globalizer::core::local::LexiconEmd;
+use emd_globalizer::core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
 use emd_globalizer::core::{
     EntityClassifier, Globalizer, GlobalizerConfig, StreamSupervisor, SupervisorConfig,
 };
 use emd_globalizer::nn::param::Net;
 use emd_globalizer::resilience::checkpoint::{self, FORMAT_VERSION, MAGIC};
-use emd_globalizer::text::token::{Sentence, SentenceId};
+use emd_globalizer::text::token::{Sentence, SentenceId, Span};
 use std::path::Path;
 
 const FIXTURE_V3: &str = concat!(
@@ -52,6 +63,14 @@ const ADJACENT_V5: &str = concat!(
 const ADJACENT_V6: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/windowed_adjacent_v6.ckpt"
+);
+const ADJACENT_V7: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/windowed_adjacent_v7.ckpt"
+);
+const LATE_V6: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/windowed_late_v6.ckpt"
 );
 
 fn stream(n: u64) -> Vec<Sentence> {
@@ -83,6 +102,48 @@ fn adjacent_stream(n: u64) -> Vec<Sentence> {
         .collect()
 }
 
+/// `lumsa` in lower case from the start; its first capitalised mention,
+/// which registers it as a [`CapsEmd`] candidate, arrives in the third
+/// batch and dirties the earlier live records that hold it.
+fn late_stream(n: u64) -> Vec<Sentence> {
+    (0..n)
+        .map(|i| {
+            let words: &[&str] = match (i < 10, i % 2) {
+                (true, 0) => &["Moross", "visits", "lumsa"],
+                (true, _) => &["lumsa", "cases", "in", "Italy"],
+                (false, 0) => &["Lumsa", "and", "Moross"],
+                (false, _) => &["cases", "in", "lumsa", "Italy"],
+            };
+            Sentence::from_tokens(SentenceId::new(i, 0), words.iter().copied())
+        })
+        .collect()
+}
+
+/// Tags every capitalised token.
+struct CapsEmd;
+
+impl LocalEmd for CapsEmd {
+    fn name(&self) -> &str {
+        "CapsEmd"
+    }
+
+    fn embedding_dim(&self) -> Option<usize> {
+        None
+    }
+
+    fn process(&self, sentence: &Sentence) -> LocalEmdOutput {
+        LocalEmdOutput {
+            spans: sentence
+                .texts()
+                .enumerate()
+                .filter(|(_, t)| t.starts_with(char::is_uppercase))
+                .map(|(i, _)| Span::new(i, i + 1))
+                .collect(),
+            token_embeddings: None,
+        }
+    }
+}
+
 fn lexicon() -> LexiconEmd {
     LexiconEmd::new(["italy", "covid"])
 }
@@ -97,7 +158,7 @@ fn accept_all() -> EntityClassifier {
     clf
 }
 
-fn globalizer<'a>(local: &'a LexiconEmd, clf: &'a EntityClassifier) -> Globalizer<'a> {
+fn globalizer<'a>(local: &'a dyn LocalEmd, clf: &'a EntityClassifier) -> Globalizer<'a> {
     Globalizer::new(
         local,
         None,
@@ -143,6 +204,18 @@ fn assert_same_pools(a: &GlobalizerState, b: &GlobalizerState) {
     assert_eq!(a.adjacency(), b.adjacency());
 }
 
+/// Both rebuilt indexes hold: the posting lists pass
+/// `check_postings`, and every live record's id maps to its slot.
+fn assert_indexes_rebuilt(state: &GlobalizerState) {
+    let tb = &state.tweetbase;
+    if let Err(e) = tb.check_postings() {
+        panic!("rebuilt posting index: {e}");
+    }
+    for (i, rec) in tb.iter_indexed() {
+        assert_eq!(tb.index_of(rec.sentence.id), Some(i));
+    }
+}
+
 /// Save `state` under `dir` and return the header line and payload.
 fn resave(dir: &Path, seq: u64, state: &GlobalizerState) -> (String, String) {
     let path = dir.join("state.ckpt");
@@ -164,28 +237,25 @@ fn assert_resaves_current(dir: &Path, seq: u64, state: &GlobalizerState) {
     assert_same_pools(&back, state);
 }
 
-/// Assert two payloads hold the same bytes. HashMap-backed fields
-/// iterate in a per-process order, so the payloads are compared as byte
-/// multisets: any change to a number, escape, key or bracket shows.
-fn assert_same_bytes(a: &str, b: &str) {
-    let sorted = |s: &str| {
-        let mut b = s.as_bytes().to_vec();
-        b.sort_unstable();
-        b
-    };
-    assert_eq!(a.len(), b.len());
-    assert_eq!(sorted(a), sorted(b));
-}
-
-/// The uninterrupted run's state after the 6 batches a fixture covers.
-fn uninterrupted(local: &LexiconEmd, stream: fn(u64) -> Vec<Sentence>) -> GlobalizerState {
+/// The uninterrupted run's state after the first `n` sentences.
+fn uninterrupted_to(
+    local: &dyn LocalEmd,
+    stream: fn(u64) -> Vec<Sentence>,
+    n: u64,
+) -> GlobalizerState {
     let clf = accept_all();
     let g = globalizer(local, &clf);
     let mut state = g.new_state();
-    for chunk in stream(24).chunks(4) {
+    for chunk in stream(n).chunks(4) {
         g.process_batch(&mut state, chunk);
     }
     state
+}
+
+/// The uninterrupted run's state after the 6 batches a supervisor's
+/// fixture covers.
+fn uninterrupted(local: &dyn LocalEmd, stream: fn(u64) -> Vec<Sentence>) -> GlobalizerState {
+    uninterrupted_to(local, stream, 24)
 }
 
 /// The adjacency ledger's pairs, by candidate text.
@@ -200,7 +270,23 @@ fn pairs(state: &GlobalizerState) -> Vec<(String, String, u64)> {
 
 /// Resume the 40-sentence run from a copy of `fixture`: the supervisor
 /// skips the 6 covered batches and must match the uninterrupted run.
-fn continue_from(fixture: &str, dir: &Path, local: &LexiconEmd, stream: fn(u64) -> Vec<Sentence>) {
+fn continue_from(
+    fixture: &str,
+    dir: &Path,
+    local: &dyn LocalEmd,
+    stream: fn(u64) -> Vec<Sentence>,
+) {
+    continue_after(fixture, dir, local, stream, 6);
+}
+
+/// [`continue_from`] a fixture that covers `covered` batches.
+fn continue_after(
+    fixture: &str,
+    dir: &Path,
+    local: &dyn LocalEmd,
+    stream: fn(u64) -> Vec<Sentence>,
+    covered: usize,
+) {
     let clf = accept_all();
     let g = globalizer(local, &clf);
     let path = dir.join("resume.ckpt");
@@ -217,8 +303,8 @@ fn continue_from(fixture: &str, dir: &Path, local: &LexiconEmd, stream: fn(u64) 
     );
     let report = sup.run(&s);
     assert!(report.resumed_from_checkpoint);
-    assert_eq!(report.batches_skipped, 6);
-    assert_eq!(report.batches_processed, 4);
+    assert_eq!(report.batches_skipped, covered);
+    assert_eq!(report.batches_processed, 10 - covered);
     let (plain, _) = g.run(&s, 4);
     assert_eq!(report.output.per_sentence, plain.per_sentence);
     assert_eq!(report.output.n_candidates, plain.n_candidates);
@@ -342,9 +428,8 @@ fn golden_v5_ledger_converts_to_the_ids_an_uninterrupted_run_holds() {
 
 #[test]
 fn golden_v6_checkpoint_restores_resaves_and_continues_bit_identically() {
-    assert_eq!(FORMAT_VERSION, 6);
     let bytes = std::fs::read_to_string(ADJACENT_V6).unwrap();
-    let (header, payload) = bytes.split_once('\n').unwrap();
+    let (header, _) = bytes.split_once('\n').unwrap();
     assert!(
         header.starts_with(&format!("{MAGIC} v6 seq=6 ")),
         "{header}"
@@ -355,16 +440,144 @@ fn golden_v6_checkpoint_restores_resaves_and_continues_bit_identically() {
     assert!(state.n_evicted() > 0, "the window evicted before the save");
     let (_, v5): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V5)).unwrap();
     assert_same_pools(&state, &v5);
+    assert_indexes_rebuilt(&state);
 
-    // Saving the restored state writes the same bytes.
     let dir = scratch("v6");
-    let (header2, payload2) = resave(&dir, seq, &state);
-    assert_same_bytes(&payload2, payload);
-    assert!(
-        header2.starts_with(&format!("{MAGIC} v6 seq=6 ")),
-        "{header2}"
-    );
-
+    assert_resaves_current(&dir, seq, &state);
     continue_from(ADJACENT_V6, &dir, &adjacent_lexicon(), adjacent_stream);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn golden_v7_checkpoint_restores_resaves_and_continues_bit_identically() {
+    assert_eq!(FORMAT_VERSION, 7);
+    let bytes = std::fs::read_to_string(ADJACENT_V7).unwrap();
+    let (header, payload) = bytes.split_once('\n').unwrap();
+    assert!(
+        header.starts_with(&format!("{MAGIC} v7 seq=6 ")),
+        "{header}"
+    );
+    for gone in [
+        "\"postings\"",
+        "\"index\"",
+        "\"live\"",
+        "\"evict_cursor\"",
+        "\"token_embeddings\"",
+    ] {
+        assert!(!payload.contains(gone), "{gone} in the v7 fixture");
+    }
+
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V7)).unwrap();
+    assert_eq!(seq, 6);
+    assert!(state.n_evicted() > 0, "the window evicted before the save");
+    let (_, v6): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V6)).unwrap();
+    assert_same_pools(&state, &v6);
+    assert_same_pools(&state, &uninterrupted(&adjacent_lexicon(), adjacent_stream));
+    assert_indexes_rebuilt(&state);
+
+    // Saving the restored state writes the same bytes: no field of a v7
+    // payload depends on hash order while nothing is quarantined.
+    let dir = scratch("v7");
+    let (header2, payload2) = resave(&dir, seq, &state);
+    assert_eq!((header2.as_str(), payload2.as_str()), (header, payload));
+
+    continue_from(ADJACENT_V7, &dir, &adjacent_lexicon(), adjacent_stream);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn uncompacted_v6_checkpoint_keeps_its_slots_and_continues_bit_identically() {
+    let bytes = std::fs::read_to_string(LATE_V6).unwrap();
+    let (header, payload) = bytes.split_once('\n').unwrap();
+    assert!(
+        header.starts_with(&format!("{MAGIC} v6 seq=3 ")),
+        "{header}"
+    );
+    assert!(payload.starts_with(r#"{"tweetbase":{"slots":[null,null,null,null,null,null,{"#));
+
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(LATE_V6)).unwrap();
+    assert_eq!(seq, 3);
+    let want = uninterrupted_to(&CapsEmd, late_stream, 12);
+    let tb = &state.tweetbase;
+    assert_eq!((tb.first_slot(), tb.n_slots(), tb.len()), (6, 12, 6));
+    assert_eq!(tb.n_slots(), want.tweetbase.n_slots());
+    let dirty = |s: &GlobalizerState| -> Vec<usize> {
+        (0..s.tweetbase.n_slots())
+            .filter(|&i| s.is_dirty(i))
+            .collect()
+    };
+    assert_eq!(dirty(&state), vec![6, 7]);
+    assert_eq!(dirty(&state), dirty(&want));
+    assert_same_pools(&state, &want);
+    assert_indexes_rebuilt(&state);
+    for (i, rec) in want.tweetbase.iter_indexed() {
+        assert_eq!(tb.index_of(rec.sentence.id), Some(i));
+    }
+
+    let dir = scratch("late_v6");
+    assert_resaves_current(&dir, seq, &state);
+    continue_after(LATE_V6, &dir, &CapsEmd, late_stream, 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `text` with its one `from` replaced by `to`.
+fn edit(text: &str, from: &str, to: &str) -> String {
+    assert_eq!(text.matches(from).count(), 1, "{from}");
+    text.replacen(from, to, 1)
+}
+
+#[test]
+fn a_null_after_a_record_or_a_repeated_sentence_id_is_rejected() {
+    let bytes = std::fs::read_to_string(LATE_V6).unwrap();
+    let (_, payload) = bytes.split_once('\n').unwrap();
+    let decode = |text: &str| serde_json::from_str::<GlobalizerState>(text);
+    assert!(decode(payload).is_ok());
+
+    let late_null = edit(payload, r#"}],"index":"#, r#"},null],"index":"#);
+    let err = decode(&late_null).expect_err("a null after a record");
+    assert!(err.to_string().contains("evicted slot after"), "{err}");
+
+    let repeated = edit(payload, r#""id":{"tweet_id":7,"#, r#""id":{"tweet_id":6,"#);
+    let err = decode(&repeated).expect_err("a repeated sentence id");
+    assert!(err.to_string().contains("stored twice"), "{err}");
+}
+
+#[test]
+fn a_v6_trees_stored_indexes_are_not_read() {
+    let bytes = std::fs::read_to_string(LATE_V6).unwrap();
+    let (_, payload) = bytes.split_once('\n').unwrap();
+    let field = |name: &str, next: &str| {
+        let from = payload.find(&format!(r#""{name}":"#)).unwrap();
+        let to = from + payload[from..].find(&format!(r#","{next}":"#)).unwrap();
+        payload[from..to].to_string()
+    };
+    let (index, postings) = (field("index", "interner"), field("postings", "emb_arena"));
+    let corrupt = edit(
+        &edit(
+            payload,
+            &index,
+            r#""index":[[{"tweet_id":99,"sent_id":0},0]]"#,
+        ),
+        &postings,
+        r#""postings":[[11,3,3],[],"no list"]"#,
+    );
+    // A quarantined slot the window has since evicted, as a v6 state
+    // kept it until compaction.
+    let corrupt = edit(
+        &corrupt,
+        r#""quarantined_idx":[]"#,
+        r#""quarantined_idx":[2]"#,
+    );
+    let mut state: GlobalizerState = serde_json::from_str(&corrupt).unwrap();
+    let (_, clean): (u64, GlobalizerState) = checkpoint::load(Path::new(LATE_V6)).unwrap();
+    assert_indexes_rebuilt(&state);
+    assert_same_pools(&state, &clean);
+    assert_eq!(state.tweetbase.index_of(SentenceId::new(99, 0)), None);
+    let text = serde_json::to_string(&state).unwrap();
+    assert!(
+        text.contains(r#""quarantined_idx":[]"#),
+        "the evicted slot is dropped"
+    );
+    assert_eq!(state.compact(), 6);
+    assert_indexes_rebuilt(&state);
 }

@@ -314,7 +314,6 @@ proptest! {
         batch in 1usize..6,
         window in 0usize..10,
         full in 0usize..2,
-        settle in 0usize..2,
     ) {
         let stream: Vec<Sentence> = msgs
             .iter()
@@ -325,10 +324,7 @@ proptest! {
             .collect();
         let cfg = GlobalizerConfig {
             ablation: if full == 1 { Ablation::Full } else { Ablation::MentionExtraction },
-            window: WindowConfig {
-                settle_before_evict: settle == 1,
-                ..WindowConfig::sliding(window)
-            },
+            window: WindowConfig::sliding(window),
             ..Default::default()
         };
         let max_len = cfg.max_candidate_len;

@@ -19,9 +19,11 @@
 //!   at a 1k window, with four times the vocabulary and candidates;
 //! - at production scale (`#[ignore]`, run by `ci.sh` with `--ignored`),
 //!   the churn-window shape's 20k-window clone makes as many allocations
-//!   as a 1k-window one, its posting index is consistent both ways, and a
-//!   trial batch processed on a clone and discarded leaves the original's
-//!   checkpoint text unchanged.
+//!   as a 1k-window one, its posting index is consistent both ways, the
+//!   uncompacted state saves and loads back to the same slots, indexes
+//!   and checkpoint text, and a trial batch processed on a clone and
+//!   discarded leaves the original's checkpoint text and indexes
+//!   unchanged.
 //!
 //! The batch after a clone copies each shared record it writes. A
 //! candidate present in every sentence is written by every batch, so its
@@ -36,6 +38,7 @@ use emd_globalizer::core::local::{LexiconEmd, LocalEmd};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig};
 use emd_globalizer::local::np_chunker::NpChunker;
 use emd_globalizer::nn::param::Net;
+use emd_globalizer::resilience::checkpoint;
 use emd_globalizer::synth::{gen_churn_stream, NoiseConfig, World, WorldConfig};
 use emd_globalizer::text::casing::SyntacticClass;
 use emd_globalizer::text::token::{Sentence, SentenceId};
@@ -340,12 +343,29 @@ fn churn_stream(n: usize) -> Vec<Sentence> {
         .collect()
 }
 
+/// Both of the sentence store's indexes hold for `state`, and its id
+/// index maps every record of `like` to the slot it has there.
+fn assert_indexes_hold(state: &GlobalizerState, like: &GlobalizerState, when: &str) {
+    if let Err(e) = state.tweetbase.check_postings() {
+        panic!("posting index {when}: {e}");
+    }
+    for (i, rec) in like.tweetbase.iter_indexed() {
+        assert_eq!(
+            state.tweetbase.index_of(rec.sentence.id),
+            Some(i),
+            "id index {when}"
+        );
+    }
+}
+
 /// The supervisor's snapshot at production scale: a full 20k window of
 /// the churn-window shape, 24,576 sentences in. Its clone allocates as
 /// much as a 1k-window clone of the same shape; its posting index is
-/// consistent both ways; and a trial batch processed on a clone and then
+/// consistent both ways; saved uncompacted and loaded back, it has the
+/// same slots, indexes rebuilt to the same mapping, and the same
+/// checkpoint text; and a trial batch processed on a clone and then
 /// discarded, as a rolled-back batch is, leaves the original's
-/// checkpoint text unchanged.
+/// checkpoint text and indexes unchanged.
 #[test]
 #[ignore = "production scale: run with --release -- --ignored"]
 fn churn_window_scale_snapshot_is_flat_and_isolated() {
@@ -369,6 +389,26 @@ fn churn_window_scale_snapshot_is_flat_and_isolated() {
          at {BIG} {at_big}"
     );
 
+    // A checkpoint holds the records, not the indexes: load rebuilds them.
+    let dir = std::env::temp_dir().join(format!("emd_scale_snapshot_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (saved, resaved) = (dir.join("saved.ckpt"), dir.join("resaved.ckpt"));
+    assert!(
+        state.tweetbase.first_slot() > 0,
+        "the state is saved uncompacted"
+    );
+    checkpoint::save(&saved, 47, &state).unwrap();
+    let (_, loaded): (u64, GlobalizerState) = checkpoint::load(&saved).unwrap();
+    assert_eq!(loaded.tweetbase.n_slots(), state.tweetbase.n_slots());
+    assert_indexes_hold(&loaded, &state, "after a save and load");
+    checkpoint::save(&resaved, 47, &loaded).unwrap();
+    assert!(
+        std::fs::read(&saved).unwrap() == std::fs::read(&resaved).unwrap(),
+        "re-saving the loaded state must write the same checkpoint text"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    drop(loaded);
+
     let before = serde_json::to_string(&state).unwrap();
     let clf = accept_all(dim);
     let g = Globalizer::new(
@@ -390,4 +430,5 @@ fn churn_window_scale_snapshot_is_flat_and_isolated() {
         serde_json::to_string(&state).unwrap() == before,
         "a discarded trial batch must leave the original's checkpoint text unchanged"
     );
+    assert_indexes_hold(&state, &state, "after a discarded trial batch");
 }
