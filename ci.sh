@@ -22,9 +22,11 @@ echo "== snapshot at production scale =="
 # The same shape (20k window, 24,576 sentences): cloning the state makes
 # as many allocations as at a 1k window, the posting index is consistent
 # both ways, the uncompacted state saved and loaded back has the same
-# slots, rebuilt indexes and checkpoint text, and a trial batch processed
-# on a clone and then discarded leaves the original's checkpoint text and
-# indexes unchanged. `#[ignore]`d in tier-1 for its size.
+# slots, rebuilt indexes, per-record token shapes and casing bits (those
+# of the input sentences) and checkpoint text, and a trial batch
+# processed on a clone and then discarded leaves the original's
+# checkpoint text and indexes unchanged. `#[ignore]`d in tier-1 for its
+# size.
 cargo test --release --test state_clone_alloc -- --ignored
 
 echo "== benchmark tests =="
@@ -135,7 +137,7 @@ cargo run --release --example multi_stream > /dev/null
 echo "== bounded-memory soak smoke =="
 # Stream a long-horizon drifting topic stream through a windowed
 # pipeline and assert the bounded-memory guarantees via the emd-obs
-# gauges: the window evicts every out-of-window sentence, tombstones
+# gauges: the window evicts every out-of-window sentence, evicted slots
 # are compacted, and the resident-bytes gauge plateaus instead of
 # growing with stream length. Exits nonzero on any violated bound.
 # (10k messages here; the default 50k run is the same binary.)

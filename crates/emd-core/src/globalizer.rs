@@ -71,7 +71,7 @@ use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Position of the first entry `>= target` in the ascending `list`,
 /// found by doubling out from the front and then bisecting: O(log d) for
@@ -891,13 +891,17 @@ impl<'a> Globalizer<'a> {
         });
     }
 
+    /// The phrase embedder that makes local candidate embeddings: `Some`
+    /// for deep systems only. Non-deep ones use the syntactic one-hot.
+    fn deep_phrase(&self) -> Option<&'a PhraseEmbedder> {
+        self.phrase.filter(|_| self.local.is_deep())
+    }
+
     /// Dimensionality of candidate embeddings: the phrase-embedder output
     /// for deep systems, the 6-dim syntactic space otherwise.
     pub fn candidate_dim(&self) -> usize {
-        match self.phrase {
-            Some(pe) if self.local.is_deep() => pe.out_dim(),
-            _ => SyntacticClass::COUNT,
-        }
+        self.deep_phrase()
+            .map_or(SyntacticClass::COUNT, PhraseEmbedder::out_dim)
     }
 
     /// Fresh pipeline state.
@@ -1002,15 +1006,17 @@ impl<'a> Globalizer<'a> {
     }
 
     /// Compute the local candidate embedding for the mention at `span` of
-    /// the record in slot `idx` — phrase-embedding the token rows straight
-    /// out of the store's flat arena for deep systems, the 6-dim syntactic
-    /// one-hot otherwise.
-    fn local_embedding(&self, tweetbase: &TweetBase, idx: usize, span: &Span) -> Vec<f32> {
-        match (tweetbase.embedding_view(idx), self.phrase) {
-            (Some(te), Some(pe)) => pe.embed_span_view(te, span),
-            _ => {
+    /// the record in slot `idx`, in the space [`Globalizer::candidate_dim`]
+    /// names — phrase-embedding the token rows straight out of the store's
+    /// flat arena for deep systems, the 6-dim syntactic one-hot of the
+    /// record's stored token shapes otherwise. `None` for a deep record
+    /// without rows, which ingest never admits.
+    fn local_embedding(&self, tweetbase: &TweetBase, idx: usize, span: &Span) -> Option<Vec<f32>> {
+        match self.deep_phrase() {
+            Some(pe) => Some(pe.embed_span_view(tweetbase.embedding_view(idx)?, span)),
+            None => {
                 let record = tweetbase.get_by_index(idx);
-                syntactic_class(&record.sentence, span).one_hot().to_vec()
+                Some(syntactic_class(&record.sentence, span).one_hot().to_vec())
             }
         }
     }
@@ -1114,6 +1120,20 @@ impl<'a> Globalizer<'a> {
         let r = isolate::retry_catch(self.attempts(), || {
             failpoint::fire("ingest");
             validate::validate_sentence(sentence)?;
+            // A deep system's mentions are phrase-embedded from its rows,
+            // so it must hand over rows of its declared width.
+            if let Some(dim) = self.local.embedding_dim() {
+                match &out.token_embeddings {
+                    None => return Err("deep local output without token embeddings".to_string()),
+                    Some(te) if te.cols != dim => {
+                        return Err(format!(
+                            "token embeddings are {} wide, not the declared {dim}",
+                            te.cols
+                        ))
+                    }
+                    Some(_) => {}
+                }
+            }
             if let Some(te) = &out.token_embeddings {
                 if te.rows != sentence.len() {
                     return Err(format!(
@@ -1168,12 +1188,13 @@ impl<'a> Globalizer<'a> {
         // Apply (infallible): store records, register candidates, dirty.
         let tracing = emd_trace::enabled();
         let mut n_local_spans = 0u64;
-        let mut kept: Vec<Option<Vec<Span>>> = Vec::with_capacity(batch.len());
+        // The record each admitted sentence stored: a later duplicate id
+        // in the batch replaces it in the store, not here.
+        let mut kept: Vec<Arc<TweetRecord>> = Vec::with_capacity(batch.len());
         for (sentence, st) in batch.iter().zip(staged) {
             match st {
                 Err((phase, reason)) => {
                     self.quarantine_sentence(state, sentence.id, phase, reason);
-                    kept.push(None);
                 }
                 Ok(out) => {
                     // Quarantine is permanent at the ID level: a replayed
@@ -1187,7 +1208,6 @@ impl<'a> Globalizer<'a> {
                             PipelinePhase::Ingest,
                             "sentence id was previously quarantined".to_string(),
                         );
-                        kept.push(None);
                         continue;
                     }
                     n_local_spans += out.spans.len() as u64;
@@ -1196,18 +1216,19 @@ impl<'a> Globalizer<'a> {
                     if let Some(old) = state.tweetbase.index_of(sentence.id) {
                         self.uncount_pairs(state, old);
                     }
-                    let idx = state.tweetbase.insert(
-                        TweetRecord::new(sentence.clone(), out.spans.clone()),
-                        out.token_embeddings.as_ref(),
-                    );
+                    let idx =
+                        state
+                            .tweetbase
+                            .insert(sentence, out.spans, out.token_embeddings.as_ref());
                     state.dirty.insert(idx);
+                    let record = state.tweetbase.shared_by_index(idx);
                     if tracing {
                         self.temit(|| TraceEvent {
                             sid: Some(tsid(sentence.id)),
-                            count: Some(out.spans.len() as u64),
+                            count: Some(record.local_spans.len() as u64),
                             ..TraceEvent::of(TraceEventKind::SentenceAdmitted)
                         });
-                        for sp in &out.spans {
+                        for sp in &record.local_spans {
                             self.temit(|| TraceEvent {
                                 sid: Some(tsid(sentence.id)),
                                 span: Some(tspan(sp)),
@@ -1216,34 +1237,34 @@ impl<'a> Globalizer<'a> {
                             });
                         }
                     }
-                    kept.push(Some(out.spans));
+                    kept.push(record);
                 }
             }
         }
+        // Register each kept span's candidate from the symbols its record
+        // interned at insert.
         let trie_span = Timer::start(&self.metrics.trie_register_ns);
         let mut n_inserted = 0u64;
-        for (sentence, spans) in batch.iter().zip(&kept) {
-            let Some(spans) = spans else { continue };
-            for sp in spans {
+        for record in &kept {
+            for sp in &record.local_spans {
                 if sp.len() <= self.config.max_candidate_len {
-                    let interner = state.tweetbase.interner_mut();
-                    let syms: Vec<Sym> = (sp.start..sp.end)
-                        .map(|i| interner.intern_folded(&sentence.tokens[i].text))
-                        .collect();
-                    if state.ctrie.insert_syms(&syms) {
+                    let syms = record.syms_of(sp);
+                    if state.ctrie.insert_syms(syms) {
                         n_inserted += 1;
                         self.temit(|| TraceEvent {
-                            sid: Some(tsid(sentence.id)),
+                            sid: Some(tsid(record.sentence.id)),
                             span: Some(tspan(sp)),
-                            candidate: Some(state.tweetbase.interner().join(&syms)),
+                            candidate: Some(state.tweetbase.interner().join(syms)),
                             phase: Some(TracePhase::TrieRegister),
                             ..TraceEvent::of(TraceEventKind::TrieInsert)
                         });
-                        Self::mark_dirty(state, &syms);
+                        Self::mark_dirty(state, syms);
                     }
                 }
             }
         }
+        // Unshare the batch's records before the scan writes them.
+        drop(kept);
         drop(trie_span);
         self.count(BatchObservation {
             sentences: batch.len() as u64,
@@ -1342,6 +1363,7 @@ impl<'a> Globalizer<'a> {
                             self.local_embedding(tweetbase, idx, &span)
                         })
                         .ok()
+                        .flatten()
                         .filter(|emb| validate::all_finite(emb))
                     })
                     .flatten();
@@ -2234,6 +2256,7 @@ pub fn index_stream(
 mod tests {
     use super::*;
     use crate::local::LexiconEmd;
+    use emd_nn::matrix::Matrix;
     use emd_text::token::SentenceId;
 
     fn sents(msgs: &[&[&str]]) -> Vec<Sentence> {
@@ -2534,6 +2557,60 @@ mod tests {
         assert_eq!(rec.frequency(), 2);
         assert_eq!(rec.label, CandidateLabel::Pending);
         assert_eq!(rec.n_pooled(), 2);
+    }
+
+    #[test]
+    fn deep_output_without_rows_of_its_width_is_quarantined_at_ingest() {
+        // A 4-dim deep double that hands over no token rows for tweet 1
+        // and 3-wide rows for tweet 2. Admitted, either record's mentions
+        // fell back to the 6-dim syntactic one-hot, and pooling it into a
+        // 4-dim candidate panicked on the caller thread.
+        struct GappyDeepEmd;
+        impl LocalEmd for GappyDeepEmd {
+            fn name(&self) -> &str {
+                "gappy-deep"
+            }
+            fn embedding_dim(&self) -> Option<usize> {
+                Some(4)
+            }
+            fn process(&self, s: &Sentence) -> crate::local::LocalEmdOutput {
+                let width = match s.id.tweet_id {
+                    1 => None,
+                    2 => Some(3),
+                    _ => Some(4),
+                };
+                crate::local::LocalEmdOutput {
+                    spans: vec![Span::new(0, 1)],
+                    token_embeddings: width.map(|w| Matrix::zeros(s.len(), w)),
+                }
+            }
+        }
+        let pe = PhraseEmbedder::new(4, 4, 7);
+        let clf = accept_all(5);
+        let g = Globalizer::new(&GappyDeepEmd, Some(&pe), &clf, GlobalizerConfig::default());
+        let stream = sents(&[
+            &["Italy", "reports"],
+            &["Italy", "again"],
+            &["Italy", "cases"],
+            &["Italy", "today"],
+        ]);
+        let (out, state) = g.run(&stream, 4);
+        let quarantined: Vec<(u64, PipelinePhase)> = out
+            .quarantined
+            .iter()
+            .map(|q| (q.sid.tweet_id, q.phase))
+            .collect();
+        assert_eq!(
+            quarantined,
+            vec![(1, PipelinePhase::Ingest), (2, PipelinePhase::Ingest)]
+        );
+        assert!(out.quarantined[0]
+            .reason
+            .contains("without token embeddings"));
+        assert!(out.quarantined[1].reason.contains("3 wide"));
+        assert_eq!(state.tweetbase.len(), 2);
+        let italy = cand(&state, "italy").unwrap();
+        assert_eq!((italy.frequency(), italy.global_embedding().len()), (2, 4));
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! TweetBase: per-sentence records maintained across the pipeline.
 //!
-//! Indexed by `(tweet id, sentence id)` pairs, a record stores the sentence
-//! itself, the spans the local system detected, and the mention list that
-//! Global EMD updates as the sentences pass through the second phase; the
-//! token embeddings produced at Local EMD (deep systems only) live beside
-//! it in the store's arena.
+//! Indexed by `(tweet id, sentence id)` pairs, a record stores the
+//! sentence as its symbols, not its text: one interned symbol per token
+//! for the scan, and the sentence's casing profile ([`Cased`]: one
+//! [`CapShape`] byte per token and the casing bit) for the syntactic
+//! class of a non-deep system's mentions. Beside them it keeps the spans
+//! the local system detected and the mention list that Global EMD
+//! updates as the sentences pass through the second phase; the token
+//! embeddings produced at Local EMD (deep systems only) live in the
+//! store's arena. Global EMD never reads a stored sentence's text, so
+//! [`TweetBase::insert`] borrows the sentence and keeps none of it.
 //!
 //! A record is also where mention dedup lives. Every span in its
 //! `global_mentions` has been pooled into its candidate, and `retired`
@@ -17,9 +22,10 @@
 //!
 //! The store is the owner of the pipeline's shared token [`Interner`]. At
 //! insert every token is case-folded and interned once into
-//! [`TweetRecord::tok_syms`]; the occurrence scan, the inverted index, and
-//! the CTrie walk all operate on those `u32` symbols — the per-scan
-//! `to_lowercase()` string churn of the original layout is gone. The
+//! [`TweetRecord::tok_syms`], in the same pass that takes its shape; the
+//! occurrence scan, the inverted index, and the CTrie walk all operate on
+//! those `u32` symbols — the per-scan `to_lowercase()` string churn of
+//! the original layout is gone. The
 //! inverted index keeps every symbol's posting list as a region of one
 //! `u32` arena (see [`Postings`]), and token-embedding matrices live in
 //! one flat `f32` arena (`emb_arena`) with per-record row offsets instead
@@ -52,7 +58,7 @@
 //! every other record's index as it was — the globalizer's dirty set,
 //! quarantine set, and the token posting lists all hold slot indices, and
 //! none of them need rewriting when a cold record is dropped. It removes
-//! the record's posting-list entries and frees the sentence and span
+//! the record's posting-list entries and frees its symbol, shape and span
 //! storage; its arena rows become dead floats. [`TweetBase::compact`]
 //! shifts every slot index down by `first` (returning the shift for the
 //! caller's slot-keyed sets) and rewrites the arena with live rows only.
@@ -61,11 +67,15 @@
 //!
 //! A checkpoint holds the live records, `first`, the interner, the arena
 //! and the two counters; the id index and the posting lists are rebuilt
-//! from the records at load. The decoder also reads the v3–v6 layout,
-//! which kept a `null` slot per evicted record (all of them leading: they
-//! become `first`) and stored both indexes, which it ignores.
+//! from the records at load. A record writes its shapes as one letter
+//! per token (see [`Cased`]). The decoder also reads the v3–v7 layouts:
+//! up to v7 a record stored its sentence's text, from which it derives
+//! the shapes and the casing bit; up to v6 the store kept a `null` slot
+//! per evicted record (all of them leading: they become `first`) and
+//! stored both indexes, which it ignores.
 
 use emd_nn::matrix::Matrix;
+use emd_text::casing::{CapShape, Cased};
 use emd_text::intern::{Interner, Sym};
 use emd_text::token::{Sentence, SentenceId, Span};
 use serde::value::Value;
@@ -106,8 +116,10 @@ impl<'a> EmbView<'a> {
 /// One sentence's record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TweetRecord {
-    /// The sentence.
-    pub sentence: Sentence,
+    /// The sentence's id and casing profile: the shape of every token and
+    /// the casing bit, which is all a mention's syntactic class reads
+    /// (`emd_text::casing::syntactic_class` takes it). No token text.
+    pub sentence: Cased,
     /// Spans the Local EMD system itself proposed.
     pub local_spans: Vec<Span>,
     /// All candidate mentions found by the global rescan (superset of the
@@ -127,19 +139,6 @@ pub struct TweetRecord {
 }
 
 impl TweetRecord {
-    /// A fresh (not-yet-inserted) record. `tok_syms` is populated by
-    /// [`TweetBase::insert`].
-    pub fn new(sentence: Sentence, local_spans: Vec<Span>) -> TweetRecord {
-        TweetRecord {
-            sentence,
-            local_spans,
-            global_mentions: Vec::new(),
-            retired: Vec::new(),
-            tok_syms: Vec::new(),
-            emb: None,
-        }
-    }
-
     /// The folded symbols of the tokens `span` covers: the CTrie path of
     /// the candidate a mention there names.
     pub fn syms_of(&self, span: &Span) -> &[Sym] {
@@ -420,21 +419,30 @@ impl TweetBase {
         &mut self.interner
     }
 
-    /// Insert a record at the end of the stream order, interning its
-    /// tokens and copying `embeddings` (the Local EMD token embeddings of
-    /// deep systems) into the arena. Replaces any previous record with
-    /// the same id in its slot (streams should not repeat ids); the
-    /// replaced record's posting-list entries are removed before the new
-    /// sentence is indexed, so postings never go stale or unsorted.
-    /// A replacement inherits, as `retired`, the pooled spans of the old
-    /// record whose folded surface it repeats, so a re-delivered sentence
-    /// does not pool its mentions a second time.
-    pub fn insert(&mut self, mut record: TweetRecord, embeddings: Option<&Matrix>) -> usize {
-        record.tok_syms.clear();
-        for t in &record.sentence.tokens {
-            record.tok_syms.push(self.interner.intern_folded(&t.text));
+    /// Store `sentence` at the end of the stream order as a record of its
+    /// symbols: one pass over its tokens interns each folded token and
+    /// takes its shape, and the casing bit follows from the shapes. The
+    /// record keeps `local_spans`, and `embeddings` (the Local EMD token
+    /// embeddings of deep systems) are copied into the arena. Replaces any
+    /// previous record with the same id in its slot (streams should not
+    /// repeat ids); the replaced record's posting-list entries are removed
+    /// before the new sentence is indexed, so postings never go stale or
+    /// unsorted. A replacement inherits, as `retired`, the pooled spans of
+    /// the old record whose folded surface it repeats, so a re-delivered
+    /// sentence does not pool its mentions a second time.
+    pub fn insert(
+        &mut self,
+        sentence: &Sentence,
+        local_spans: Vec<Span>,
+        embeddings: Option<&Matrix>,
+    ) -> usize {
+        let mut tok_syms = Vec::with_capacity(sentence.len());
+        let mut shapes = Vec::with_capacity(sentence.len());
+        for t in &sentence.tokens {
+            tok_syms.push(self.interner.intern_folded(&t.text));
+            shapes.push(CapShape::of(&t.text));
         }
-        record.emb = embeddings.map(|m| {
+        let emb = embeddings.map(|m| {
             let off = self.emb_arena.len();
             self.emb_arena.extend_from_slice(&m.data);
             EmbSlot {
@@ -443,7 +451,15 @@ impl TweetBase {
                 cols: m.cols,
             }
         });
-        let id = record.sentence.id;
+        let mut record = TweetRecord {
+            sentence: Cased::new(sentence.id, shapes),
+            local_spans,
+            global_mentions: Vec::new(),
+            retired: Vec::new(),
+            tok_syms,
+            emb,
+        };
+        let id = sentence.id;
         let i = if let Some(&i) = self.index.get(&id) {
             // Replacement: drop the old sentence's postings first. Pushing
             // the new tokens directly would re-append index `i` *after*
@@ -534,6 +550,13 @@ impl TweetBase {
     /// set, or [`TweetBase::iter_indexed`]).
     pub fn get_by_index(&self, i: usize) -> &TweetRecord {
         &self.slots[i - self.first]
+    }
+
+    /// The shared record in slot `i` (same liveness contract as
+    /// [`TweetBase::get_by_index`]). While the handle lives, a write to
+    /// the slot copies the record.
+    pub(crate) fn shared_by_index(&self, i: usize) -> Arc<TweetRecord> {
+        Arc::clone(&self.slots[i - self.first])
     }
 
     /// Mutable record by stream-order index (same liveness contract as
@@ -651,7 +674,7 @@ impl TweetBase {
 
     /// Check the posting index both ways, and its arena layout. Sound:
     /// every list is strictly ascending and names only live records whose
-    /// sentence holds its token. Complete: every symbol of every live
+    /// symbols hold its token. Complete: every symbol of every live
     /// record lists that record. Laid out: every region lies inside the
     /// arena, no two overlap, the regions and the dead count account for
     /// every arena entry, and the live count is the lists' total.
@@ -683,7 +706,7 @@ impl TweetBase {
                     ));
                 }
                 let rec = self.get_by_index(i);
-                if !rec.sentence.texts().any(|t| t.to_lowercase() == *token) {
+                if !rec.tok_syms.contains(&(sym as Sym)) {
                     return Err(format!(
                         "stale posting: record {i} does not contain {token:?}"
                     ));
@@ -723,10 +746,10 @@ impl TweetBase {
         Ok(())
     }
 
-    /// Estimated resident heap bytes of the store: record blocks and
-    /// their sentences, the token-embedding arena (the dominant term for
-    /// deep local systems, including not-yet-compacted dead rows), span
-    /// lists, symbol lists, and both indexes. Records shared with a clone
+    /// Estimated resident heap bytes of the store: record blocks, the
+    /// token-embedding arena (the dominant term for deep local systems,
+    /// including not-yet-compacted dead rows), span lists, symbol and
+    /// shape lists, and both indexes. Records shared with a clone
     /// are counted in full: this is what the store alone keeps alive. An
     /// estimate for gauges and eviction budgeting, not an allocator-exact
     /// measurement.
@@ -736,9 +759,7 @@ impl TweetBase {
         for r in &self.slots {
             // The shared block: the record plus its two reference counts.
             total += size_of::<TweetRecord>() + 2 * size_of::<usize>();
-            for t in &r.sentence.tokens {
-                total += size_of::<emd_text::token::Token>() + t.text.len();
-            }
+            total += std::mem::size_of_val(r.sentence.shapes());
             total += r.tok_syms.capacity() * size_of::<Sym>();
             total += (r.local_spans.len() + r.global_mentions.len() + r.retired.len())
                 * size_of::<Span>();
@@ -753,8 +774,9 @@ impl TweetBase {
 
 /// Decodes the checkpoint layout (see the module docs): the live records
 /// after `first`, or, from a v3–v6 tree, after one leading `null` per
-/// evicted slot. A `null` after a live record, or a sentence id stored
-/// twice, is rejected. The id index and the posting lists are rebuilt
+/// evicted slot. A `null` after a live record, a sentence id stored
+/// twice, or a record whose shapes and symbols differ in number, is
+/// rejected. The id index and the posting lists are rebuilt
 /// from the records; a stored `index`, `postings` or `live` is not read.
 impl Deserialize for TweetBase {
     fn from_value(v: &Value) -> Result<TweetBase, DeError> {
@@ -793,6 +815,13 @@ impl Deserialize for TweetBase {
             if tb.index.insert(id, tb.n_slots()).is_some() {
                 return Err(DeError::msg(format!("sentence {id:?} stored twice")));
             }
+            let n_shapes = record.sentence.shapes().len();
+            if n_shapes != record.tok_syms.len() {
+                return Err(DeError::msg(format!(
+                    "sentence {id:?} has {n_shapes} shapes for {} symbols",
+                    record.tok_syms.len()
+                )));
+            }
             if record
                 .tok_syms
                 .iter()
@@ -814,6 +843,7 @@ impl Deserialize for TweetBase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emd_text::casing::CasingProfile;
 
     /// Live records holding the token (any casing).
     fn with_token<'a>(tb: &'a TweetBase, token: &str) -> &'a [u32] {
@@ -822,18 +852,12 @@ mod tests {
             .map_or(&[], |sym| tb.indices_with_sym(sym))
     }
 
-    fn rec(tweet: u64) -> TweetRecord {
-        TweetRecord::new(
-            Sentence::from_tokens(SentenceId::new(tweet, 0), ["a", "b"]),
-            vec![],
-        )
+    fn sent(tweet: u64) -> Sentence {
+        Sentence::from_tokens(SentenceId::new(tweet, 0), ["a", "b"])
     }
 
-    fn rec_with(tweet: u64, tokens: &[&str]) -> TweetRecord {
-        TweetRecord::new(
-            Sentence::from_tokens(SentenceId::new(tweet, 0), tokens.iter().copied()),
-            vec![],
-        )
+    fn sent_with(tweet: u64, tokens: &[&str]) -> Sentence {
+        Sentence::from_tokens(SentenceId::new(tweet, 0), tokens.iter().copied())
     }
 
     /// Insert a record whose `dim`-wide token embeddings encode its id.
@@ -847,7 +871,7 @@ mod tests {
             cols: dim,
             data,
         };
-        tb.insert(rec_with(tweet, tokens), Some(&emb))
+        tb.insert(&sent_with(tweet, tokens), vec![], Some(&emb))
     }
 
     /// Every live record's id maps to its slot, and nothing else is
@@ -868,8 +892,8 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(1), None);
-        tb.insert(rec(2), None);
+        tb.insert(&sent(1), vec![], None);
+        tb.insert(&sent(2), vec![], None);
         assert_eq!(tb.len(), 2);
         assert!(tb.get(SentenceId::new(1, 0)).is_some());
         assert!(tb.get(SentenceId::new(3, 0)).is_none());
@@ -878,7 +902,7 @@ mod tests {
     #[test]
     fn insert_interns_folded_token_symbols() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(rec_with(1, &["Italy", "reports", "ITALY"]), None);
+        let i = tb.insert(&sent_with(1, &["Italy", "reports", "ITALY"]), vec![], None);
         let r = tb.get_by_index(i);
         assert_eq!(r.tok_syms.len(), 3);
         assert_eq!(r.tok_syms[0], r.tok_syms[2], "case variants share a sym");
@@ -888,17 +912,17 @@ mod tests {
     #[test]
     fn duplicate_id_replaces() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(1), None);
-        let mut r = rec(1);
-        r.local_spans.push(Span::new(0, 1));
-        tb.insert(r, None);
+        tb.insert(&sent(1), vec![], None);
+        tb.insert(&sent(1), vec![Span::new(0, 1)], None);
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.get(SentenceId::new(1, 0)).unwrap().local_spans.len(), 1);
     }
 
     #[test]
     fn extraction_changes_retire_and_restore_pooled_spans() {
-        let mut r = rec_with(1, &["a", "b", "c", "d", "e"]);
+        let mut tb = TweetBase::new();
+        let i = tb.insert(&sent_with(1, &["a", "b", "c", "d", "e"]), vec![], None);
+        let r = tb.get_mut_by_index(i);
         let (a, bc, de) = (Span::new(0, 1), Span::new(1, 3), Span::new(3, 5));
         r.set_global_mentions(vec![a, bc, de]);
         assert!(r.retired.is_empty());
@@ -918,19 +942,19 @@ mod tests {
     #[test]
     fn replacement_inherits_pooled_spans_with_the_same_surface() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(rec_with(1, &["Italy", "and", "covid"]), None);
+        let i = tb.insert(&sent_with(1, &["Italy", "and", "covid"]), vec![], None);
         tb.get_mut_by_index(i)
             .set_global_mentions(vec![Span::new(0, 1), Span::new(2, 3)]);
         // Re-delivered with one token changed: only the span whose folded
         // surface is unchanged counts as pooled already.
-        tb.insert(rec_with(1, &["ITALY", "and", "flu"]), None);
+        tb.insert(&sent_with(1, &["ITALY", "and", "flu"]), vec![], None);
         let r = tb.get_by_index(i);
         assert!(r.global_mentions.is_empty());
         assert_eq!(r.retired, vec![Span::new(0, 1)]);
         // A shorter replacement drops spans past its end.
         tb.get_mut_by_index(i)
             .set_global_mentions(vec![Span::new(2, 3)]);
-        tb.insert(rec_with(1, &["italy"]), None);
+        tb.insert(&sent_with(1, &["italy"]), vec![], None);
         assert_eq!(tb.get_by_index(i).retired, vec![Span::new(0, 1)]);
     }
 
@@ -938,7 +962,7 @@ mod tests {
     fn stream_order_preserved() {
         let mut tb = TweetBase::new();
         for t in [5u64, 2, 9] {
-            tb.insert(rec(t), None);
+            tb.insert(&sent(t), vec![], None);
         }
         let ids: Vec<u64> = tb.iter().map(|r| r.sentence.id.tweet_id).collect();
         assert_eq!(ids, vec![5, 2, 9]);
@@ -947,8 +971,8 @@ mod tests {
     #[test]
     fn token_index_finds_sentences() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["Italy", "report"]), None);
-        tb.insert(rec_with(2, &["italy", "italy", "again"]), None);
+        tb.insert(&sent_with(1, &["Italy", "report"]), vec![], None);
+        tb.insert(&sent_with(2, &["italy", "italy", "again"]), vec![], None);
         // Case-folded, deduped per record, ascending order.
         assert_eq!(with_token(&tb, "italy"), &[0, 1]);
         assert_eq!(with_token(&tb, "report"), &[0]);
@@ -961,8 +985,8 @@ mod tests {
     #[test]
     fn token_index_survives_replacement() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["old", "text"]), None);
-        tb.insert(rec_with(1, &["new", "text"]), None);
+        tb.insert(&sent_with(1, &["old", "text"]), vec![], None);
+        tb.insert(&sent_with(1, &["new", "text"]), vec![], None);
         // The new tokens are indexed; the replaced sentence's postings are
         // removed outright — no stale entries remain.
         assert_eq!(with_token(&tb, "new"), &[0]);
@@ -980,10 +1004,10 @@ mod tests {
     #[test]
     fn replacing_non_final_record_keeps_postings_sorted() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["shared", "alpha"]), None);
-        tb.insert(rec_with(2, &["shared", "beta"]), None);
+        tb.insert(&sent_with(1, &["shared", "alpha"]), vec![], None);
+        tb.insert(&sent_with(2, &["shared", "beta"]), vec![], None);
         // Replace record 0 with a sentence still containing "shared".
-        tb.insert(rec_with(1, &["shared", "gamma"]), None);
+        tb.insert(&sent_with(1, &["shared", "gamma"]), vec![], None);
         assert_eq!(
             with_token(&tb, "shared"),
             &[0, 1],
@@ -994,7 +1018,7 @@ mod tests {
         assert_postings_consistent(&tb);
         // Replace again with entirely fresh tokens: the shared posting for
         // record 0 must disappear.
-        tb.insert(rec_with(1, &["delta"]), None);
+        tb.insert(&sent_with(1, &["delta"]), vec![], None);
         assert_eq!(with_token(&tb, "shared"), &[1]);
         assert_postings_consistent(&tb);
     }
@@ -1002,7 +1026,7 @@ mod tests {
     #[test]
     fn by_index_accessors() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(7), None);
+        tb.insert(&sent(7), vec![], None);
         assert_eq!(tb.index_of(SentenceId::new(7, 0)), Some(0));
         assert_eq!(tb.get_by_index(0).sentence.id.tweet_id, 7);
         tb.get_mut_by_index(0).global_mentions.push(Span::new(0, 1));
@@ -1012,7 +1036,7 @@ mod tests {
     #[test]
     fn mutable_update() {
         let mut tb = TweetBase::new();
-        tb.insert(rec(1), None);
+        tb.insert(&sent(1), vec![], None);
         tb.get_mut(SentenceId::new(1, 0))
             .unwrap()
             .global_mentions
@@ -1035,7 +1059,7 @@ mod tests {
         let v2 = tb.embedding_view(i2).unwrap();
         assert_eq!(v2.row(0), &[200.0, 201.0, 202.0]);
         // No-embedding records answer None.
-        let i3 = tb.insert(rec_with(3, &["d"]), None);
+        let i3 = tb.insert(&sent_with(3, &["d"]), vec![], None);
         assert!(tb.embedding_view(i3).is_none());
         // Evict hands the stored record back; its rows stay in the arena.
         let out = tb.evict_oldest().unwrap();
@@ -1062,7 +1086,7 @@ mod tests {
     fn clones_share_records_until_written() {
         let mut tb = TweetBase::new();
         for t in 0..3u64 {
-            tb.insert(rec_with(t, &["a", "b"]), None);
+            tb.insert(&sent_with(t, &["a", "b"]), vec![], None);
         }
         let snap = tb.clone();
         let shared =
@@ -1085,8 +1109,8 @@ mod tests {
     #[test]
     fn evict_frees_record_and_postings() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["cold", "shared"]), None);
-        tb.insert(rec_with(2, &["hot", "shared"]), None);
+        tb.insert(&sent_with(1, &["cold", "shared"]), vec![], None);
+        tb.insert(&sent_with(2, &["hot", "shared"]), vec![], None);
         let evicted = tb.evict_oldest().expect("slot 0 live");
         assert_eq!(evicted.sentence.id, SentenceId::new(1, 0));
         assert_eq!(tb.len(), 1);
@@ -1109,7 +1133,7 @@ mod tests {
     fn eviction_preserves_live_iteration_and_indices() {
         let mut tb = TweetBase::new();
         for t in 0..5u64 {
-            tb.insert(rec_with(t, &["tok"]), None);
+            tb.insert(&sent_with(t, &["tok"]), vec![], None);
         }
         tb.evict_oldest();
         tb.evict_oldest();
@@ -1125,10 +1149,10 @@ mod tests {
     #[test]
     fn reinserting_an_evicted_id_appends_fresh() {
         let mut tb = TweetBase::new();
-        tb.insert(rec_with(1, &["one"]), None);
-        tb.insert(rec_with(2, &["two"]), None);
+        tb.insert(&sent_with(1, &["one"]), vec![], None);
+        tb.insert(&sent_with(2, &["two"]), vec![], None);
         tb.evict_oldest();
-        let i = tb.insert(rec_with(1, &["one", "again"]), None);
+        let i = tb.insert(&sent_with(1, &["one", "again"]), vec![], None);
         assert_eq!(i, 2, "an evicted id re-enters at the stream tail");
         assert_eq!(with_token(&tb, "one"), &[2]);
         assert_postings_consistent(&tb);
@@ -1138,7 +1162,7 @@ mod tests {
     fn compact_shifts_slots_down_by_the_evicted_count() {
         let mut tb = TweetBase::new();
         for t in 0..6u64 {
-            tb.insert(rec_with(t, &["tok", &format!("w{t}")]), None);
+            tb.insert(&sent_with(t, &["tok", &format!("w{t}")]), vec![], None);
         }
         for _ in 0..3 {
             tb.evict_oldest();
@@ -1167,7 +1191,8 @@ mod tests {
         let mut tb = TweetBase::new();
         for t in 0..8u64 {
             tb.insert(
-                rec_with(t, &["some", "reasonably", "long", "sentence", "tokens"]),
+                &sent_with(t, &["some", "reasonably", "long", "sentence", "tokens"]),
+                vec![],
                 None,
             );
         }
@@ -1191,9 +1216,13 @@ mod tests {
     fn checkpoints_hold_records_and_load_rebuilds_the_indexes() {
         let mut tb = TweetBase::new();
         for t in 0..7u64 {
-            tb.insert(rec_with(t, &["tok", &format!("w{}", t % 3), "tok"]), None);
+            tb.insert(
+                &sent_with(t, &["tok", &format!("w{}", t % 3), "tok"]),
+                vec![],
+                None,
+            );
         }
-        tb.insert(rec_with(2, &["again"]), None);
+        tb.insert(&sent_with(2, &["again"]), vec![], None);
         tb.evict_oldest();
         tb.evict_oldest();
         let json = serde_json::to_string(&tb).unwrap();
@@ -1217,6 +1246,37 @@ mod tests {
     }
 
     #[test]
+    fn records_keep_shapes_not_text_and_older_records_derive_them() {
+        let mut tb = TweetBase::new();
+        let tokens = ["Italy", "reports", "COVID", "iPhone", "#19", "Straße"];
+        tb.insert(&sent_with(1, &tokens), vec![Span::new(0, 1)], None);
+        let r = tb.get_by_index(0);
+        assert_eq!(r.sentence, Cased::of(&sent_with(1, &tokens)));
+        assert!(r.sentence.casing_informative());
+        let json = serde_json::to_string(&tb).unwrap();
+        assert!(json.contains(r#""shapes":"ILUMNI""#), "{json}");
+        assert!(
+            !json.contains("Straße\"") && !json.contains("tokens"),
+            "{json}"
+        );
+        assert_eq!(reload(&tb).get_by_index(0).sentence, r.sentence);
+        // Up to v7 a record stored its sentence's text.
+        let text = serde_json::to_string(&sent_with(1, &tokens)).unwrap();
+        let old = json.replace(
+            r#"{"id":{"tweet_id":1,"sent_id":0},"shapes":"ILUMNI"}"#,
+            &text,
+        );
+        assert_ne!(old, json);
+        let back: TweetBase = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.get_by_index(0).sentence, r.sentence);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // A uniformly cased sentence's bit survives the round trip too.
+        tb.insert(&sent_with(2, &["ALL", "CAPS", "HERE"]), vec![], None);
+        assert!(!tb.get_by_index(1).sentence.casing_informative());
+        assert!(!reload(&tb).get_by_index(1).sentence.casing_informative());
+    }
+
+    #[test]
     fn decoding_reads_leading_nulls_and_rejects_malformed_stores() {
         let tb: TweetBase = serde_json::from_str(
             r#"{"slots":[null,null,{"sentence":{"id":{"tweet_id":5,"sent_id":0},"tokens":[]},
@@ -1227,7 +1287,7 @@ mod tests {
         .unwrap();
         assert_eq!((tb.first_slot(), tb.n_slots()), (2, 3));
         assert_eq!(tb.index_of(SentenceId::new(5, 0)), Some(2));
-        let record = r#"{"sentence":{"id":{"tweet_id":5,"sent_id":0},"tokens":[]},
+        let record = r#"{"sentence":{"id":{"tweet_id":5,"sent_id":0},"shapes":""},
             "local_spans":[],"global_mentions":[],"retired":[],"tok_syms":[],"emb":null}"#;
         let decode = |slots: String| {
             serde_json::from_str::<TweetBase>(&format!(
@@ -1244,10 +1304,30 @@ mod tests {
         assert!(twice.to_string().contains("stored twice"), "{twice}");
         let unknown = decode(format!(
             "[{}]",
-            record.replace("\"tok_syms\":[]", "\"tok_syms\":[0]")
+            record
+                .replace("\"tok_syms\":[]", "\"tok_syms\":[0]")
+                .replace(r#""shapes":"""#, r#""shapes":"L""#)
         ))
         .unwrap_err();
         assert!(unknown.to_string().contains("interner lacks"), "{unknown}");
+        let uneven = decode(format!(
+            "[{}]",
+            record.replace(r#""shapes":"""#, r#""shapes":"L""#)
+        ))
+        .unwrap_err();
+        assert!(
+            uneven.to_string().contains("1 shapes for 0 symbols"),
+            "{uneven}"
+        );
+        let letter = decode(format!(
+            "[{}]",
+            record.replace(r#""shapes":"""#, r#""shapes":"x""#)
+        ))
+        .unwrap_err();
+        assert!(
+            letter.to_string().contains("unknown token shape"),
+            "{letter}"
+        );
         let far = serde_json::from_str::<TweetBase>(&format!(
             r#"{{"slots":[{record}],"first":4294967295,"interner":[],"emb_arena":[],"emb_dead":0,"evicted_total":0}}"#
         ))
@@ -1294,12 +1374,13 @@ mod tests {
 
     mod props {
         use super::*;
+        use emd_text::casing::{syntactic_class, SyntacticClass};
         use proptest::prelude::*;
 
         #[derive(Debug, Clone)]
         enum Op {
-            /// Insert tweet `id` with tokens drawn from a small vocabulary
-            /// (a re-delivered id replaces its record).
+            /// Insert tweet `id` with tokens drawn from a small vocabulary,
+            /// in two casings (a re-delivered id replaces its record).
             Insert(u64, Vec<usize>),
             /// Evict the oldest live record.
             Evict,
@@ -1324,10 +1405,133 @@ mod tests {
                 })
         }
 
+        /// The syntactic class as it was computed from a sentence's text
+        /// before records stored their profiles, kept verbatim as the
+        /// oracle for the stored profile.
+        fn reference_uninformative(sentence: &Sentence) -> bool {
+            let mut shapes = Vec::new();
+            for t in sentence.texts() {
+                let sh = CapShape::of(t);
+                if sh != CapShape::NonAlpha {
+                    shapes.push(sh);
+                }
+            }
+            if shapes.len() < 2 {
+                return false;
+            }
+            shapes.iter().all(|s| *s == CapShape::AllLower)
+                || shapes.iter().all(|s| *s == CapShape::AllUpper)
+                || shapes
+                    .iter()
+                    .all(|s| *s == CapShape::Init || *s == CapShape::AllUpper)
+        }
+
+        fn reference_class(sentence: &Sentence, span: &Span) -> SyntacticClass {
+            if reference_uninformative(sentence) {
+                return SyntacticClass::NonDiscriminative;
+            }
+            let shapes: Vec<CapShape> = (span.start..span.end)
+                .map(|i| CapShape::of(&sentence.tokens[i].text))
+                .collect();
+            let alpha: Vec<CapShape> = shapes
+                .iter()
+                .copied()
+                .filter(|s| *s != CapShape::NonAlpha)
+                .collect();
+            if alpha.is_empty() {
+                return SyntacticClass::NonDiscriminative;
+            }
+            if alpha.iter().all(|s| *s == CapShape::AllUpper) {
+                return SyntacticClass::FullCapitalization;
+            }
+            if alpha.iter().all(|s| *s == CapShape::AllLower) {
+                return SyntacticClass::NoCapitalization;
+            }
+            let all_capitalized = alpha
+                .iter()
+                .all(|s| matches!(s, CapShape::Init | CapShape::AllUpper | CapShape::Mixed));
+            if all_capitalized {
+                if span.len() == 1 && span.start == 0 {
+                    return SyntacticClass::StartOfSentenceCap;
+                }
+                return SyntacticClass::ProperCapitalization;
+            }
+            SyntacticClass::SubstringCapitalization
+        }
+
+        /// Words of every shape: mixed case, Unicode case (`ß` has no
+        /// one-letter uppercase, `ǆ` has a titlecase form), and tokens
+        /// with no letters at all.
+        const WORDS: &[&str] = &[
+            "italy",
+            "iPhone",
+            "McDonald",
+            "straße",
+            "ÉCOLE",
+            "σίσυφος",
+            "ǆemal",
+            "#covid",
+            "@UN",
+            "4g",
+            "x",
+            "I",
+            "123",
+            "!!!",
+            "😀",
+            "日本",
+        ];
+
+        /// `word` recased: 0 lower, 1 upper, 2 title, 3 as written.
+        fn recase(word: &str, casing: u8) -> String {
+            match casing {
+                0 => word.to_lowercase(),
+                1 => word.to_uppercase(),
+                2 => {
+                    let mut chars = word.chars();
+                    let first = chars.next().map(|c| c.to_uppercase().collect::<String>());
+                    first.unwrap_or_default() + &chars.as_str().to_lowercase()
+                }
+                _ => word.to_string(),
+            }
+        }
+
         proptest! {
+            /// For random sentences, uniformly cased or not, the class of
+            /// every span read from the record's stored profile, before
+            /// and after a checkpoint round trip, equals the class the
+            /// text gives, computed as it was before profiles were stored.
+            #[test]
+            fn stored_profile_classifies_every_span_as_the_text_did(
+                style in 0u8..5,
+                words in proptest::collection::vec((0usize..WORDS.len(), 0u8..4), 1..9),
+            ) {
+                let tokens: Vec<String> = words
+                    .iter()
+                    .map(|&(w, casing)| recase(WORDS[w], if style < 3 { style } else { casing }))
+                    .collect();
+                let sentence = Sentence::from_tokens(SentenceId::new(1, 0), tokens);
+                let mut tb = TweetBase::new();
+                tb.insert(&sentence, vec![], None);
+                let back = reload(&tb);
+                let n = sentence.len();
+                for rec in [tb.get_by_index(0), back.get_by_index(0)] {
+                    prop_assert_eq!(&rec.sentence, &Cased::of(&sentence));
+                    prop_assert_eq!(rec.sentence.casing_informative(), !reference_uninformative(&sentence));
+                    for start in 0..n {
+                        for end in start + 1..=n {
+                            let span = Span::new(start, end);
+                            let want = reference_class(&sentence, &span);
+                            prop_assert_eq!(syntactic_class(&rec.sentence, &span), want);
+                            prop_assert_eq!(syntactic_class(&sentence, &span), want);
+                        }
+                    }
+                }
+            }
+
             /// Long random insert / re-delivered id / evict / compact /
             /// reload sequences move regions, slide them and compact the
             /// arena, and both indexes stay sound, complete and laid out.
+            /// A reload keeps every record's casing profile.
             #[test]
             fn postings_stay_two_sided_consistent(
                 ops in proptest::collection::vec(op(), 200..600),
@@ -1336,10 +1540,12 @@ mod tests {
                 for op in ops {
                     match op {
                         Op::Insert(id, toks) => {
-                            let toks: Vec<String> =
-                                toks.iter().map(|t| format!("t{t}")).collect();
+                            let toks: Vec<String> = toks
+                                .iter()
+                                .map(|t| format!("{}{t}", if t % 3 == 0 { 'T' } else { 't' }))
+                                .collect();
                             let toks: Vec<&str> = toks.iter().map(String::as_str).collect();
-                            tb.insert(rec_with(id, &toks), None);
+                            tb.insert(&sent_with(id, &toks), vec![], None);
                         }
                         Op::Evict => {
                             tb.evict_oldest();
@@ -1347,7 +1553,11 @@ mod tests {
                         Op::Compact => {
                             tb.compact();
                         }
-                        Op::Reload => tb = reload(&tb),
+                        Op::Reload => {
+                            let back = reload(&tb);
+                            prop_assert!(tb.iter().map(|r| &r.sentence).eq(back.iter().map(|r| &r.sentence)));
+                            tb = back;
+                        }
                     }
                     prop_assert!(tb.check_postings().is_ok(), "{:?}", tb.check_postings());
                     assert_ids_indexed(&tb);

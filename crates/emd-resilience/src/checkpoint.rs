@@ -3,24 +3,28 @@
 //! Format (one header line, then the payload):
 //!
 //! ```text
-//! EMDCKPT v7 seq=<n> crc=<16 hex digits>\n
+//! EMDCKPT v8 seq=<n> crc=<16 hex digits>\n
 //! <payload JSON>\n
 //! ```
 //!
-//! * `v7` — the [`FORMAT_VERSION`]. The sentence store holds its live
+//! * `v8` — the [`FORMAT_VERSION`]. The sentence store holds its live
 //!   records and `first`, the slot index of the oldest (the records
 //!   evicted since its last compaction), but neither of its indexes: the
 //!   sentence-id index and the token posting lists are rebuilt from the
-//!   records at load. Candidates are named by integer ids:
+//!   records at load. A record holds its tokens' symbols and their
+//!   casing shapes, one letter per token in one string, not their text.
+//!   Candidates are named by integer ids:
 //!   a record's slot in `candidates.records` (`null` for a pruned id,
 //!   listed in `candidates.free`), spelled by its `syms`, held by its
 //!   CTrie terminal's `cand`, and paired in the `adjacency` ledger as
 //!   `[left, right, count]` triples in id order.
-//! * v6, v5, v4 and v3 files are still read ([`OLDEST_READABLE_VERSION`]):
-//!   the payload's decoder (for the pipeline state, `GlobalizerState`'s)
-//!   converts their schema. Up to v6 the sentence store kept a `null`
-//!   slot per evicted record, which the decoder reads as `first`, and
-//!   stored both indexes, which it ignores. v5 named candidates by key,
+//! * v7, v6, v5, v4 and v3 files are still read
+//!   ([`OLDEST_READABLE_VERSION`]): the payload's decoder (for the
+//!   pipeline state, `GlobalizerState`'s) converts their schema. Up to v7
+//!   a record stored its sentence's tokens, text and offsets, from which
+//!   the decoder derives the shapes. Up to v6 the sentence store kept a
+//!   `null` slot per evicted record, which the decoder reads as `first`,
+//!   and stored both indexes, which it ignores. v5 named candidates by key,
 //!   their lower-cased, space-joined surface; v4 also kept only evicted
 //!   records' pairs (`frozen_adjacency`), to which the decoder adds the
 //!   live records' pairs; v3 candidates listed every mention, and one
@@ -64,7 +68,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &str = "EMDCKPT";
 
 /// Current checkpoint format version (the one [`save`] writes).
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Oldest format version [`load`] accepts. Versions in between are
 /// handed to the payload's decoder, which migrates their schema.
@@ -362,7 +366,7 @@ mod tests {
         save(&path, 7, &payload()).unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            "EMDCKPT v7 seq=7 crc=fed5dcb25e995d92\n\
+            "EMDCKPT v8 seq=7 crc=fed5dcb25e995d92\n\
              {\"items\":[\"italy\",\"andy beshear\"],\"weight\":0.125,\"n\":42}\n"
         );
         std::fs::remove_file(&path).unwrap();
@@ -418,7 +422,7 @@ mod tests {
         assert!(json.len() >= 4 << 20, "{} bytes", json.len());
         save(&path, 11, &payload).unwrap();
         let want = format!(
-            "EMDCKPT v7 seq=11 crc={:016x}\n{json}\n",
+            "EMDCKPT v8 seq=11 crc={:016x}\n{json}\n",
             fnv1a64(json.as_bytes())
         );
         assert!(
@@ -441,7 +445,7 @@ mod tests {
             partial.len() > serde::ser::CHUNK,
             "chunks reached the temp file before the failure"
         );
-        assert!(partial.starts_with(b"EMDCKPT v7 seq=12 crc=0000000000000000\n"));
+        assert!(partial.starts_with(b"EMDCKPT v8 seq=12 crc=0000000000000000\n"));
         std::fs::remove_file(&temps[0]).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
@@ -480,7 +484,7 @@ mod tests {
     #[test]
     fn stale_older_version_checkpoints_rejected() {
         // The v1 payload schema predates bounded-memory state, and v2
-        // predates the SoA-arena schema; reading either into a v7 build
+        // predates the SoA-arena schema; reading either into a v8 build
         // must fail loudly, not misinterpret fields.
         for stale in [1u32, 2] {
             let path = temp(&format!("stale{stale}"));

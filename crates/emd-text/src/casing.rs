@@ -9,9 +9,16 @@
 //!   its sentence*. For non-deep Local EMD systems these six classes are the
 //!   entire local candidate embedding (a 6-dimensional one-hot that is then
 //!   pooled over all mentions of the candidate).
+//!
+//! A class depends only on the tokens' shapes and on whether the
+//! sentence's casing is informative, so [`syntactic_class`] reads any
+//! [`CasingProfile`]: a [`Sentence`], which derives both from its text,
+//! or a [`Cased`] profile, which stores them (the sentence store keeps
+//! one per record instead of the text).
 
-use crate::token::{Sentence, Span};
-use serde::{Deserialize, Serialize};
+use crate::token::{Sentence, SentenceId, Span};
+use serde::value::Value;
+use serde::{ser, DeError, Deserialize, Serialize};
 
 /// Orthographic shape of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -128,59 +135,190 @@ impl SyntacticClass {
     }
 }
 
+/// What [`syntactic_class`] reads of a sentence: each token's
+/// [`CapShape`], and whether the sentence's casing is informative at all.
+/// A [`Sentence`] derives both from its text on every call; a [`Cased`]
+/// profile stores them.
+pub trait CasingProfile {
+    /// Shape of token `i`.
+    fn shape(&self, i: usize) -> CapShape;
+    /// False when the sentence is uniformly cased (see
+    /// [`sentence_casing_uninformative`]), so no mention's casing carries
+    /// a signal.
+    fn casing_informative(&self) -> bool;
+}
+
+impl CasingProfile for Sentence {
+    fn shape(&self, i: usize) -> CapShape {
+        CapShape::of(&self.tokens[i].text)
+    }
+
+    fn casing_informative(&self) -> bool {
+        !sentence_casing_uninformative(self)
+    }
+}
+
+/// A sentence's casing without its text: its id, one [`CapShape`] per
+/// token, and the casing bit, computed once from the shapes. This is
+/// what a stored sentence keeps for [`syntactic_class`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cased {
+    /// Stream-level identifier of the sentence.
+    pub id: SentenceId,
+    shapes: Box<[CapShape]>,
+    informative: bool,
+}
+
+impl Cased {
+    /// Profile built from `shapes`, deriving the casing bit.
+    pub fn new(id: SentenceId, shapes: Vec<CapShape>) -> Cased {
+        let informative = !shapes_uninformative(shapes.iter().copied());
+        Cased {
+            id,
+            shapes: shapes.into_boxed_slice(),
+            informative,
+        }
+    }
+
+    /// The profile of `sentence`.
+    pub fn of(sentence: &Sentence) -> Cased {
+        Cased::new(sentence.id, sentence.texts().map(CapShape::of).collect())
+    }
+
+    /// Shape of each token, in order.
+    pub fn shapes(&self) -> &[CapShape] {
+        &self.shapes
+    }
+}
+
+impl CasingProfile for Cased {
+    #[inline]
+    fn shape(&self, i: usize) -> CapShape {
+        self.shapes[i]
+    }
+
+    #[inline]
+    fn casing_informative(&self) -> bool {
+        self.informative
+    }
+}
+
+/// The letter a checkpoint writes for each shape, in [`CapShape::index`]
+/// order: the shape's initial (`U`pper and `L`ower for the `All` ones).
+const SHAPE_LETTERS: [(CapShape, char); CapShape::COUNT] = [
+    (CapShape::Init, 'I'),
+    (CapShape::AllUpper, 'U'),
+    (CapShape::AllLower, 'L'),
+    (CapShape::Mixed, 'M'),
+    (CapShape::NonAlpha, 'N'),
+];
+
+/// Encoded as `{"id":..,"shapes":"<one letter per token>"}`; the casing
+/// bit is derived from the shapes at decode. A stored sentence from
+/// before profiles (`{"id":..,"tokens":[..]}`) decodes to its profile.
+impl Serialize for Cased {
+    fn write_json(&self, out: &mut ser::Out<'_>) {
+        out.push_str("{\"id\":");
+        self.id.write_json(out);
+        out.push_str(",\"shapes\":\"");
+        for s in self.shapes.iter() {
+            out.push(SHAPE_LETTERS[s.index()].1);
+        }
+        out.push_str("\"}");
+    }
+}
+
+impl Deserialize for Cased {
+    fn from_value(v: &Value) -> Result<Cased, DeError> {
+        let Some(shapes) = v.get_field("shapes") else {
+            return Sentence::from_value(v).map(|s| Cased::of(&s));
+        };
+        let id = match v.get_field("id") {
+            Some(id) => SentenceId::from_value(id)?,
+            None => return Err(DeError::msg("missing field `id` in `Cased`")),
+        };
+        let letters = shapes
+            .as_str()
+            .ok_or_else(|| DeError::msg("`shapes` is not a string"))?;
+        let shapes = letters
+            .chars()
+            .map(|c| match SHAPE_LETTERS.iter().find(|&&(_, l)| l == c) {
+                Some(&(shape, _)) => Ok(shape),
+                None => Err(DeError::msg(format!("unknown token shape {c:?}"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Cased::new(id, shapes))
+    }
+}
+
+/// Are these shapes (one per token) a uniformly cased sentence? True when
+/// there are at least two alphabetic tokens and they are all lowercase,
+/// or all title-cased or uppercase (all uppercase included). One pass,
+/// no allocation.
+fn shapes_uninformative(shapes: impl IntoIterator<Item = CapShape>) -> bool {
+    let mut n_alpha = 0usize;
+    let mut all_lower = true;
+    let mut all_title = true;
+    for sh in shapes {
+        match sh {
+            CapShape::NonAlpha => continue,
+            CapShape::AllLower => all_title = false,
+            CapShape::Init | CapShape::AllUpper => all_lower = false,
+            CapShape::Mixed => {
+                all_lower = false;
+                all_title = false;
+            }
+        }
+        n_alpha += 1;
+    }
+    // Single-word (or empty) sentences cannot establish a convention.
+    n_alpha >= 2 && (all_lower || all_title)
+}
+
 /// Is the sentence's casing uninformative? True when every alphabetic token
 /// shares the same shape: all lowercase, all uppercase, or all title-cased
 /// (first char capitalized on every word).
 pub fn sentence_casing_uninformative(sentence: &Sentence) -> bool {
-    let mut shapes = Vec::new();
-    for t in sentence.texts() {
-        let sh = CapShape::of(t);
-        if sh != CapShape::NonAlpha {
-            shapes.push(sh);
-        }
-    }
-    if shapes.len() < 2 {
-        // Single-word (or empty) sentences cannot establish a convention.
-        return false;
-    }
-    shapes.iter().all(|s| *s == CapShape::AllLower)
-        || shapes.iter().all(|s| *s == CapShape::AllUpper)
-        || shapes
-            .iter()
-            .all(|s| *s == CapShape::Init || *s == CapShape::AllUpper)
+    shapes_uninformative(sentence.texts().map(CapShape::of))
 }
 
 /// Classify the syntactic context of a candidate mention `span` within
-/// `sentence` into one of the six classes of §V-B1.
-pub fn syntactic_class(sentence: &Sentence, span: &Span) -> SyntacticClass {
-    debug_assert!(span.end <= sentence.len());
-    if sentence_casing_uninformative(sentence) {
+/// `sentence` into one of the six classes of §V-B1. One pass over the
+/// span's shapes, no allocation.
+pub fn syntactic_class<P: CasingProfile + ?Sized>(sentence: &P, span: &Span) -> SyntacticClass {
+    if !sentence.casing_informative() {
         return SyntacticClass::NonDiscriminative;
     }
-    let shapes: Vec<CapShape> = (span.start..span.end)
-        .map(|i| CapShape::of(&sentence.tokens[i].text))
-        .collect();
-    let alpha: Vec<CapShape> = shapes
-        .iter()
-        .copied()
-        .filter(|s| *s != CapShape::NonAlpha)
-        .collect();
-    if alpha.is_empty() {
+    let mut any_alpha = false;
+    let mut all_upper = true;
+    let mut all_lower = true;
+    let mut all_capitalized = true;
+    for i in span.start..span.end {
+        match sentence.shape(i) {
+            CapShape::NonAlpha => continue,
+            CapShape::AllUpper => all_lower = false,
+            CapShape::AllLower => {
+                all_upper = false;
+                all_capitalized = false;
+            }
+            CapShape::Init | CapShape::Mixed => {
+                all_upper = false;
+                all_lower = false;
+            }
+        }
+        any_alpha = true;
+    }
+    if !any_alpha {
         return SyntacticClass::NonDiscriminative;
     }
-    let all_upper = alpha.iter().all(|s| *s == CapShape::AllUpper);
     // Multi-char full caps = abbreviation-style. Single letters like "I"
     // also land here; acceptable.
     if all_upper {
         return SyntacticClass::FullCapitalization;
     }
-    let all_lower = alpha.iter().all(|s| *s == CapShape::AllLower);
     if all_lower {
         return SyntacticClass::NoCapitalization;
     }
-    let all_capitalized = alpha
-        .iter()
-        .all(|s| matches!(s, CapShape::Init | CapShape::AllUpper | CapShape::Mixed));
     if all_capitalized {
         if span.len() == 1 && span.start == 0 {
             return SyntacticClass::StartOfSentenceCap;
@@ -194,7 +332,6 @@ pub fn syntactic_class(sentence: &Sentence, span: &Span) -> SyntacticClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::SentenceId;
 
     fn sent(words: &[&str]) -> Sentence {
         Sentence::from_tokens(SentenceId::new(0, 0), words.iter().copied())

@@ -69,12 +69,13 @@ impl Interner {
     }
 
     /// Intern the case-folded form of `s` (exactly `s.to_lowercase()`).
-    /// Allocation-free when `s` is already folded ASCII and known.
+    /// Allocation-free when the folded form is known and `s` is ASCII
+    /// (see [`Interner::lookup_folded`]).
     pub fn intern_folded(&mut self, s: &str) -> Sym {
+        if let Some(sym) = self.lookup_folded(s) {
+            return sym;
+        }
         if is_folded_ascii(s) {
-            if let Some(&sym) = self.map.get(s) {
-                return sym;
-            }
             return self.intern(s);
         }
         self.intern(&s.to_lowercase())

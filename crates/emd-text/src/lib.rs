@@ -33,7 +33,7 @@ pub mod token;
 pub mod tokenizer;
 pub mod vocab;
 
-pub use casing::{CapShape, SyntacticClass};
+pub use casing::{CapShape, Cased, SyntacticClass};
 pub use intern::{Interner, Sym};
 pub use token::{AnnotatedSentence, Bio, Dataset, Sentence, SentenceId, Span, Token};
 pub use tokenizer::tokenize;

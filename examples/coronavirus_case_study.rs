@@ -81,13 +81,15 @@ fn main() {
     let mut shown = 0;
     for (sid, spans) in &output.per_sentence {
         let rec = state.tweetbase.get(*sid).unwrap();
+        // The store keeps symbols, not text: spell mentions from the input.
+        let sentence = sentences.iter().find(|s| s.id == *sid).unwrap();
         let recovered: Vec<String> = spans
             .iter()
             .filter(|sp| !rec.local_spans.contains(sp))
-            .map(|sp| sp.surface(&rec.sentence))
+            .map(|sp| sp.surface(sentence))
             .collect();
         if !recovered.is_empty() && shown < 8 {
-            println!("tweet {:>3}: {}", sid.tweet_id, rec.sentence.joined());
+            println!("tweet {:>3}: {}", sid.tweet_id, sentence.joined());
             println!("          local EMD missed, framework recovered: {recovered:?}\n");
             shown += 1;
         }

@@ -59,7 +59,7 @@ fn main() {
 
     // 5. Run: batches stream through `process_batch`, `finalize` closes
     //    (rescan + adjacent-fragment promotion + γ resolution).
-    let (output, state) = globalizer.run(&sentences, 2);
+    let (output, _) = globalizer.run(&sentences, 2);
 
     println!("candidates discovered : {}", output.n_candidates);
     println!("accepted as entities  : {}", output.n_entities);
@@ -67,7 +67,8 @@ fn main() {
     println!("rescanned at close    : {}", output.n_rescanned);
     println!();
     for (sid, spans) in &output.per_sentence {
-        let sent = &state.tweetbase.get(*sid).unwrap().sentence;
+        // The store keeps symbols, not text: spell mentions from the input.
+        let sent = sentences.iter().find(|s| s.id == *sid).unwrap();
         let mentions: Vec<String> = spans.iter().map(|sp| sp.surface(sent)).collect();
         println!(
             "tweet {:>2}: {:<55} -> {:?}",

@@ -4,11 +4,17 @@
 //! stream, with no adjacent mentions, or the adjacent stream, whose
 //! `Moross Lumsa` and `Straße Italy` fragments fill the adjacency ledger.
 //!
-//! * `tests/fixtures/windowed_adjacent_v7.ckpt` is in the current format,
-//!   v7, whose sentence store holds its live records but neither of its
-//!   indexes. The build must restore it, rebuilding both indexes,
-//!   re-encode the restored state to the same bytes, and continue the
-//!   run from it with output bit-identical to an uninterrupted run.
+//! * `tests/fixtures/windowed_adjacent_v8.ckpt` is in the current format,
+//!   v8, whose sentence store holds its live records but neither of its
+//!   indexes, and whose records hold their tokens' symbols and casing
+//!   shapes but not their text. The build must restore it, rebuilding
+//!   both indexes, re-encode the restored state to the same bytes, and
+//!   continue the run from it with output bit-identical to an
+//!   uninterrupted run.
+//! * `tests/fixtures/windowed_adjacent_v7.ckpt` was written in format v7,
+//!   whose records also stored their sentence's text. The build must
+//!   derive from it the casing profiles a fresh ingest gives, and
+//!   continue from it bit-identically.
 //! * `tests/fixtures/windowed_adjacent_v6.ckpt` was written in format
 //!   v6, which also stored the sentence-id index and the posting lists.
 //!   The build must restore it without reading them, and continue from it
@@ -67,6 +73,10 @@ const ADJACENT_V6: &str = concat!(
 const ADJACENT_V7: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/windowed_adjacent_v7.ckpt"
+);
+const ADJACENT_V8: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/windowed_adjacent_v8.ckpt"
 );
 const LATE_V6: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -204,6 +214,16 @@ fn assert_same_pools(a: &GlobalizerState, b: &GlobalizerState) {
     assert_eq!(a.adjacency(), b.adjacency());
 }
 
+/// Every live record holds the same symbols and the same casing profile
+/// (the shape of every token and the casing bit).
+fn assert_same_profiles(a: &GlobalizerState, b: &GlobalizerState) {
+    assert_eq!(a.tweetbase.len(), b.tweetbase.len());
+    for (x, y) in a.tweetbase.iter().zip(b.tweetbase.iter()) {
+        assert_eq!(x.sentence, y.sentence);
+        assert_eq!(x.tok_syms, y.tok_syms);
+    }
+}
+
 /// Both rebuilt indexes hold: the posting lists pass
 /// `check_postings`, and every live record's id maps to its slot.
 fn assert_indexes_rebuilt(state: &GlobalizerState) {
@@ -326,8 +346,11 @@ fn golden_v3_checkpoint_restores_and_continues_bit_identically() {
     assert_eq!(state.tweetbase.n_slots(), state.tweetbase.len());
 
     // The migrated counters (mention lists plus evicted counts) equal the
-    // ones the uninterrupted run holds after the same 6 batches.
-    assert_same_pools(&state, &uninterrupted(&lexicon(), stream));
+    // ones the uninterrupted run holds after the same 6 batches, and so
+    // do the casing profiles derived from the stored text.
+    let fresh = uninterrupted(&lexicon(), stream);
+    assert_same_pools(&state, &fresh);
+    assert_same_profiles(&state, &fresh);
     assert!(
         state
             .candidates
@@ -450,11 +473,39 @@ fn golden_v6_checkpoint_restores_resaves_and_continues_bit_identically() {
 
 #[test]
 fn golden_v7_checkpoint_restores_resaves_and_continues_bit_identically() {
-    assert_eq!(FORMAT_VERSION, 7);
     let bytes = std::fs::read_to_string(ADJACENT_V7).unwrap();
     let (header, payload) = bytes.split_once('\n').unwrap();
     assert!(
         header.starts_with(&format!("{MAGIC} v7 seq=6 ")),
+        "{header}"
+    );
+    assert!(payload.contains(r#""tokens":[{"text":"Moross","#));
+
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V7)).unwrap();
+    assert_eq!(seq, 6);
+    assert!(state.n_evicted() > 0, "the window evicted before the save");
+    let (_, v6): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V6)).unwrap();
+    assert_same_pools(&state, &v6);
+    let fresh = uninterrupted(&adjacent_lexicon(), adjacent_stream);
+    assert_same_pools(&state, &fresh);
+    // The shapes and casing bits derived from the stored text are the
+    // ones ingest computes.
+    assert_same_profiles(&state, &fresh);
+    assert_indexes_rebuilt(&state);
+
+    let dir = scratch("v7");
+    assert_resaves_current(&dir, seq, &state);
+    continue_from(ADJACENT_V7, &dir, &adjacent_lexicon(), adjacent_stream);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn golden_v8_checkpoint_restores_resaves_and_continues_bit_identically() {
+    assert_eq!(FORMAT_VERSION, 8);
+    let bytes = std::fs::read_to_string(ADJACENT_V8).unwrap();
+    let (header, payload) = bytes.split_once('\n').unwrap();
+    assert!(
+        header.starts_with(&format!("{MAGIC} v8 seq=6 ")),
         "{header}"
     );
     for gone in [
@@ -463,25 +514,34 @@ fn golden_v7_checkpoint_restores_resaves_and_continues_bit_identically() {
         "\"live\"",
         "\"evict_cursor\"",
         "\"token_embeddings\"",
+        "\"tokens\"",
+        "\"text\"",
     ] {
-        assert!(!payload.contains(gone), "{gone} in the v7 fixture");
+        assert!(!payload.contains(gone), "{gone} in the v8 fixture");
     }
+    assert!(
+        payload.contains(r#""shapes":"IIL""#),
+        "one letter per token"
+    );
 
-    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V7)).unwrap();
+    let (seq, state): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V8)).unwrap();
     assert_eq!(seq, 6);
     assert!(state.n_evicted() > 0, "the window evicted before the save");
-    let (_, v6): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V6)).unwrap();
-    assert_same_pools(&state, &v6);
-    assert_same_pools(&state, &uninterrupted(&adjacent_lexicon(), adjacent_stream));
+    let (_, v7): (u64, GlobalizerState) = checkpoint::load(Path::new(ADJACENT_V7)).unwrap();
+    assert_same_pools(&state, &v7);
+    assert_same_profiles(&state, &v7);
+    let fresh = uninterrupted(&adjacent_lexicon(), adjacent_stream);
+    assert_same_pools(&state, &fresh);
+    assert_same_profiles(&state, &fresh);
     assert_indexes_rebuilt(&state);
 
-    // Saving the restored state writes the same bytes: no field of a v7
+    // Saving the restored state writes the same bytes: no field of a v8
     // payload depends on hash order while nothing is quarantined.
-    let dir = scratch("v7");
+    let dir = scratch("v8");
     let (header2, payload2) = resave(&dir, seq, &state);
     assert_eq!((header2.as_str(), payload2.as_str()), (header, payload));
 
-    continue_from(ADJACENT_V7, &dir, &adjacent_lexicon(), adjacent_stream);
+    continue_from(ADJACENT_V8, &dir, &adjacent_lexicon(), adjacent_stream);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -218,7 +218,8 @@ fn live_counts(state: &GlobalizerState) -> HashMap<String, (usize, usize)> {
         pooled.sort_unstable();
         pooled.dedup();
         for sp in pooled {
-            let c = counts.entry(sp.surface_lower(&rec.sentence)).or_default();
+            let surface = state.tweetbase.interner().join(rec.syms_of(&sp));
+            let c = counts.entry(surface).or_default();
             c.0 += 1;
             c.1 += usize::from(rec.local_spans.contains(&sp));
         }

@@ -12,18 +12,22 @@
 //!
 //! - cloning a full 1k-sentence window of 12-token sentences makes fewer
 //!   allocations than a quarter of the window's tokens (a deep copy makes
-//!   one or more per token: each token's text is its own `String`);
+//!   several per record: each holds its own symbol, shape and span lists);
 //! - the candidate store's clone makes as many allocations at 5,000
 //!   candidates as at 100;
+//! - a record keeps its sentence's symbols and casing shapes, not its
+//!   text, so ingesting a batch over a warm vocabulary makes as many
+//!   allocations with 32-token sentences as with 8-token ones;
 //! - the whole state's clone makes as many allocations at a 4k window as
 //!   at a 1k window, with four times the vocabulary and candidates;
 //! - at production scale (`#[ignore]`, run by `ci.sh` with `--ignored`),
 //!   the churn-window shape's 20k-window clone makes as many allocations
 //!   as a 1k-window one, its posting index is consistent both ways, the
-//!   uncompacted state saves and loads back to the same slots, indexes
-//!   and checkpoint text, and a trial batch processed on a clone and
-//!   discarded leaves the original's checkpoint text and indexes
-//!   unchanged.
+//!   uncompacted state saves and loads back to the same slots, indexes,
+//!   per-record casing profiles (the input sentences' token shapes and
+//!   casing bits) and checkpoint text, and a trial batch processed on a
+//!   clone and discarded leaves the original's checkpoint text and
+//!   indexes unchanged.
 //!
 //! The batch after a clone copies each shared record it writes. A
 //! candidate present in every sentence is written by every batch, so its
@@ -35,15 +39,17 @@ use emd_globalizer::core::candidatebase::CandidateBase;
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::globalizer::GlobalizerState;
 use emd_globalizer::core::local::{LexiconEmd, LocalEmd};
+use emd_globalizer::core::tweetbase::TweetBase;
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig};
 use emd_globalizer::local::np_chunker::NpChunker;
 use emd_globalizer::nn::param::Net;
 use emd_globalizer::resilience::checkpoint;
 use emd_globalizer::synth::{gen_churn_stream, NoiseConfig, World, WorldConfig};
-use emd_globalizer::text::casing::SyntacticClass;
-use emd_globalizer::text::token::{Sentence, SentenceId};
+use emd_globalizer::text::casing::{Cased, SyntacticClass};
+use emd_globalizer::text::token::{Sentence, SentenceId, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 
 /// System allocator wrapper that counts the allocation calls of threads
 /// that opted in, each into its own counter, so tests running on other
@@ -194,6 +200,41 @@ fn candidate_store_clone_allocates_the_same_at_any_size() {
     assert_eq!(
         at_small, at_large,
         "cloning 100 candidates made {at_small} allocations, 5,000 made {at_large}"
+    );
+}
+
+/// Allocations made inserting 64 sentences of `len` tokens into a store
+/// whose vocabulary (capitalised words included) and scratch space are
+/// warm. Every sentence holds each of the 8 words, so the posting lists
+/// take the same entries at any length.
+fn ingest_allocs(len: usize) -> usize {
+    const WORDS: [&str; 8] = [
+        "Italy", "reports", "COVID", "cases", "in", "Rome", "iPhone", "today",
+    ];
+    let sentence = |i: usize, len: usize| {
+        Sentence::from_tokens(
+            SentenceId::new(i as u64, 0),
+            (0..len).map(|j| WORDS[(i + j) % WORDS.len()]),
+        )
+    };
+    let mut tb = TweetBase::new();
+    tb.insert(&sentence(1_000, 32), vec![], None);
+    let batch: Vec<Sentence> = (0..64).map(|i| sentence(i, len)).collect();
+    let ((), allocs) = count_allocs(|| {
+        for s in &batch {
+            tb.insert(s, vec![Span::new(0, 1)], None);
+        }
+    });
+    assert_eq!(tb.len(), 65);
+    allocs
+}
+
+#[test]
+fn ingest_allocates_per_sentence_not_per_token() {
+    let (short, long) = (ingest_allocs(8), ingest_allocs(32));
+    assert_eq!(
+        short, long,
+        "ingesting 64 sentences made {short} allocations at 8 tokens, {long} at 32"
     );
 }
 
@@ -401,6 +442,17 @@ fn churn_window_scale_snapshot_is_flat_and_isolated() {
     let (_, loaded): (u64, GlobalizerState) = checkpoint::load(&saved).unwrap();
     assert_eq!(loaded.tweetbase.n_slots(), state.tweetbase.n_slots());
     assert_indexes_hold(&loaded, &state, "after a save and load");
+    // Records keep each token's shape and the casing bit, not the text:
+    // the loaded ones equal the saved ones, and both the input's.
+    let input: HashMap<SentenceId, &Sentence> = warm.iter().map(|s| (s.id, s)).collect();
+    assert_eq!(loaded.tweetbase.len(), state.tweetbase.len());
+    for (x, y) in loaded.tweetbase.iter().zip(state.tweetbase.iter()) {
+        assert_eq!(
+            x.sentence, y.sentence,
+            "casing profile after a save and load"
+        );
+        assert_eq!(y.sentence, Cased::of(input[&y.sentence.id]));
+    }
     checkpoint::save(&resaved, 47, &loaded).unwrap();
     assert!(
         std::fs::read(&saved).unwrap() == std::fs::read(&resaved).unwrap(),

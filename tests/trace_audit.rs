@@ -726,7 +726,7 @@ impl PairRecount {
         for rec in state.tweetbase.iter() {
             for w in rec.global_mentions.windows(2) {
                 if w[0].end == w[1].start {
-                    let key = |i: usize| w[i].surface_lower(&rec.sentence);
+                    let key = |i: usize| state.tweetbase.interner().join(rec.syms_of(&w[i]));
                     *pairs.entry((key(0), key(1))).or_default() += 1;
                 }
             }
