@@ -11,10 +11,10 @@
 //!   pooled over all mentions of the candidate).
 //!
 //! A class depends only on the tokens' shapes and on whether the
-//! sentence's casing is informative, so [`syntactic_class`] reads any
-//! [`CasingProfile`]: a [`Sentence`], which derives both from its text,
-//! or a [`Cased`] profile, which stores them (the sentence store keeps
-//! one per record instead of the text).
+//! sentence's casing is informative, so [`syntactic_class`] reads a
+//! [`Cased`] profile, which stores both (the sentence store keeps one per
+//! record instead of the text; [`Cased::of`] derives one from a
+//! [`Sentence`]).
 
 use crate::token::{Sentence, SentenceId, Span};
 use serde::value::Value;
@@ -135,29 +135,6 @@ impl SyntacticClass {
     }
 }
 
-/// What [`syntactic_class`] reads of a sentence: each token's
-/// [`CapShape`], and whether the sentence's casing is informative at all.
-/// A [`Sentence`] derives both from its text on every call; a [`Cased`]
-/// profile stores them.
-pub trait CasingProfile {
-    /// Shape of token `i`.
-    fn shape(&self, i: usize) -> CapShape;
-    /// False when the sentence is uniformly cased (see
-    /// [`sentence_casing_uninformative`]), so no mention's casing carries
-    /// a signal.
-    fn casing_informative(&self) -> bool;
-}
-
-impl CasingProfile for Sentence {
-    fn shape(&self, i: usize) -> CapShape {
-        CapShape::of(&self.tokens[i].text)
-    }
-
-    fn casing_informative(&self) -> bool {
-        !sentence_casing_uninformative(self)
-    }
-}
-
 /// A sentence's casing without its text: its id, one [`CapShape`] per
 /// token, and the casing bit, computed once from the shapes. This is
 /// what a stored sentence keeps for [`syntactic_class`].
@@ -189,16 +166,11 @@ impl Cased {
     pub fn shapes(&self) -> &[CapShape] {
         &self.shapes
     }
-}
 
-impl CasingProfile for Cased {
-    #[inline]
-    fn shape(&self, i: usize) -> CapShape {
-        self.shapes[i]
-    }
-
-    #[inline]
-    fn casing_informative(&self) -> bool {
+    /// False when the sentence is uniformly cased (see
+    /// [`sentence_casing_uninformative`]), so no mention's casing carries
+    /// a signal.
+    pub fn casing_informative(&self) -> bool {
         self.informative
     }
 }
@@ -285,16 +257,16 @@ pub fn sentence_casing_uninformative(sentence: &Sentence) -> bool {
 /// Classify the syntactic context of a candidate mention `span` within
 /// `sentence` into one of the six classes of §V-B1. One pass over the
 /// span's shapes, no allocation.
-pub fn syntactic_class<P: CasingProfile + ?Sized>(sentence: &P, span: &Span) -> SyntacticClass {
-    if !sentence.casing_informative() {
+pub fn syntactic_class(sentence: &Cased, span: &Span) -> SyntacticClass {
+    if !sentence.informative {
         return SyntacticClass::NonDiscriminative;
     }
     let mut any_alpha = false;
     let mut all_upper = true;
     let mut all_lower = true;
     let mut all_capitalized = true;
-    for i in span.start..span.end {
-        match sentence.shape(i) {
+    for &shape in &sentence.shapes[span.start..span.end] {
+        match shape {
             CapShape::NonAlpha => continue,
             CapShape::AllUpper => all_lower = false,
             CapShape::AllLower => {
@@ -353,11 +325,11 @@ mod tests {
     fn proper_capitalization() {
         let s = sent(&["Trump", "to", "rank", "US", "counties"]);
         assert_eq!(
-            syntactic_class(&s, &Span::new(0, 1)),
+            syntactic_class(&Cased::of(&s), &Span::new(0, 1)),
             SyntacticClass::StartOfSentenceCap // unigram at sentence start
         );
         assert_eq!(
-            syntactic_class(&s, &Span::new(3, 4)),
+            syntactic_class(&Cased::of(&s), &Span::new(3, 4)),
             SyntacticClass::FullCapitalization
         );
     }
@@ -366,7 +338,7 @@ mod tests {
     fn proper_cap_multi_token() {
         let s = sent(&["Andy", "Beshear", "says", "things"]);
         assert_eq!(
-            syntactic_class(&s, &Span::new(0, 2)),
+            syntactic_class(&Cased::of(&s), &Span::new(0, 2)),
             SyntacticClass::ProperCapitalization
         );
     }
@@ -375,7 +347,7 @@ mod tests {
     fn proper_cap_mid_sentence() {
         let s = sent(&["the", "governor", "Beshear", "spoke"]);
         assert_eq!(
-            syntactic_class(&s, &Span::new(2, 3)),
+            syntactic_class(&Cased::of(&s), &Span::new(2, 3)),
             SyntacticClass::ProperCapitalization
         );
     }
@@ -384,7 +356,7 @@ mod tests {
     fn substring_capitalization() {
         let s = sent(&["watch", "Andy", "beshear", "tonight"]);
         assert_eq!(
-            syntactic_class(&s, &Span::new(1, 3)),
+            syntactic_class(&Cased::of(&s), &Span::new(1, 3)),
             SyntacticClass::SubstringCapitalization
         );
     }
@@ -393,7 +365,7 @@ mod tests {
     fn no_capitalization() {
         let s = sent(&["the", "coronavirus", "Spreads", "fast"]);
         assert_eq!(
-            syntactic_class(&s, &Span::new(1, 2)),
+            syntactic_class(&Cased::of(&s), &Span::new(1, 2)),
             SyntacticClass::NoCapitalization
         );
     }
@@ -410,7 +382,7 @@ mod tests {
             "CASES",
         ]);
         assert_eq!(
-            syntactic_class(&s, &Span::new(3, 4)),
+            syntactic_class(&Cased::of(&s), &Span::new(3, 4)),
             SyntacticClass::NonDiscriminative
         );
         assert!(sentence_casing_uninformative(&s));
@@ -421,7 +393,7 @@ mod tests {
         let s = sent(&["italy", "is", "rising", "fast"]);
         assert!(sentence_casing_uninformative(&s));
         assert_eq!(
-            syntactic_class(&s, &Span::new(0, 1)),
+            syntactic_class(&Cased::of(&s), &Span::new(0, 1)),
             SyntacticClass::NonDiscriminative
         );
     }
@@ -437,7 +409,7 @@ mod tests {
         let s = sent(&["Canada", "is", "rising", "at", "a", "rate"]);
         assert!(!sentence_casing_uninformative(&s));
         assert_eq!(
-            syntactic_class(&s, &Span::new(0, 1)),
+            syntactic_class(&Cased::of(&s), &Span::new(0, 1)),
             SyntacticClass::StartOfSentenceCap
         );
     }

@@ -49,6 +49,20 @@ fn is_folded_ascii(s: &str) -> bool {
     s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase())
 }
 
+/// `s` lowercased into `buf`, when `s` is ASCII and fits; `None` sends the
+/// caller to the allocating `to_lowercase`.
+#[inline]
+fn fold_ascii_in<'b>(s: &str, buf: &'b mut [u8; 64]) -> Option<&'b str> {
+    let bytes = s.as_bytes();
+    if !s.is_ascii() || bytes.len() > buf.len() {
+        return None;
+    }
+    for (dst, &b) in buf.iter_mut().zip(bytes) {
+        *dst = b.to_ascii_lowercase();
+    }
+    Some(std::str::from_utf8(&buf[..bytes.len()]).expect("ascii"))
+}
+
 impl Interner {
     /// An empty interner.
     pub fn new() -> Interner {
@@ -69,38 +83,30 @@ impl Interner {
     }
 
     /// Intern the case-folded form of `s` (exactly `s.to_lowercase()`).
-    /// Allocation-free when the folded form is known and `s` is ASCII
-    /// (see [`Interner::lookup_folded`]).
+    /// Folds `s` once; allocation-free when the folded form is known and
+    /// `s` is ASCII of at most 64 bytes.
     pub fn intern_folded(&mut self, s: &str) -> Sym {
-        if let Some(sym) = self.lookup_folded(s) {
-            return sym;
-        }
         if is_folded_ascii(s) {
             return self.intern(s);
         }
-        self.intern(&s.to_lowercase())
+        let mut buf = [0u8; 64];
+        match fold_ascii_in(s, &mut buf) {
+            Some(folded) => self.intern(folded),
+            None => self.intern(&s.to_lowercase()),
+        }
     }
 
     /// Look up the symbol of the case-folded form of `s`, without
-    /// interning. Allocation-free for ASCII input.
+    /// interning. Allocation-free for ASCII input of at most 64 bytes.
     pub fn lookup_folded(&self, s: &str) -> Option<Sym> {
         if is_folded_ascii(s) {
             return self.map.get(s).copied();
         }
-        if s.is_ascii() {
-            // ASCII with uppercase: fold into a small stack buffer when it
-            // fits, else fall through to the allocating path.
-            let bytes = s.as_bytes();
-            if bytes.len() <= 64 {
-                let mut buf = [0u8; 64];
-                for (dst, &b) in buf.iter_mut().zip(bytes) {
-                    *dst = b.to_ascii_lowercase();
-                }
-                let folded = std::str::from_utf8(&buf[..bytes.len()]).expect("ascii");
-                return self.map.get(folded).copied();
-            }
+        let mut buf = [0u8; 64];
+        match fold_ascii_in(s, &mut buf) {
+            Some(folded) => self.map.get(folded).copied(),
+            None => self.map.get(s.to_lowercase().as_str()).copied(),
         }
-        self.map.get(s.to_lowercase().as_str()).copied()
     }
 
     /// The string a symbol stands for.

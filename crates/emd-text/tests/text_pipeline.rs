@@ -3,7 +3,7 @@
 //! module alone).
 
 use emd_text::bpe::Bpe;
-use emd_text::casing::{sentence_casing_uninformative, syntactic_class, SyntacticClass};
+use emd_text::casing::{sentence_casing_uninformative, syntactic_class, Cased, SyntacticClass};
 use emd_text::normalize::normalize_token;
 use emd_text::pos::{tag_sentence, PosTag};
 use emd_text::token::{SentenceId, Span};
@@ -55,7 +55,7 @@ fn case_study_casing_classification() {
     assert!(!sentence_casing_uninformative(&normal));
     // Mention-level class for "Italy" in the shouty tweet.
     let idx = shouty.texts().position(|t| t == "Italy").unwrap();
-    let class = syntactic_class(&shouty, &Span::new(idx, idx + 1));
+    let class = syntactic_class(&Cased::of(&shouty), &Span::new(idx, idx + 1));
     assert!(
         matches!(
             class,

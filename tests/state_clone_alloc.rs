@@ -16,7 +16,8 @@
 //! - the candidate store's clone makes as many allocations at 5,000
 //!   candidates as at 100;
 //! - a record keeps its sentence's symbols and casing shapes, not its
-//!   text, so ingesting a batch over a warm vocabulary makes as many
+//!   text, and span tokens are interned once, so a whole `process_batch`
+//!   over a warm vocabulary, under a non-deep local system, makes as many
 //!   allocations with 32-token sentences as with 8-token ones;
 //! - the whole state's clone makes as many allocations at a 4k window as
 //!   at a 1k window, with four times the vocabulary and candidates;
@@ -38,8 +39,7 @@
 use emd_globalizer::core::candidatebase::CandidateBase;
 use emd_globalizer::core::config::WindowConfig;
 use emd_globalizer::core::globalizer::GlobalizerState;
-use emd_globalizer::core::local::{LexiconEmd, LocalEmd};
-use emd_globalizer::core::tweetbase::TweetBase;
+use emd_globalizer::core::local::{LexiconEmd, LocalEmd, LocalEmdOutput};
 use emd_globalizer::core::{EntityClassifier, Globalizer, GlobalizerConfig};
 use emd_globalizer::local::np_chunker::NpChunker;
 use emd_globalizer::nn::param::Net;
@@ -203,38 +203,65 @@ fn candidate_store_clone_allocates_the_same_at_any_size() {
     );
 }
 
-/// Allocations made inserting 64 sentences of `len` tokens into a store
-/// whose vocabulary (capitalised words included) and scratch space are
-/// warm. Every sentence holds each of the 8 words, so the posting lists
-/// take the same entries at any length.
-fn ingest_allocs(len: usize) -> usize {
-    const WORDS: [&str; 8] = [
-        "Italy", "reports", "COVID", "cases", "in", "Rome", "iPhone", "today",
-    ];
-    let sentence = |i: usize, len: usize| {
-        Sentence::from_tokens(
-            SentenceId::new(i as u64, 0),
-            (0..len).map(|j| WORDS[(i + j) % WORDS.len()]),
-        )
-    };
-    let mut tb = TweetBase::new();
-    tb.insert(&sentence(1_000, 32), vec![], None);
-    let batch: Vec<Sentence> = (0..64).map(|i| sentence(i, len)).collect();
-    let ((), allocs) = count_allocs(|| {
-        for s in &batch {
-            tb.insert(s, vec![Span::new(0, 1)], None);
+/// A non-deep local system that proposes tokens 0 and 2 of every
+/// sentence, allocating only the span list.
+struct FirstAndThird;
+
+impl LocalEmd for FirstAndThird {
+    fn name(&self) -> &str {
+        "first-and-third"
+    }
+
+    fn embedding_dim(&self) -> Option<usize> {
+        None
+    }
+
+    fn process(&self, _: &Sentence) -> LocalEmdOutput {
+        LocalEmdOutput {
+            spans: vec![Span::new(0, 1), Span::new(2, 3)],
+            token_embeddings: None,
         }
-    });
-    assert_eq!(tb.len(), 65);
+    }
+}
+
+/// Allocations one `process_batch` of 64 sentences of `len` tokens makes,
+/// run on one thread after a warm-up batch has interned every word,
+/// registered every candidate and grown the scratch space. A sentence
+/// holds the 4 candidate words once each (in rotation, capitalised words
+/// included) and then the 4 filler words no candidate contains, repeated
+/// to length, so every length yields the same distinct symbols, mentions,
+/// local embeddings and pooling.
+fn batch_allocs(len: usize) -> usize {
+    const WORDS: [&str; 4] = ["Italy", "COVID", "iPhone", "today"];
+    const FILLER: [&str; 4] = ["the", "and", "of", "a"];
+    let sentence = |i: usize, len: usize| {
+        let words = (0..WORDS.len()).map(|j| WORDS[(i + j) % WORDS.len()]);
+        let filler = (0..len - WORDS.len()).map(|j| FILLER[(i + j) % FILLER.len()]);
+        Sentence::from_tokens(SentenceId::new(i as u64, 0), words.chain(filler))
+    };
+    let local = FirstAndThird;
+    let clf = accept_all(7);
+    let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+    let mut state = g.new_state();
+    let warm: Vec<Sentence> = (1_000..1_064).map(|i| sentence(i, 32)).collect();
+    g.process_batch_parallel(&mut state, &warm, 1);
+    assert_eq!(state.candidates.len(), WORDS.len());
+    let batch: Vec<Sentence> = (0..64).map(|i| sentence(i, len)).collect();
+    let ((), allocs) = count_allocs(|| g.process_batch_parallel(&mut state, &batch, 1));
+    assert_eq!(state.tweetbase.len(), 128);
+    assert_eq!(state.candidates.len(), WORDS.len(), "no new candidate");
     allocs
 }
 
+/// A record keeps its sentence's symbols and casing shapes, not its
+/// text, and trie registration reads a span's symbols off its record, so
+/// a batch over a warm vocabulary allocates per sentence, not per token.
 #[test]
-fn ingest_allocates_per_sentence_not_per_token() {
-    let (short, long) = (ingest_allocs(8), ingest_allocs(32));
+fn batch_allocates_per_sentence_not_per_token() {
+    let (short, long) = (batch_allocs(8), batch_allocs(32));
     assert_eq!(
         short, long,
-        "ingesting 64 sentences made {short} allocations at 8 tokens, {long} at 32"
+        "a batch of 64 sentences made {short} allocations at 8 tokens, {long} at 32"
     );
 }
 
