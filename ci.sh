@@ -91,10 +91,12 @@ grep -qE '^emd(;[a-z_]+)+ [0-9]+$' results/flame.txt
 ! grep -vqE '^emd(;[a-z_]+)+ [0-9]+$' results/flame.txt
 
 echo "== bench smoke =="
-# Reduced-size pipeline benchmark; emits the machine-readable report
-# (per-phase throughput, latency quantiles, tracing on/off events/sec)
-# and asserts the tracing overhead stays under the ceiling documented in
-# DESIGN.md. Phases that never ran are omitted from the report.
+# Reduced-size pipeline report. The bench is a plain `main` that runs
+# only the report passes (no timing groups before them): it emits the
+# machine-readable report (per-phase throughput, latency quantiles,
+# tracing on/off events/sec) and asserts the tracing overhead stays
+# under the ceiling documented in DESIGN.md. Phases that never ran are
+# omitted from the report.
 BENCH_SMOKE=1 cargo bench -p emd-bench --bench pipeline > /dev/null
 test -s results/BENCH_pipeline.json
 # The smoke report stays in results/ (bench_gate reads it there). The

@@ -1,34 +1,35 @@
-//! End-to-end pipeline timing — the claim behind Table III's "Execution
-//! Time" columns and Figure 6's component stack: running the full
-//! framework costs only slightly more than Local EMD alone.
+//! End-to-end pipeline report — the machine-readable throughput record
+//! behind the CI bench smoke and `bench_gate`.
 //!
-//! Besides the Criterion groups, every run writes a machine-readable
-//! report to `results/BENCH_pipeline.json`: per-phase throughput (from
-//! `PhaseTimings`), latency quantiles (from the `emd-obs` histograms),
-//! and the tracing overhead (wall clock and events/sec with the
-//! `emd-trace` ring on vs off).
+//! Every run writes `results/BENCH_pipeline.json`: per-phase throughput
+//! (from `PhaseTimings`), latency quantiles (from the `emd-obs`
+//! histograms), and the tracing overhead (wall clock and events/sec with
+//! the `emd-trace` ring on vs off), and asserts that overhead stays under
+//! its documented ceiling. Per-component timings (Table III's "Execution
+//! Time") come from `emd-experiments --bin table3` and perfbench's
+//! per-layer rows, not from here.
 //!
-//! Set `BENCH_SMOKE=1` for the CI smoke mode: a reduced stream and tiny
-//! sample counts (skipping the expensive CRF variants), still emitting
-//! the full JSON report.
-//!
-//! The report stream differs by mode: smoke measures a 40-sentence slice
-//! of the D2-analog corpus (fast enough for every CI run), while full
-//! mode measures a **one-million-sentence** `emd-synth` churn stream
-//! under a sliding window — the committed repo-root baseline. The two are
-//! never comparable; the gate (`bench_gate`) matches entries by `mode`
-//! and stream length.
+//! Set `BENCH_SMOKE=1` for the CI smoke mode: a 40-sentence slice of the
+//! D2-analog corpus (fast enough for every CI run). Full mode measures a
+//! **one-million-sentence** `emd-synth` churn stream under a sliding
+//! window — the committed repo-root baseline. The two are never
+//! comparable; the gate (`bench_gate`) matches entries by `mode` and
+//! stream length.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use emd_bench::{bench_stream, chunker_variant, sentences_of, trained_crf_variant, SEED};
-use emd_core::config::{Ablation, WindowConfig};
-use emd_core::local::LocalEmd;
-use emd_core::{Globalizer, GlobalizerConfig};
+use emd_core::config::WindowConfig;
+use emd_core::{EntityClassifier, Globalizer, GlobalizerConfig};
+use emd_local::np_chunker::NpChunker;
+use emd_synth::datasets::standard_datasets;
+use emd_synth::entities::World;
 use emd_synth::longhorizon::gen_churn_stream;
 use emd_synth::noise::NoiseConfig;
+use emd_text::token::{Dataset, Sentence};
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Seed of the report streams and the accept-all classifier.
+const SEED: u64 = 99;
 
 /// Full-mode report stream length (one million sentences).
 const FULL_STREAM_LEN: usize = 1_000_000;
@@ -36,6 +37,27 @@ const FULL_STREAM_LEN: usize = 1_000_000;
 const FULL_WINDOW: usize = 20_000;
 /// Full-mode batch size.
 const FULL_BATCH: usize = 512;
+
+/// The D2-analog stream at 5% scale, and the world it was drawn from.
+fn bench_stream() -> (Dataset, World) {
+    let suite = standard_datasets(SEED, 0.05);
+    let world = suite.world.clone();
+    (suite.datasets.into_iter().nth(1).unwrap(), world)
+}
+
+/// Sentences of a dataset.
+fn sentences_of(d: &Dataset) -> Vec<Sentence> {
+    d.sentences.iter().map(|a| a.sentence.clone()).collect()
+}
+
+/// An untrained NP chunker + accept-all classifier: the report isolates
+/// the global phase from model quality.
+fn chunker_variant() -> (NpChunker, EntityClassifier) {
+    use emd_nn::param::Net;
+    let mut clf = EntityClassifier::new(7, SEED);
+    clf.params_mut().into_iter().last().unwrap().value.data[0] = 10.0;
+    (NpChunker::new(), clf)
+}
 
 /// Per-phase cumulative time and derived throughput for one pipeline run.
 #[derive(Serialize)]
@@ -230,92 +252,14 @@ fn emit_report(slice: &[emd_text::token::Sentence], batch: usize, smoke: bool, w
     assert!(run_total_ns > 0, "phase timings must be recorded");
 }
 
-fn bench_pipeline(c: &mut Criterion) {
+fn main() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
     let (d2, world) = bench_stream();
-    let sents = sentences_of(&d2);
-    let take = if smoke { 40 } else { 100 };
-    let slice: Vec<_> = sents.iter().take(take).cloned().collect();
-
-    let (chunker, accept_all) = chunker_variant();
-    let crf_pair = (!smoke).then(trained_crf_variant);
-
-    let mut group = c.benchmark_group("pipeline_100_sentences");
+    // Smoke measures a tiny slice of the corpus; full mode measures the
+    // windowed pipeline end-to-end on a one-million-sentence churn stream
+    // (realistic long-run vocabulary turnover).
     if smoke {
-        group.sample_size(10);
-        group.measurement_time(Duration::from_millis(100));
-    } else {
-        group.sample_size(20);
-    }
-
-    if let Some((crf, crf_clf)) = &crf_pair {
-        // Local EMD alone (the paper's baseline time).
-        group.bench_function("crf_local_only", |b| {
-            b.iter(|| {
-                for s in &slice {
-                    black_box(crf.process(s));
-                }
-            })
-        });
-
-        // Figure-6 component stack.
-        for (label, ablation) in [
-            ("crf_ablation_local", Ablation::LocalOnly),
-            (
-                "crf_ablation_mention_extraction",
-                Ablation::MentionExtraction,
-            ),
-            ("crf_full_framework", Ablation::Full),
-        ] {
-            let g = Globalizer::new(
-                crf,
-                None,
-                crf_clf,
-                GlobalizerConfig {
-                    ablation,
-                    ..Default::default()
-                },
-            );
-            group.bench_function(label, |b| b.iter(|| black_box(g.run(&slice, 512))));
-        }
-
-        // Incremental batching: same work in batches of 10 (stream mode).
-        group.bench_function("crf_full_framework_batched_10", |b| {
-            let g = Globalizer::new(crf, None, crf_clf, GlobalizerConfig::default());
-            b.iter(|| black_box(g.run(&slice, 10)))
-        });
-    }
-
-    // Chunker variant isolates framework overhead from model cost.
-    let g = Globalizer::new(&chunker, None, &accept_all, GlobalizerConfig::default());
-    group.bench_function("chunker_full_framework", |b| {
-        b.iter(|| black_box(g.run(&slice, 512)))
-    });
-
-    group.finish();
-
-    if let Some((crf, crf_clf)) = &crf_pair {
-        // One instrumented CRF pass (outside the timed groups): per-phase
-        // latency quantiles, for eyeballing where the overhead lives.
-        emd_obs::set_enabled(true);
-        let g = Globalizer::new(crf, None, crf_clf, GlobalizerConfig::default());
-        g.run(&slice, 10);
-        println!("instrumented pass (batched 10):");
-        for h in g.metrics().snapshot().histograms {
-            if h.count > 0 {
-                println!(
-                    "  {:<32} n={:<5} p50={:>10.0}ns p99={:>10.0}ns max={:>10}ns",
-                    h.name, h.count, h.p50, h.p99, h.max
-                );
-            }
-        }
-        emd_obs::set_enabled(false);
-    }
-
-    // Machine-readable report. Smoke reuses the tiny slice above; full
-    // mode measures the windowed pipeline end-to-end on a one-million-
-    // sentence churn stream (realistic long-run vocabulary turnover).
-    if smoke {
+        let slice: Vec<_> = sentences_of(&d2).into_iter().take(40).collect();
         emit_report(&slice, 10, smoke, 0);
     } else {
         let churn = gen_churn_stream(
@@ -331,6 +275,3 @@ fn bench_pipeline(c: &mut Criterion) {
         emit_report(&stream, FULL_BATCH, smoke, FULL_WINDOW);
     }
 }
-
-criterion_group!(benches, bench_pipeline);
-criterion_main!(benches);

@@ -42,8 +42,7 @@ pub struct CandidateRecord {
     pub syms: Vec<Sym>,
     /// Whether [`CandidateRecord::add_mention`] retains the individual
     /// per-mention embeddings (needed for max pooling and training
-    /// harvests; released in windowed mean-pooling mode, where only the
-    /// running sum is consulted).
+    /// harvests; mean pooling consults only the running sum).
     store_local: bool,
     /// Running sum of local candidate embeddings.
     emb_sum: Vec<f32>,
@@ -100,7 +99,7 @@ impl CandidateRecord {
     }
 
     /// The retained per-mention local embeddings as `dim`-wide rows, in
-    /// pooling order (empty in windowed mean-pooling mode).
+    /// pooling order (empty unless the store retains them).
     pub fn local_rows(&self) -> impl ExactSizeIterator<Item = &[f32]> {
         self.local_flat.chunks_exact(self.emb_sum.len().max(1))
     }
@@ -211,9 +210,9 @@ impl CandidateBase {
     }
 
     /// Control whether new records retain individual per-mention
-    /// embeddings (on by default). Windowed mean-pooling pipelines turn
-    /// this off: only the running sum is ever consulted there, and the
-    /// per-mention list would grow with stream length, not window size.
+    /// embeddings (on by default). Mean-pooling pipelines turn this off:
+    /// only the running sum is ever consulted there, and the per-mention
+    /// rows would grow with stream length, not window size.
     pub fn set_store_local(&mut self, on: bool) {
         self.store_local = on;
     }

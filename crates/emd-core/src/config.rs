@@ -26,41 +26,25 @@ pub enum Pooling {
 }
 
 /// Bounded-memory streaming policy: a sliding window over the sentence
-/// store plus frequency-decay pruning of the candidate pool. Disabled by
-/// default (`max_sentences: 0`), preserving the unbounded semantics every
-/// offline experiment uses; 24/7 deployments set a window so resident
-/// state tracks the live window instead of the whole stream (the paper's
-/// Figure 7 shows old low-frequency candidates stop contributing to
-/// global-embedding quality — the license to forget them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// store. Disabled by default (`max_sentences: 0`), preserving the
+/// unbounded semantics every offline experiment uses; 24/7 deployments set
+/// a window so resident state tracks the live window instead of the whole
+/// stream. A windowed run also prunes cold candidates after each eviction
+/// (see `Globalizer::prune_candidates`; the paper's Figure 7 shows old
+/// low-frequency candidates stop contributing to global-embedding quality
+/// — the license to forget them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowConfig {
     /// Maximum live sentences retained; the oldest records beyond this are
     /// evicted (record, posting-list entries, and token embeddings) after
     /// every batch. `0` disables windowing entirely.
     pub max_sentences: usize,
-    /// Frequency-decay candidate pruning: a candidate is dropped — with
-    /// its CTrie path — once *all* of its mentions have been evicted, it
-    /// holds no Entity verdict, and its mention frequency is at most this
-    /// value. `0` disables pruning. Ignored unless `max_sentences > 0`.
-    pub prune_max_frequency: usize,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        WindowConfig {
-            max_sentences: 0,
-            prune_max_frequency: 2,
-        }
-    }
 }
 
 impl WindowConfig {
-    /// A sliding window of `max_sentences` with the default pruning knobs.
+    /// A sliding window of `max_sentences`.
     pub fn sliding(max_sentences: usize) -> WindowConfig {
-        WindowConfig {
-            max_sentences,
-            ..Default::default()
-        }
+        WindowConfig { max_sentences }
     }
 
     /// Is windowed eviction enabled?
@@ -146,7 +130,6 @@ mod tests {
         let w = WindowConfig::sliding(1000);
         assert!(w.enabled());
         assert_eq!(w.max_sentences, 1000);
-        assert_eq!(w.prune_max_frequency, 2);
         assert!(!WindowConfig::default().enabled());
     }
 }

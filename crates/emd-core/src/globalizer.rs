@@ -47,7 +47,7 @@
 use crate::adjacency::AdjacencyLedger;
 use crate::candidatebase::{CandId, CandidateBase, CandidateRecord};
 use crate::classifier::{CandidateLabel, EntityClassifier};
-use crate::config::{Ablation, GlobalizerConfig};
+use crate::config::{Ablation, GlobalizerConfig, Pooling};
 use crate::ctrie::{CTrie, NodeId};
 use crate::dirtyset::DirtySet;
 use crate::local::LocalEmd;
@@ -907,14 +907,12 @@ impl<'a> Globalizer<'a> {
     /// Fresh pipeline state.
     pub fn new_state(&self) -> GlobalizerState {
         let mut candidates = CandidateBase::new(self.candidate_dim());
-        // Windowed mean pooling never reads the per-mention embedding
-        // list (only the running sum), so skip storing it — it is the one
-        // candidate-side structure that grows with stream length instead
-        // of window size. Max pooling still needs the list and therefore
-        // stays unbounded (documented in DESIGN.md).
-        if self.config.window.enabled() && self.config.pooling == crate::config::Pooling::Mean {
-            candidates.set_store_local(false);
-        }
+        // Mean pooling reads only the running sum, so the per-mention
+        // embedding rows — the one candidate-side structure that grows
+        // with stream length instead of window size — are stored for max
+        // pooling alone (and for the training harvest, see
+        // `index_stream`).
+        candidates.set_store_local(self.config.pooling == Pooling::Max);
         GlobalizerState {
             tweetbase: TweetBase::new(),
             ctrie: CTrie::new(),
@@ -1867,7 +1865,7 @@ impl<'a> Globalizer<'a> {
                 evicted: excess as u64,
                 ..BatchObservation::default()
             });
-            self.prune_candidates(state, w.prune_max_frequency);
+            self.prune_candidates(state);
             // Amortized O(1): compacting costs O(live) and only runs once
             // evicted slots outnumber live records.
             if state.tweetbase.first_slot() > state.tweetbase.len() {
@@ -1893,23 +1891,23 @@ impl<'a> Globalizer<'a> {
         self.finish(probe, &mut state.timings);
     }
 
+    /// Highest mention frequency at which a cold candidate is pruned.
+    /// Below the default `promotion_support` of 3, so a fragment with
+    /// enough adjacency evidence to promote is never pruned.
+    const PRUNE_MAX_FREQUENCY: usize = 2;
+
     /// Frequency-decay candidate pruning: drop candidates — and their
     /// CTrie paths — that can no longer matter. A candidate is prunable
     /// only when no live record contains its first token (so neither a
     /// pending rescan nor emission can involve it), it holds no Entity
-    /// verdict, and its mention frequency is at most `max_freq`. At the
-    /// default thresholds (`prune_max_frequency: 2 < promotion_support:
-    /// 3`) a fragment with enough adjacency evidence to promote is never
-    /// pruned. A pruned candidate's id is freed and its adjacent pairs
-    /// leave the ledger.
-    fn prune_candidates(&self, state: &mut GlobalizerState, max_freq: usize) {
-        if max_freq == 0 {
-            return;
-        }
+    /// verdict, and its mention frequency is at most
+    /// [`Self::PRUNE_MAX_FREQUENCY`]. A pruned candidate's id is freed and
+    /// its adjacent pairs leave the ledger.
+    fn prune_candidates(&self, state: &mut GlobalizerState) {
         let tweetbase = &state.tweetbase;
         let pruned = state.candidates.prune_retain(|rec| {
             rec.label == CandidateLabel::Entity
-                || rec.frequency() > max_freq
+                || rec.frequency() > Self::PRUNE_MAX_FREQUENCY
                 || rec
                     .syms
                     .first()
@@ -2243,6 +2241,8 @@ pub fn index_stream(
         },
     );
     let mut state = g.new_state();
+    // The harvest trains on up to three singleton rows per candidate.
+    state.candidates.set_store_local(true);
     let threads = machine_threads();
     g.process_batch_parallel(&mut state, sentences, threads);
     // Closing rescan (candidates discovered late may have mentions in

@@ -99,6 +99,50 @@ mod tests {
     }
 
     #[test]
+    fn per_mention_rows_are_stored_for_max_pooling_and_the_harvest_only() {
+        use crate::config::Pooling;
+        use crate::globalizer::Globalizer;
+        let local = LexiconEmd::new(["italy", "the"]);
+        let ds = dataset();
+        let sentences: Vec<_> = ds.sentences.iter().map(|a| a.sentence.clone()).collect();
+        let clf = EntityClassifier::new(7, 0);
+        let rows_and_pooled = |pooling| {
+            let cfg = GlobalizerConfig {
+                pooling,
+                ..Default::default()
+            };
+            let (_, state) = Globalizer::new(&local, None, &clf, cfg).run(&sentences, 512);
+            let counts: Vec<(usize, usize)> = state
+                .candidates
+                .iter()
+                .map(|r| (r.local_rows().len(), r.n_pooled()))
+                .collect();
+            assert!(!counts.is_empty());
+            counts
+        };
+        // The default config is unbounded: mean pooling keeps no rows.
+        assert!(rows_and_pooled(Pooling::Mean)
+            .iter()
+            .all(|&(rows, _)| rows == 0));
+        assert!(rows_and_pooled(Pooling::Max)
+            .iter()
+            .all(|&(rows, pooled)| pooled > 0 && rows == pooled));
+
+        // The harvest still emits a pooled row plus up to three singleton
+        // rows per candidate.
+        let cfg = GlobalizerConfig::default();
+        let state = index_stream(&local, None, &cfg, &sentences);
+        let expected: usize = state
+            .candidates
+            .iter()
+            .map(|r| 1 + r.n_pooled().min(3))
+            .sum();
+        let data = harvest_training_data(&local, None, &cfg, &ds);
+        assert_eq!(data.len(), expected);
+        assert!(data.len() > state.candidates.len());
+    }
+
+    #[test]
     fn empty_local_emd_harvests_nothing() {
         let local = LexiconEmd::new(Vec::<String>::new());
         let data = harvest_training_data(&local, None, &GlobalizerConfig::default(), &dataset());

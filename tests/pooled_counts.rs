@@ -277,7 +277,7 @@ proptest! {
         for ablation in [Ablation::MentionExtraction, Ablation::Full] {
             let g = Globalizer::new(&Chunky, None, &clf, GlobalizerConfig {
                 ablation,
-                window: WindowConfig { max_sentences, ..Default::default() },
+                window: WindowConfig { max_sentences },
                 ..Default::default()
             });
             let mut state = g.new_state();
