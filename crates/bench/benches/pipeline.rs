@@ -103,6 +103,12 @@ struct BenchReport {
     tracing: TracingStat,
 }
 
+/// The middle of an odd number of timings.
+fn median(mut ns: Vec<u64>) -> u64 {
+    ns.sort_unstable();
+    ns[ns.len() / 2]
+}
+
 /// Run the chunker variant instrumented (metrics + trace) and assemble
 /// the JSON report. Uses the cheap deterministic chunker so the report
 /// pass costs the same per sentence in smoke and full mode.
@@ -161,9 +167,15 @@ fn emit_report(slice: &[emd_text::token::Sentence], batch: usize, smoke: bool, w
     // Both arms get one untimed warm-up pass, and the timed passes are
     // interleaved off/on — measuring all off passes first let the off arm
     // absorb every one-time cost (allocator growth, lazy init, cache
-    // fill) and reported a nonsensical *negative* overhead. Best-of-N
-    // per arm keeps a single scheduler hiccup from skewing the ratio.
-    let passes: usize = if smoke { 5 } else { 3 };
+    // fill) and reported a nonsensical *negative* overhead. Each arm
+    // reports its median pass. A smoke pass lasts under a millisecond,
+    // and its first few passes run several times slower than the rest:
+    // on a 2-vCPU VM the best of five per arm read from 0% to 35%
+    // overhead on one build, and the median of 21 from 7% to 34% over
+    // 60 runs. The
+    // median of 101 (about 0.2 s) read 4% to 30% over 60 runs, with
+    // quartiles 19% and 23%.
+    let passes: usize = if smoke { 101 } else { 3 };
     let g_off = Globalizer::new(&chunker, None, &accept_all, config());
     let sink = emd_trace::TraceSink::with_capacity(1 << 18);
     let mut g_on = Globalizer::new(&chunker, None, &accept_all, config());
@@ -189,8 +201,8 @@ fn emit_report(slice: &[emd_text::token::Sentence], batch: usize, smoke: bool, w
         on_ns.push(t0.elapsed().as_nanos() as u64);
     }
     emd_trace::set_enabled(false);
-    let run_ns_tracing_off = off_ns.into_iter().min().unwrap();
-    let run_ns_tracing_on = on_ns.into_iter().min().unwrap();
+    let run_ns_tracing_off = median(off_ns);
+    let run_ns_tracing_on = median(on_ns);
 
     // The warm-up pass was traced too, hence passes + 1.
     let events = sink.events_total() / (passes as u64 + 1);

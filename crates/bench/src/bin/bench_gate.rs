@@ -12,9 +12,9 @@
 //! don't parse and are ignored as baselines.
 //!
 //! Throughput is derived from `tracing.run_ns_tracing_off` — the
-//! best-of-5 untraced wall clock — rather than the single instrumented
-//! pass, so the gate compares the most noise-resistant number the bench
-//! produces. The history line is appended even when the gate fails:
+//! median untraced wall clock (of 101 passes in smoke mode) — rather
+//! than the single instrumented pass, so the gate compares the most
+//! noise-resistant number the bench produces. The history line is appended even when the gate fails:
 //! a regressing run is exactly the run worth keeping a record of.
 //!
 //! Run from CI right after the bench: `cargo run -p emd-bench --bin

@@ -14,25 +14,26 @@
 //! every live record's stored `global_mentions` plus those of every
 //! evicted record at eviction, minus the pairs of pruned candidates.
 //!
-//! Pairs are keyed by [`CandId`]s, so counting is an integer-pair hash
-//! probe and cloning the ledger (the supervisor snapshots the state
-//! before every batch) copies one table. A pair whose count falls to zero
+//! Pairs are keyed by [`CandId`]s, which the program assigns, so counting
+//! is an integer-pair probe under the seeded id hasher
+//! ([`emd_text::idhash`]), and cloning the ledger (the supervisor
+//! snapshots the state before every batch) copies one table. A pair whose count falls to zero
 //! is removed. Readers see the pairs in id order: promotion candidates
 //! and checkpoints are sorted, so no iteration order leaks out.
 
 use crate::candidatebase::CandId;
 use crate::ctrie::CTrie;
 use crate::tweetbase::TweetRecord;
+use emd_text::idhash::IdHashMap;
 use emd_text::token::Span;
 use serde::value::Value;
 use serde::{ser, DeError, Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Adjacent-pair counts keyed by `(left candidate, right candidate)`. See
 /// the module docs for when it changes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdjacencyLedger {
-    counts: HashMap<(CandId, CandId), u64>,
+    counts: IdHashMap<(CandId, CandId), u64>,
 }
 
 /// The `(left, right)` ids of every two consecutive `mentions` where the
@@ -175,6 +176,32 @@ mod tests {
         }
         l.forget(&[1, 4]);
         assert_eq!(l.at_least(1), vec![(2, 0, 1)]);
+    }
+
+    #[test]
+    fn checkpoint_text_does_not_depend_on_the_hasher_seed() {
+        use emd_text::idhash::IdHash;
+        let m = spans(&[(0, 1), (1, 2)]);
+        let build = |seed| {
+            let mut l = AdjacencyLedger {
+                counts: IdHashMap::with_hasher(IdHash::with_seed(seed)),
+            };
+            for a in 0..60u32 {
+                for b in 0..(a % 4) {
+                    l.add(&m, |i| Some([a, b * 7][i]));
+                }
+            }
+            l.remove(&m, |i| Some([5, 0][i]));
+            l.forget(&[3, 14]);
+            l
+        };
+        let (l1, l2) = (build(1), build(2));
+        let order = |l: &AdjacencyLedger| l.counts.keys().copied().collect::<Vec<_>>();
+        assert_ne!(order(&l1), order(&l2), "the seeds order the tables apart");
+        assert_eq!(l1, l2);
+        let json = serde_json::to_string(&l1).unwrap();
+        assert_eq!(json, serde_json::to_string(&l2).unwrap());
+        assert_eq!(serde_json::from_str::<AdjacencyLedger>(&json).unwrap(), l1);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! [`Interner`]: the scan walks the trie with integer compares against
 //! symbols the ingest step already produced. The string-facing entry
 //! points (`insert`/`child`) take the interner and fold through it with
-//! `str::to_lowercase()` semantics.
+//! `str::to_lowercase()` semantics. Node ids and symbols are assigned by
+//! the program, never chosen by the stream, so the edge table hashes
+//! them with the seeded id hasher ([`emd_text::idhash`]) rather than
+//! SipHash; the checkpoint writes edges in key order, so the seed never
+//! reaches its text.
 //!
 //! A terminal is a candidate's one identity: from the first scan that
 //! extracts the candidate until it is pruned, the terminal holds the
@@ -18,10 +22,10 @@
 //! [`crate::candidatebase::CandidateBase`].
 
 use crate::candidatebase::CandId;
+use emd_text::idhash::IdHashMap;
 use emd_text::intern::{Interner, Sym};
 use serde::value::Value;
 use serde::{ser, DeError, Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Node id inside the trie arena. The root is [`CTrie::ROOT`].
 pub type NodeId = u32;
@@ -51,7 +55,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct CTrie {
     nodes: Vec<Node>,
-    edges: HashMap<(NodeId, Sym), NodeId>,
+    edges: IdHashMap<(NodeId, Sym), NodeId>,
     n_candidates: usize,
     /// Arena slots freed by [`CTrie::remove_syms`], reused by later inserts.
     free: Vec<NodeId>,
@@ -71,7 +75,7 @@ impl CTrie {
     pub fn new() -> CTrie {
         CTrie {
             nodes: vec![Node::default()],
-            edges: HashMap::new(),
+            edges: IdHashMap::default(),
             n_candidates: 0,
             free: Vec::new(),
         }
@@ -298,7 +302,7 @@ impl Deserialize for CTrie {
         let t = schema::CTrie::from_value(v)?;
         let too_many = |_| DeError::msg("CTrie too large for u32 node ids");
         let n_nodes = NodeId::try_from(t.nodes.len()).map_err(too_many)?;
-        let mut edges = HashMap::new();
+        let mut edges = IdHashMap::default();
         let mut nodes = Vec::with_capacity(t.nodes.len());
         for (parent, n) in (0..n_nodes).zip(t.nodes) {
             for &(sym, child) in &n.children {
@@ -518,6 +522,37 @@ mod tests {
         // A node that repeats a symbol has no single child for it.
         let twice = json.replace("[[1,2],[2,3]]", "[[1,2],[1,3]]");
         assert!(serde_json::from_str::<CTrie>(&twice).is_err());
+    }
+
+    #[test]
+    fn checkpoint_text_does_not_depend_on_the_hasher_seed() {
+        use emd_text::idhash::IdHash;
+        let build = |seed| {
+            let mut t = CTrie {
+                edges: IdHashMap::with_hasher(IdHash::with_seed(seed)),
+                ..CTrie::new()
+            };
+            for a in 0..40 {
+                for b in 0..(a % 5) {
+                    t.insert_syms(&[a, 100 + b, 200 + a % 3]);
+                }
+                if let Some(node) = t.find(&[a]) {
+                    t.insert_syms(&[a]);
+                    t.set_cand(node, a);
+                }
+            }
+            for a in (0..40).step_by(3) {
+                t.remove_syms(&[a, 100, 200 + a % 3]);
+            }
+            t
+        };
+        let (t1, t2) = (build(1), build(2));
+        let order = |t: &CTrie| t.edges.keys().copied().collect::<Vec<_>>();
+        assert_ne!(order(&t1), order(&t2), "the seeds order the tables apart");
+        let json = serde_json::to_string(&t1).unwrap();
+        assert_eq!(json, serde_json::to_string(&t2).unwrap());
+        let back: CTrie = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -71,7 +71,7 @@ use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Position of the first entry `>= target` in the ascending `list`,
 /// found by doubling out from the front and then bisecting: O(log d) for
@@ -989,17 +989,16 @@ impl<'a> Globalizer<'a> {
         self.quarantine_sentence(state, sid, phase, reason);
         state.quarantined_idx.insert(idx);
         state.dirty.remove(idx);
-        self.uncount_pairs(state, idx);
+        let record = state.tweetbase.get_by_index(idx);
+        self.uncount_pairs(&mut state.adjacency, record, &state.ctrie);
         state.tweetbase.get_mut_by_index(idx).retire_mentions();
     }
 
-    /// Uncount the adjacent pairs of the record in slot `idx` before its
-    /// mentions go. The ledger is left empty while promotion is disabled.
-    fn uncount_pairs(&self, state: &mut GlobalizerState, idx: usize) {
+    /// Uncount the adjacent pairs of `record` before its mentions go. The
+    /// ledger is left empty while promotion is disabled.
+    fn uncount_pairs(&self, ledger: &mut AdjacencyLedger, record: &TweetRecord, ctrie: &CTrie) {
         if self.config.promotion_support > 0 {
-            state
-                .adjacency
-                .remove_record(state.tweetbase.get_by_index(idx), &state.ctrie);
+            ledger.remove_record(record, ctrie);
         }
     }
 
@@ -1209,15 +1208,16 @@ impl<'a> Globalizer<'a> {
                         continue;
                     }
                     n_local_spans += out.spans.len() as u64;
-                    // A re-delivered id replaces its live record, whose
-                    // adjacent pairs leave the ledger with it.
-                    if let Some(old) = state.tweetbase.index_of(sentence.id) {
-                        self.uncount_pairs(state, old);
-                    }
-                    let idx =
+                    let (idx, replaced) =
                         state
                             .tweetbase
                             .insert(sentence, out.spans, out.token_embeddings.as_ref());
+                    // A re-delivered id replaces its live record, whose
+                    // adjacent pairs leave the ledger with it (inserting
+                    // a record does not touch the CTrie that names them).
+                    if let Some(old) = replaced {
+                        self.uncount_pairs(&mut state.adjacency, &old, &state.ctrie);
+                    }
                     state.dirty.insert(idx);
                     let record = state.tweetbase.shared_by_index(idx);
                     if tracing {
@@ -2210,9 +2210,11 @@ impl<'a> Globalizer<'a> {
 }
 
 /// Worker-thread count of the default entry points: the machine's
-/// available parallelism, or one when it cannot be read.
+/// available parallelism, or one when it cannot be read. Read once per
+/// process: each read costs a few system calls (cgroup quota, affinity).
 fn machine_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Build pipeline state *without* classification — used to harvest

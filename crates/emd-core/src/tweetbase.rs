@@ -59,7 +59,11 @@
 //! quarantine set, and the token posting lists all hold slot indices, and
 //! none of them need rewriting when a cold record is dropped. It removes
 //! the record's posting-list entries and frees its symbol, shape and span
-//! storage; its arena rows become dead floats. [`TweetBase::compact`]
+//! storage; its arena rows become dead floats. Ingest appends to a
+//! posting list and eviction pops its front, both without a search (see
+//! [`Postings`]), and an insert probes the id index once. Sentence ids
+//! come from the stream, so the id index keeps std's SipHash
+//! (`RandomState`) against crafted collisions. [`TweetBase::compact`]
 //! shifts every slot index down by `first` (returning the shift for the
 //! caller's slot-keyed sets) and rewrites the arena with live rows only.
 //!
@@ -244,14 +248,17 @@ impl Region {
 /// supervisor snapshots the state before every batch) is two block
 /// copies, and dropping it two frees.
 ///
-/// - An append writes into the region's free tail. A list whose region is
-///   full slides its entries to the block's start if its dead front is at
-///   least half as long as the list, and otherwise moves to the arena's
-///   end with double the capacity, leaving its old block dead: amortised
-///   O(1).
+/// - A new record has the largest slot, so an insert above the list's
+///   last entry appends without a search; only a replaced record's slot
+///   is binary-searched. An append writes into the region's free tail. A
+///   list whose region is full slides its entries to the block's start if
+///   its dead front is at least half as long as the list, and otherwise
+///   moves to the arena's end with double the capacity, leaving its old
+///   block dead: amortised O(1).
 /// - Window eviction runs oldest-first, so removals overwhelmingly hit a
-///   list's front, and a front removal just advances `head`. A removal
-///   from the middle (a replaced record) shifts the tail down by one.
+///   list's front: a removal checks the front entry first, and a front
+///   removal just advances `head`. A removal from the middle (a replaced
+///   record) is binary-searched and shifts the tail down by one.
 /// - A list that empties gives its block up. Blocks given up or left
 ///   behind by moves are dead space, and the arena compacts itself once
 ///   dead space exceeds live space (the lists' entries).
@@ -281,17 +288,23 @@ impl Postings {
     }
 
     /// Insert `i` into `sym`'s list, keeping it strictly ascending and
-    /// deduplicated.
+    /// deduplicated. A new record has the largest slot, so `i` is
+    /// appended without a search when it is above the list's last entry;
+    /// only a replaced record's slot is searched for.
     fn insert(&mut self, sym: Sym, i: u32) {
         let s = sym as usize;
         if self.lists.len() <= s {
             self.lists.resize(s + 1, Region::default());
         }
-        let pos = match self.arena[self.lists[s].live()].binary_search(&i) {
-            Ok(_) => return,
-            Err(pos) => pos,
-        };
         let r = self.lists[s];
+        let list = &self.arena[r.live()];
+        let pos = match list.last() {
+            Some(&last) if last >= i => match list.binary_search(&i) {
+                Ok(_) => return,
+                Err(pos) => pos,
+            },
+            _ => list.len(),
+        };
         if r.head + r.len == r.cap {
             self.make_room(s);
         }
@@ -327,13 +340,20 @@ impl Postings {
         };
     }
 
-    /// Remove `i` from `sym`'s list if present.
+    /// Remove `i` from `sym`'s list if present. Eviction is
+    /// oldest-first, so `i` is checked against the list's front before
+    /// it is searched for.
     fn remove(&mut self, sym: Sym, i: u32) {
         let Some(&r) = self.lists.get(sym as usize) else {
             return;
         };
-        let Ok(pos) = self.arena[r.live()].binary_search(&i) else {
-            return;
+        let list = &self.arena[r.live()];
+        let pos = match list.first() {
+            Some(&front) if front == i => 0,
+            _ => match list.binary_search(&i) {
+                Ok(pos) => pos,
+                Err(_) => return,
+            },
         };
         self.live -= 1;
         let r = &mut self.lists[sym as usize];
@@ -430,12 +450,15 @@ impl TweetBase {
     /// unsorted. A replacement inherits, as `retired`, the pooled spans of
     /// the old record whose folded surface it repeats, so a re-delivered
     /// sentence does not pool its mentions a second time.
+    ///
+    /// Returns the record's slot and the record it replaced, if any. The
+    /// id index is probed once.
     pub fn insert(
         &mut self,
         sentence: &Sentence,
         local_spans: Vec<Span>,
         embeddings: Option<&Matrix>,
-    ) -> usize {
+    ) -> (usize, Option<Arc<TweetRecord>>) {
         let mut tok_syms = Vec::with_capacity(sentence.len());
         let mut shapes = Vec::with_capacity(sentence.len());
         for t in &sentence.tokens {
@@ -459,8 +482,9 @@ impl TweetBase {
             tok_syms,
             emb,
         };
-        let id = sentence.id;
-        let i = if let Some(&i) = self.index.get(&id) {
+        let next = self.n_slots();
+        let i = *self.index.entry(sentence.id).or_insert(next);
+        let replaced = if i < next {
             // Replacement: drop the old sentence's postings first. Pushing
             // the new tokens directly would re-append index `i` *after*
             // any later records' indices (the old tail-only dedup produced
@@ -479,15 +503,13 @@ impl TweetBase {
                 .copied()
                 .collect();
             self.slots[i - self.first] = Arc::new(record);
-            i
+            Some(old)
         } else {
-            let i = self.n_slots();
-            self.index.insert(id, i);
             self.slots.push_back(Arc::new(record));
-            i
+            None
         };
         self.add_postings(i);
-        i
+        (i, replaced)
     }
 
     /// Index every distinct symbol of slot `i`'s sentence, keeping each
@@ -870,7 +892,7 @@ mod tests {
             cols: dim,
             data,
         };
-        tb.insert(&sent_with(tweet, tokens), vec![], Some(&emb))
+        tb.insert(&sent_with(tweet, tokens), vec![], Some(&emb)).0
     }
 
     /// Every live record's id maps to its slot, and nothing else is
@@ -901,7 +923,7 @@ mod tests {
     #[test]
     fn insert_interns_folded_token_symbols() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(&sent_with(1, &["Italy", "reports", "ITALY"]), vec![], None);
+        let (i, _) = tb.insert(&sent_with(1, &["Italy", "reports", "ITALY"]), vec![], None);
         let r = tb.get_by_index(i);
         assert_eq!(r.tok_syms.len(), 3);
         assert_eq!(r.tok_syms[0], r.tok_syms[2], "case variants share a sym");
@@ -911,8 +933,11 @@ mod tests {
     #[test]
     fn duplicate_id_replaces() {
         let mut tb = TweetBase::new();
-        tb.insert(&sent(1), vec![], None);
-        tb.insert(&sent(1), vec![Span::new(0, 1)], None);
+        assert_eq!(tb.insert(&sent(1), vec![], None).0, 0);
+        let (i, old) = tb.insert(&sent(1), vec![Span::new(0, 1)], None);
+        assert_eq!(i, 0, "a replacement keeps its slot");
+        let old = old.expect("the replaced record is handed back");
+        assert!(old.local_spans.is_empty());
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.get(SentenceId::new(1, 0)).unwrap().local_spans.len(), 1);
     }
@@ -920,7 +945,7 @@ mod tests {
     #[test]
     fn extraction_changes_retire_and_restore_pooled_spans() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(&sent_with(1, &["a", "b", "c", "d", "e"]), vec![], None);
+        let (i, _) = tb.insert(&sent_with(1, &["a", "b", "c", "d", "e"]), vec![], None);
         let r = tb.get_mut_by_index(i);
         let (a, bc, de) = (Span::new(0, 1), Span::new(1, 3), Span::new(3, 5));
         r.set_global_mentions(vec![a, bc, de]);
@@ -941,7 +966,7 @@ mod tests {
     #[test]
     fn replacement_inherits_pooled_spans_with_the_same_surface() {
         let mut tb = TweetBase::new();
-        let i = tb.insert(&sent_with(1, &["Italy", "and", "covid"]), vec![], None);
+        let (i, _) = tb.insert(&sent_with(1, &["Italy", "and", "covid"]), vec![], None);
         tb.get_mut_by_index(i)
             .set_global_mentions(vec![Span::new(0, 1), Span::new(2, 3)]);
         // Re-delivered with one token changed: only the span whose folded
@@ -1058,7 +1083,7 @@ mod tests {
         let v2 = tb.embedding_view(i2).unwrap();
         assert_eq!(v2.row(0), &[200.0, 201.0, 202.0]);
         // No-embedding records answer None.
-        let i3 = tb.insert(&sent_with(3, &["d"]), vec![], None);
+        let (i3, _) = tb.insert(&sent_with(3, &["d"]), vec![], None);
         assert!(tb.embedding_view(i3).is_none());
         // Evict hands the stored record back; its rows stay in the arena.
         let out = tb.evict_oldest().unwrap();
@@ -1151,8 +1176,9 @@ mod tests {
         tb.insert(&sent_with(1, &["one"]), vec![], None);
         tb.insert(&sent_with(2, &["two"]), vec![], None);
         tb.evict_oldest();
-        let i = tb.insert(&sent_with(1, &["one", "again"]), vec![], None);
+        let (i, old) = tb.insert(&sent_with(1, &["one", "again"]), vec![], None);
         assert_eq!(i, 2, "an evicted id re-enters at the stream tail");
+        assert!(old.is_none(), "an evicted record is not replaced");
         assert_eq!(with_token(&tb, "one"), &[2]);
         assert_postings_consistent(&tb);
     }
@@ -1369,6 +1395,68 @@ mod tests {
             (p.get(0), p.get(1), p.get(2)),
             (&[4, 5, 6, 7, 8][..], &[][..], &[0][..])
         );
+    }
+
+    #[test]
+    fn postings_append_ascending_and_ignore_repeats() {
+        let mut p = Postings::default();
+        for i in 0..10 {
+            p.insert(3, i);
+        }
+        assert_eq!(p.get(3), &(0..10).collect::<Vec<_>>()[..]);
+        assert_eq!(p.live, 10);
+        // A repeat at the tail, in the middle or at the front is a no-op.
+        for i in [9, 5, 0] {
+            p.insert(3, i);
+        }
+        assert_eq!(p.get(3), &(0..10).collect::<Vec<_>>()[..]);
+        assert_eq!(p.live, 10);
+        // Symbols below 3 were never seen.
+        assert_eq!(p.get(0), &[] as &[u32]);
+    }
+
+    #[test]
+    fn postings_insert_a_replaced_slot_in_the_middle() {
+        let mut p = Postings::default();
+        for i in [0, 2, 7] {
+            p.insert(0, i);
+        }
+        p.insert(0, 1);
+        p.insert(0, 5);
+        assert_eq!(p.get(0), &[0, 1, 2, 5, 7]);
+        // Below the front too.
+        p.remove(0, 0);
+        p.insert(0, 0);
+        assert_eq!(p.get(0), &[0, 1, 2, 5, 7]);
+        assert_eq!(p.live, 5);
+    }
+
+    #[test]
+    fn postings_remove_at_the_front_in_the_middle_or_not_at_all() {
+        let mut p = Postings::default();
+        for i in 0..6 {
+            p.insert(1, i);
+        }
+        // Front removals advance the head.
+        p.remove(1, 0);
+        p.remove(1, 1);
+        assert_eq!((p.lists[1].head, p.get(1)), (2, &[2, 3, 4, 5][..]));
+        // A middle removal shifts the tail down.
+        p.remove(1, 4);
+        assert_eq!((p.lists[1].head, p.get(1)), (2, &[2, 3, 5][..]));
+        // Absent entries: below the front, between entries, past the
+        // tail, and in lists that hold nothing.
+        let before = p.clone();
+        for (sym, i) in [(1, 0), (1, 4), (1, 9), (0, 3), (7, 3)] {
+            p.remove(sym, i);
+        }
+        assert_eq!(p.get(1), before.get(1));
+        assert_eq!((p.live, p.dead, p.lists.len()), (3, before.dead, 2));
+        // The last entry gives the block up.
+        for i in [2, 3, 5] {
+            p.remove(1, i);
+        }
+        assert_eq!((p.lists[1], p.live), (Region::default(), 0));
     }
 
     mod props {

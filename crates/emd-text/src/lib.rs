@@ -11,7 +11,8 @@
 //!   [`token::Dataset`], BIO conversions),
 //! * capitalization-shape analysis ([`casing`]) including the six syntactic
 //!   context classes of §V-B1 of the paper,
-//! * a frequency-aware interning [`vocab::Vocab`],
+//! * a frequency-aware interning [`vocab::Vocab`], and a seeded id hasher
+//!   ([`idhash`]) for tables keyed by program-assigned integers,
 //! * a from-scratch byte-pair-encoding learner/encoder ([`bpe`]) used by the
 //!   MiniBERT local EMD system,
 //! * a lexicon + rule part-of-speech tagger ([`pos`]) standing in for
@@ -26,6 +27,7 @@
 pub mod bpe;
 pub mod casing;
 pub mod gazetteer;
+pub mod idhash;
 pub mod intern;
 pub mod normalize;
 pub mod pos;
